@@ -13,44 +13,22 @@
 //! [`EngineError::WorkerPanicked`] and carries on with a fresh workspace
 //! instead of tearing the whole batch down.
 
-use crate::engine::{Engine, EngineError};
+use crate::engine::EngineError;
 use crate::snapshot::EngineSnapshot;
-use cbr_knds::{KndsWorkspace, QueryResult};
+use cbr_knds::{KndsWorkspace, QueryKind, QueryResult};
 use cbr_ontology::ConceptId;
 use sched::sync::{available_parallelism, scope, SegQueue};
 
-/// Which query type a batch runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchKind {
-    /// Relevant-document search for each concept-set query.
-    Rds,
-    /// Similar-document search, treating each entry as a query document.
-    Sds,
-}
-
-impl Engine {
-    /// Evaluates `queries` in parallel against the engine's current
-    /// snapshot; see [`EngineSnapshot::batch`].
-    pub fn batch(
-        &self,
-        kind: BatchKind,
-        queries: &[Vec<ConceptId>],
-        k: usize,
-        threads: usize,
-    ) -> Vec<Result<QueryResult, EngineError>> {
-        self.snapshot().batch(kind, queries, k, threads)
-    }
-}
-
 impl EngineSnapshot {
-    /// Evaluates `queries` in parallel across up to `threads` workers
-    /// (0 = all available cores). Results come back in input order; each
+    /// Evaluates `queries` — concept sets for [`QueryKind::Rds`], query
+    /// documents for [`QueryKind::Sds`] — in parallel across up to
+    /// `threads` workers (0 = all available cores). Results come back in input order; each
     /// slot is `Err` exactly when the corresponding sequential call would
     /// have been. The whole batch runs against this one snapshot — every
     /// worker sees the same epoch and no worker ever takes a lock.
     pub fn batch(
         &self,
-        kind: BatchKind,
+        kind: QueryKind,
         queries: &[Vec<ConceptId>],
         k: usize,
         threads: usize,
@@ -62,7 +40,7 @@ impl EngineSnapshot {
         if threads <= 1 {
             let mut ws = KndsWorkspace::new();
             ws.reserve(concepts, docs);
-            return queries.iter().map(|q| self.run_one(kind, q, k, &mut ws)).collect();
+            return queries.iter().map(|q| self.query_with(&mut ws, kind, q, k)).collect();
         }
 
         let work: SegQueue<usize> = SegQueue::new();
@@ -84,7 +62,7 @@ impl EngineSnapshot {
                     ws.reserve(concepts, docs);
                     while let Some(i) = work.pop() {
                         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            self.run_one(kind, &queries[i], k, &mut ws)
+                            self.query_with(&mut ws, kind, &queries[i], k)
                         }));
                         match run {
                             Ok(r) => slot_queue.push((i, r)),
@@ -117,19 +95,6 @@ impl EngineSnapshot {
             })
             .collect()
     }
-
-    fn run_one(
-        &self,
-        kind: BatchKind,
-        query: &[ConceptId],
-        k: usize,
-        ws: &mut KndsWorkspace,
-    ) -> Result<QueryResult, EngineError> {
-        match kind {
-            BatchKind::Rds => self.rds_with(ws, query, k),
-            BatchKind::Sds => self.sds_with(ws, query, k),
-        }
-    }
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -146,7 +111,7 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineBuilder;
+    use crate::engine::{Engine, EngineBuilder};
     use cbr_corpus::{CorpusGenerator, CorpusProfile};
     use cbr_ontology::{GeneratorConfig, OntologyGenerator};
 
@@ -173,7 +138,7 @@ mod tests {
     fn batch_matches_sequential_in_order() {
         let e = engine();
         let qs = queries(&e, 12);
-        let parallel = e.batch(BatchKind::Rds, &qs, 5, 4);
+        let parallel = e.batch(QueryKind::Rds, &qs, 5, 4);
         for (q, out) in qs.iter().zip(&parallel) {
             let seq = e.rds(q, 5).unwrap();
             let par = out.as_ref().unwrap();
@@ -189,7 +154,7 @@ mod tests {
         let e = engine();
         let mut qs = queries(&e, 4);
         qs.insert(2, Vec::new()); // empty query -> EmptyQuery error in place
-        let out = e.batch(BatchKind::Sds, &qs, 3, 2);
+        let out = e.batch(QueryKind::Sds, &qs, 3, 2);
         assert_eq!(out.len(), 5);
         assert!(out[2].is_err());
         for (i, r) in out.iter().enumerate() {
@@ -203,8 +168,8 @@ mod tests {
     fn single_thread_path_matches() {
         let e = engine();
         let qs = queries(&e, 3);
-        let a = e.batch(BatchKind::Rds, &qs, 4, 1);
-        let b = e.batch(BatchKind::Rds, &qs, 4, 3);
+        let a = e.batch(QueryKind::Rds, &qs, 4, 1);
+        let b = e.batch(QueryKind::Rds, &qs, 4, 3);
         for (x, y) in a.iter().zip(b.iter()) {
             let (x, y) = (x.as_ref().unwrap(), y.as_ref().unwrap());
             assert_eq!(x.results.len(), y.results.len());
@@ -218,10 +183,10 @@ mod tests {
     fn batch_workers_reuse_workspaces() {
         let e = engine();
         let qs = queries(&e, 10);
-        let seq = e.batch(BatchKind::Rds, &qs, 3, 1);
+        let seq = e.batch(QueryKind::Rds, &qs, 3, 1);
         let reused: usize = seq.iter().map(|r| r.as_ref().unwrap().metrics.workspace_reused).sum();
         assert_eq!(reused, qs.len() - 1, "sequential path shares one workspace");
-        let par = e.batch(BatchKind::Rds, &qs, 3, 2);
+        let par = e.batch(QueryKind::Rds, &qs, 3, 2);
         let reused: usize = par.iter().map(|r| r.as_ref().unwrap().metrics.workspace_reused).sum();
         assert!(reused >= qs.len() - 2, "each worker is cold at most once, got {reused}");
     }
@@ -229,7 +194,7 @@ mod tests {
     #[test]
     fn empty_batch_is_empty() {
         let e = engine();
-        assert!(e.batch(BatchKind::Rds, &[], 5, 0).is_empty());
+        assert!(e.batch(QueryKind::Rds, &[], 5, 0).is_empty());
     }
 
     #[test]
@@ -239,7 +204,7 @@ mod tests {
         // k = 0 trips the kNDS precondition assert inside every worker;
         // the batch must still return one slot per query, each reporting
         // the panic, rather than unwinding or silently dropping slots.
-        let out = e.batch(BatchKind::Rds, &qs, 0, 3);
+        let out = e.batch(QueryKind::Rds, &qs, 0, 3);
         assert_eq!(out.len(), qs.len());
         for (i, r) in out.iter().enumerate() {
             assert!(
@@ -248,7 +213,7 @@ mod tests {
             );
         }
         // The engine stays healthy for the next (valid) batch.
-        let ok = e.batch(BatchKind::Rds, &qs, 3, 2);
+        let ok = e.batch(QueryKind::Rds, &qs, 3, 2);
         assert!(ok.iter().all(|r| r.is_ok()));
     }
 }

@@ -237,8 +237,8 @@ fn tune(flags: &HashMap<String, String>) -> Result<(), AnyError> {
     let idx = load(flags)?;
     let k: usize = parse_or(flags, "k", 10)?;
     let kind = match flags.get("kind").map(|s| s.as_str()).unwrap_or("rds") {
-        "rds" => cbr_knds::TuneFor::Rds,
-        "sds" => cbr_knds::TuneFor::Sds,
+        "rds" => cbr_knds::QueryKind::Rds,
+        "sds" => cbr_knds::QueryKind::Sds,
         other => return Err(format!("--kind must be rds or sds, got {other:?}").into()),
     };
     let sample: Vec<Vec<cbr_ontology::ConceptId>> = idx
@@ -248,8 +248,8 @@ fn tune(flags: &HashMap<String, String>) -> Result<(), AnyError> {
         .filter(|d| d.num_concepts() >= 2)
         .take(8)
         .map(|d| match kind {
-            cbr_knds::TuneFor::Rds => d.concepts()[..2.min(d.num_concepts())].to_vec(),
-            cbr_knds::TuneFor::Sds => d.concepts().to_vec(),
+            cbr_knds::QueryKind::Rds => d.concepts()[..2.min(d.num_concepts())].to_vec(),
+            cbr_knds::QueryKind::Sds => d.concepts().to_vec(),
         })
         .collect();
     if sample.is_empty() {

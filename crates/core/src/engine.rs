@@ -5,10 +5,11 @@
 use crate::snapshot::EngineSnapshot;
 use cbr_corpus::{ConceptFilter, Corpus, DocId, FilterConfig};
 use cbr_index::{CompactionPolicy, SegmentedSource};
-use cbr_knds::{KndsConfig, KndsWorkspace, QueryResult};
+use cbr_knds::{KndsConfig, QueryKind};
 use cbr_ontology::{ConceptId, Ontology};
 use sched::sync::Arc;
 use std::fmt;
+use std::ops::Deref;
 
 /// Errors surfaced by the [`Engine`]'s checked API.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,9 +96,13 @@ impl EngineBuilder {
 /// (memtable, tombstones, compaction) and a cached [`EngineSnapshot`]
 /// re-derived after every mutation.
 ///
-/// Every read — here or through a clone of the snapshot — runs against an
-/// immutable snapshot and never holds any lock; appends and deletes take
-/// `&mut self` and refresh the cached snapshot in `O(memtable)` at most.
+/// The engine *is* its current snapshot for reading: it derefs to
+/// [`EngineSnapshot`], so every query and accessor declared there
+/// (`rds`, `sds_by_doc`, `batch`, `ontology`, `is_live`, …) is callable
+/// on an `Engine` without being re-declared here. Every read — here or
+/// through a clone of the snapshot — runs against an immutable snapshot
+/// and never holds any lock; appends and deletes take `&mut self` and
+/// refresh the cached snapshot in `O(memtable)` at most.
 /// [`SharedEngine`](crate::SharedEngine) wraps this split for concurrent
 /// serving: one writer behind a mutex, snapshots epoch-published to any
 /// number of lock-free readers.
@@ -105,6 +110,14 @@ impl EngineBuilder {
 pub struct Engine {
     writer: SegmentedSource,
     snapshot: EngineSnapshot,
+}
+
+impl Deref for Engine {
+    type Target = EngineSnapshot;
+
+    fn deref(&self) -> &EngineSnapshot {
+        &self.snapshot
+    }
 }
 
 impl Engine {
@@ -125,46 +138,9 @@ impl Engine {
         self.snapshot.set_source(self.writer.view());
     }
 
-    /// The ontology.
-    pub fn ontology(&self) -> &Ontology {
-        self.snapshot.ontology()
-    }
-
-    /// The (filtered) bulk-loaded corpus. Appended documents are not part
-    /// of this view; read them with [`Engine::document_concepts`].
-    pub fn corpus(&self) -> &Corpus {
-        self.snapshot.corpus()
-    }
-
-    /// The active kNDS configuration.
-    pub fn config(&self) -> &KndsConfig {
-        self.snapshot.config()
-    }
-
     /// Replaces the kNDS configuration (e.g. to tune `εθ` per collection).
     pub fn set_config(&mut self, config: KndsConfig) {
         self.snapshot.set_config(config);
-    }
-
-    /// Whether concept `c` survives the eligibility filter.
-    pub fn eligible(&self, c: ConceptId) -> bool {
-        self.snapshot.eligible(c)
-    }
-
-    /// Total documents (bulk + appended).
-    pub fn num_docs(&self) -> usize {
-        self.snapshot.num_docs()
-    }
-
-    /// Sizing hint for [`KndsWorkspace::reserve`]; see
-    /// [`EngineSnapshot::workspace_hint`].
-    pub fn workspace_hint(&self) -> (usize, usize) {
-        self.snapshot.workspace_hint()
-    }
-
-    /// The concept set of any document, including appended ones.
-    pub fn document_concepts(&self, doc: DocId) -> Result<Vec<ConceptId>, EngineError> {
-        self.snapshot.document_concepts(doc)
     }
 
     /// Appends a document on the fly (the Section 1 "new patient at the
@@ -218,76 +194,6 @@ impl Engine {
         self.snapshot.source().num_segments()
     }
 
-    /// Whether `doc` is live (exists and was not deleted).
-    pub fn is_live(&self, doc: DocId) -> bool {
-        self.snapshot.is_live(doc)
-    }
-
-    /// Resolves labels to concepts, failing on the first unknown label.
-    pub fn concepts_by_labels(&self, labels: &[&str]) -> Result<Vec<ConceptId>, EngineError> {
-        self.snapshot.concepts_by_labels(labels)
-    }
-
-    /// RDS (Definition 1); see [`EngineSnapshot::rds`].
-    pub fn rds(&self, query: &[ConceptId], k: usize) -> Result<QueryResult, EngineError> {
-        self.snapshot.rds(query, k)
-    }
-
-    /// RDS over a caller-owned workspace; see [`EngineSnapshot::rds_with`].
-    pub fn rds_with(
-        &self,
-        ws: &mut KndsWorkspace,
-        query: &[ConceptId],
-        k: usize,
-    ) -> Result<QueryResult, EngineError> {
-        self.snapshot.rds_with(ws, query, k)
-    }
-
-    /// RDS with label-based input.
-    pub fn rds_by_labels(&self, labels: &[&str], k: usize) -> Result<QueryResult, EngineError> {
-        self.snapshot.rds_by_labels(labels, k)
-    }
-
-    /// SDS (Definition 2); see [`EngineSnapshot::sds`].
-    pub fn sds(&self, query_doc: &[ConceptId], k: usize) -> Result<QueryResult, EngineError> {
-        self.snapshot.sds(query_doc, k)
-    }
-
-    /// SDS over a caller-owned workspace; see [`EngineSnapshot::sds_with`].
-    pub fn sds_with(
-        &self,
-        ws: &mut KndsWorkspace,
-        query_doc: &[ConceptId],
-        k: usize,
-    ) -> Result<QueryResult, EngineError> {
-        self.snapshot.sds_with(ws, query_doc, k)
-    }
-
-    /// SDS with a collection document as the query (patient-similarity).
-    pub fn sds_by_doc(&self, doc: DocId, k: usize) -> Result<QueryResult, EngineError> {
-        self.snapshot.sds_by_doc(doc, k)
-    }
-
-    /// [`Engine::sds_by_doc`] over a caller-owned workspace.
-    pub fn sds_by_doc_with(
-        &self,
-        ws: &mut KndsWorkspace,
-        doc: DocId,
-        k: usize,
-    ) -> Result<QueryResult, EngineError> {
-        self.snapshot.sds_by_doc_with(ws, doc, k)
-    }
-
-    /// Exact `Ddq` between one document and a query (Equation 2).
-    pub fn query_distance(&self, doc: DocId, query: &[ConceptId]) -> Result<f64, EngineError> {
-        self.snapshot.query_distance(doc, query)
-    }
-
-    /// Exact symmetric `Ddd` between two documents (Equation 3).
-    pub fn document_distance(&self, a: DocId, b: DocId) -> Result<f64, EngineError> {
-        self.snapshot.document_distance(a, b)
-    }
-
     /// Auto-tunes the error threshold `εθ` for this collection by timing a
     /// sample workload at each candidate (the Figure 7 procedure,
     /// automated). Updates the engine's configuration and returns the
@@ -295,7 +201,7 @@ impl Engine {
     /// is safe at any time.
     pub fn auto_tune(
         &mut self,
-        kind: cbr_knds::TuneFor,
+        kind: QueryKind,
         sample: &[Vec<ConceptId>],
         k: usize,
     ) -> Result<f64, EngineError> {
@@ -315,27 +221,13 @@ impl Engine {
         self.snapshot.set_config(config);
         Ok(best)
     }
-
-    /// Exhaustive (no-pruning) RDS — exposed for benchmarking and
-    /// verification against [`Engine::rds`].
-    pub fn rds_full_scan(&self, query: &[ConceptId], k: usize) -> Result<QueryResult, EngineError> {
-        self.snapshot.rds_full_scan(query, k)
-    }
-
-    /// Exhaustive (no-pruning) SDS.
-    pub fn sds_full_scan(
-        &self,
-        query_doc: &[ConceptId],
-        k: usize,
-    ) -> Result<QueryResult, EngineError> {
-        self.snapshot.sds_full_scan(query_doc, k)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cbr_corpus::{CorpusGenerator, CorpusProfile};
+    use cbr_knds::KndsWorkspace;
     use cbr_ontology::{GeneratorConfig, OntologyGenerator};
 
     fn engine() -> Engine {
@@ -461,7 +353,7 @@ mod tests {
     fn auto_tune_picks_a_grid_threshold_and_updates_config() {
         let mut e = engine();
         let sample: Vec<Vec<ConceptId>> = (0..3).map(|_| some_query(&e, 2)).collect();
-        let best = e.auto_tune(cbr_knds::TuneFor::Rds, &sample, 5).unwrap();
+        let best = e.auto_tune(QueryKind::Rds, &sample, 5).unwrap();
         assert!(cbr_knds::tuner::DEFAULT_CANDIDATES.contains(&best));
         assert_eq!(e.config().error_threshold, best);
         // Queries still work and stay exact.

@@ -50,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod dynamic;
 pub mod engine;
 pub mod expansion;
 pub mod explain;
@@ -60,14 +59,14 @@ pub mod rerank;
 pub mod service;
 pub mod snapshot;
 
-pub use batch::BatchKind;
-pub use dynamic::DynamicSource;
 pub use engine::{Engine, EngineBuilder, EngineError};
 pub use expansion::ExpansionConfig;
 pub use explain::{ConceptMatch, Explanation};
 pub use rerank::{Measure, ScoredDoc};
 pub use service::SharedEngine;
 pub use snapshot::EngineSnapshot;
+
+pub use cbr_knds::QueryKind;
 
 /// Commonly needed items in one import.
 pub mod prelude {

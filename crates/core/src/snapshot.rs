@@ -20,7 +20,7 @@ use crate::engine::EngineError;
 use cbr_corpus::{ConceptFilter, Corpus, DocId};
 use cbr_dradix::Drc;
 use cbr_index::{IndexSource, SegmentedView};
-use cbr_knds::{baseline, Knds, KndsConfig, KndsWorkspace, QueryResult};
+use cbr_knds::{baseline, Hooks, Knds, KndsConfig, KndsWorkspace, QueryKind, QueryResult};
 use cbr_ontology::{ConceptId, Ontology};
 use sched::sync::Arc;
 
@@ -157,8 +157,21 @@ impl EngineSnapshot {
         query: &[ConceptId],
         k: usize,
     ) -> Result<QueryResult, EngineError> {
+        self.query_with(ws, QueryKind::Rds, query, k)
+    }
+
+    /// The one path into kNDS: drops ineligible concepts from the query
+    /// and evaluates what is left as a `kind` query over `ws`.
+    pub(crate) fn query_with(
+        &self,
+        ws: &mut KndsWorkspace,
+        kind: QueryKind,
+        query: &[ConceptId],
+        k: usize,
+    ) -> Result<QueryResult, EngineError> {
         let q = self.eligible_query(query)?;
-        Ok(Knds::new(&self.ontology, &self.source, self.config.clone()).rds_with(ws, &q, k))
+        let knds = Knds::new(&self.ontology, &self.source, self.config.clone());
+        Ok(knds.run(ws, kind, &q, k, Hooks::default()))
     }
 
     /// RDS with label-based input.
@@ -182,8 +195,7 @@ impl EngineSnapshot {
         query_doc: &[ConceptId],
         k: usize,
     ) -> Result<QueryResult, EngineError> {
-        let q = self.eligible_query(query_doc)?;
-        Ok(Knds::new(&self.ontology, &self.source, self.config.clone()).sds_with(ws, &q, k))
+        self.query_with(ws, QueryKind::Sds, query_doc, k)
     }
 
     /// SDS with a collection document as the query (patient-similarity).

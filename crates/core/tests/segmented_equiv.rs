@@ -15,11 +15,14 @@
 //! the writer keeps appending, deleting, and physically compacting
 //! underneath it.
 
+#[path = "support/dynamic.rs"]
+mod dynamic;
+
 use cbr_corpus::{Corpus, DocId};
 use cbr_index::{CompactionPolicy, IndexSource, MemorySource, SegmentedSource, SegmentedView};
 use cbr_knds::{Knds, KndsConfig};
 use cbr_ontology::{ConceptId, GeneratorConfig, Ontology, OntologyGenerator};
-use concept_rank::DynamicSource;
+use dynamic::DynamicSource;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::test_runner::{TestCaseError, TestRng};

@@ -10,10 +10,11 @@
 //! for appended documents. Appends are `O(|concepts|)`; queries see the
 //! union immediately.
 //!
-//! The serving engine now runs on the segmented, epoch-published
+//! The serving engine runs on the segmented, epoch-published
 //! [`SegmentedSource`](cbr_index::SegmentedSource) instead; this
-//! monolithic source remains as the *reference implementation* the
-//! equivalence proptests compare against (`tests/segmented_equiv.rs`):
+//! monolithic source is test support, not library API: it is the
+//! *reference implementation* the equivalence proptests compare against
+//! (`tests/segmented_equiv.rs`, which includes this file as a module) —
 //! arbitrary append/delete/compact interleavings must yield bit-identical
 //! query results on both.
 
@@ -77,11 +78,6 @@ impl DynamicSource {
     /// Number of deleted documents.
     pub fn deleted(&self) -> usize {
         self.tombstones.len()
-    }
-
-    /// The wrapped bulk source.
-    pub fn base(&self) -> &MemorySource {
-        &self.base
     }
 }
 

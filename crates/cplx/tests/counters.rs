@@ -101,11 +101,12 @@ proptest! {
         );
     }
 
-    /// kNDS BFS: one level per turn, exhausting within the ontology
-    /// diameter (≤ 2·depth: any two concepts connect through a common
-    /// root-path prefix).
+    /// kNDS under the level policy: the one search loop runs one BFS
+    /// level per turn, exhausting within the ontology diameter
+    /// (≤ 2·depth: any two concepts connect through a common root-path
+    /// prefix).
     #[test]
-    fn knds_level_counter_respects_static_bound(
+    fn knds_round_counter_respects_static_bound(
         seed in 0u64..200,
         query_picks in prop::collection::vec(0u32..10_000, 1..4),
         k in 1usize..6,
@@ -121,17 +122,18 @@ proptest! {
         let _ = engine.rds(&q, k);
         let obs = knds_counters::snapshot();
         prop_assert!(
-            obs.levels <= 2 * depth + 2,
-            "levels {} vs bound 2·depth+2 = {}",
-            obs.levels,
+            obs.rounds <= 2 * depth + 2,
+            "rounds (levels) {} vs bound 2·depth+2 = {}",
+            obs.rounds,
             2 * depth + 2
         );
     }
 
-    /// Weighted kNDS under uniform weights: the bucket loop drains one
-    /// distance bucket per turn and distances span the same diameter.
+    /// The same loop — the same `rounds` probe — under the bucket policy
+    /// at uniform weights: one distance bucket drains per turn and
+    /// distances span the same diameter.
     #[test]
-    fn weighted_bucket_counter_respects_static_bound(
+    fn weighted_round_counter_respects_static_bound(
         seed in 0u64..200,
         query_picks in prop::collection::vec(0u32..10_000, 1..4),
         k in 1usize..6,
@@ -148,9 +150,9 @@ proptest! {
         let _ = engine.rds(&q, k);
         let obs = knds_counters::snapshot();
         prop_assert!(
-            obs.buckets <= 2 * depth + 2,
-            "buckets {} vs bound 2·depth+2 = {}",
-            obs.buckets,
+            obs.rounds <= 2 * depth + 2,
+            "rounds (buckets) {} vs bound 2·depth+2 = {}",
+            obs.rounds,
             2 * depth + 2
         );
     }

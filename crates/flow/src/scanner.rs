@@ -170,8 +170,8 @@ pub fn is_ident_byte(b: u8) -> bool {
 
 /// Byte offsets of `[` that index into a value (preceded by an
 /// identifier, `)`, or `]`) rather than opening a literal, type, pattern,
-/// attribute, or macro invocation. Shared by audit rule A02 and flow
-/// rule F04.
+/// attribute, or macro invocation; a lifetime (`&'a [T]`) is not a
+/// value. Shared by audit rule A02 and flow rule F04.
 pub fn slice_index_sites(file: &SourceFile) -> Vec<usize> {
     const KEYWORDS: [&str; 14] = [
         "let", "mut", "ref", "in", "if", "else", "match", "return", "break", "continue", "move",
@@ -196,7 +196,8 @@ pub fn slice_index_sites(file: &SourceFile) -> Vec<usize> {
                 s -= 1;
             }
             let word = &file.code[s..=p];
-            if !KEYWORDS.contains(&word) {
+            let lifetime = s > 0 && bytes[s - 1] == b'\'';
+            if !lifetime && !KEYWORDS.contains(&word) {
                 out.push(i);
             }
         }
@@ -460,7 +461,8 @@ mod tests {
     fn slice_index_sites_classify_brackets() {
         let f = SourceFile::parse(
             "x.rs",
-            "#[derive(Debug)]\nfn f(v: &[u32], i: usize) -> u32 { let a: [u8; 2] = [0, 1]; \
+            "#[derive(Debug)]\nstruct S<'a> { q: &'a [u32] }\n\
+             fn f(v: &[u32], i: usize) -> u32 { let a: [u8; 2] = [0, 1]; \
              vec![3]; v[i] + (a)[0] }",
         );
         assert_eq!(slice_index_sites(&f).len(), 2, "v[i] and (a)[0] only");

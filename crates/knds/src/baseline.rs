@@ -83,47 +83,42 @@ fn scan<S: IndexSource>(
     k: usize,
     mut distance: impl FnMut(&mut Drc<'_>, &[ConceptId], &[ConceptId]) -> f64,
 ) -> QueryResult {
-    assert!(k > 0, "k must be positive");
-    let reused = ws.begin();
-    let mut q = std::mem::take(&mut ws.query);
-    crate::util::normalize_query_into(query, &mut q);
-    assert!(!q.is_empty(), "query must contain at least one concept");
-    let mut drc = Drc::new(ontology).with_scratch(ws.take_dag());
-    let mut heap = TopK::new(k);
-    let mut metrics = QueryMetrics::default();
-    let mut buf = std::mem::take(&mut ws.concepts_buf);
+    ws.session(query, k, |ws, q| {
+        let mut drc = Drc::new(ontology).with_scratch(ws.take_dag());
+        let mut heap = TopK::new(k);
+        let mut metrics = QueryMetrics::default();
+        let mut buf = std::mem::take(&mut ws.concepts_buf);
 
-    for i in 0..source.num_docs() {
-        let doc = DocId::from_index(i);
-        if !source.is_live(doc) {
-            continue;
+        for i in 0..source.num_docs() {
+            let doc = DocId::from_index(i);
+            if !source.is_live(doc) {
+                continue;
+            }
+            let t = Instant::now();
+            buf.clear();
+            source.doc_concepts(doc, &mut buf);
+            metrics.io += t.elapsed();
+
+            let t = Instant::now();
+            let d = distance(&mut drc, &buf, q);
+            metrics.distance_calc += t.elapsed();
+            metrics.drc_calls += 1;
+            metrics.docs_examined += 1;
+            heap.offer(doc, d);
         }
-        let t = Instant::now();
+        metrics.candidates_seen = source.num_docs();
+
         buf.clear();
-        source.doc_concepts(doc, &mut buf);
-        metrics.io += t.elapsed();
+        ws.concepts_buf = buf;
+        ws.restore_dag(drc.into_scratch());
 
-        let t = Instant::now();
-        let d = distance(&mut drc, &buf, &q);
-        metrics.distance_calc += t.elapsed();
-        metrics.drc_calls += 1;
-        metrics.docs_examined += 1;
-        heap.offer(doc, d);
-    }
-    metrics.candidates_seen = source.num_docs();
-
-    buf.clear();
-    ws.concepts_buf = buf;
-    q.clear();
-    ws.query = q;
-    ws.restore_dag(drc.into_scratch());
-    ws.finish();
-    metrics.workspace_reused = reused as usize;
-    metrics.workspace_bytes = ws.footprint_bytes();
-
-    let results =
-        heap.into_sorted().into_iter().map(|(doc, distance)| RankedDoc { doc, distance }).collect();
-    QueryResult { results, metrics }
+        let results = heap
+            .into_sorted()
+            .into_iter()
+            .map(|(doc, distance)| RankedDoc { doc, distance })
+            .collect();
+        QueryResult { results, metrics }
+    })
 }
 
 #[cfg(test)]

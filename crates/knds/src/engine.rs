@@ -1,7 +1,7 @@
 //! The kNDS engine (Algorithm 2) for RDS and SDS queries.
 //!
-//! One search proceeds in breadth-first **levels**. Level `l` processes
-//! every valid-path BFS state at distance `l` from some query concept:
+//! One search proceeds in **rounds**, one per distance `l` at which some
+//! valid-path traversal state sits from its query concept. Round `l`:
 //!
 //! 1. **coverage** — for each state `(origin, node)` reached for the first
 //!    time, the posting list of `node` updates every containing document's
@@ -22,16 +22,24 @@
 //!    top-k.
 //!
 //! Exactness does not depend on `εθ` or the queue watermark: both only
-//! steer when exact distances are computed.
+//! steer when exact distances are computed. Nor does it depend on the
+//! order in which the traversal reaches states, only on every state at
+//! distance `≤ l` having been covered before round `l` is examined — so
+//! the loop is written once, generic over a `Frontier` policy that owns
+//! the order: `Levels` (unit edges, breadth-first levels — [`Knds`]) or
+//! `weighted::Buckets` (weighted edges, Dijkstra buckets —
+//! [`WeightedKnds`](crate::WeightedKnds)). The policy is a type parameter,
+//! monomorphized per engine; nothing selects it at run time.
 //!
-//! All entry points funnel into one sink-parameterized runner over a
-//! borrowed [`KndsWorkspace`]; the `*_with` variants reuse a caller-owned
-//! workspace so steady-state queries allocate nothing.
+//! Every entry point of both engines funnels into one runner over one
+//! borrowed [`KndsWorkspace`] session; the `*_with` conveniences reuse a
+//! caller-owned workspace so steady-state queries allocate nothing.
 
 use crate::config::KndsConfig;
 use crate::metrics::QueryMetrics;
+use crate::trace::{TraceEvent, TraceSink};
 use crate::util::TopK;
-use crate::workspace::KndsWorkspace;
+use crate::workspace::{DenseTables, KndsWorkspace};
 use cbr_corpus::DocId;
 use cbr_dradix::Drc;
 use cbr_index::{packing, IndexSource};
@@ -57,18 +65,53 @@ pub struct QueryResult {
     pub metrics: QueryMetrics,
 }
 
+/// Which of the paper's two query types (Section 3.3) to evaluate. The
+/// one Rds/Sds switch of the workspace: searches, the `εθ` tuner and the
+/// batch runner all take it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QueryKind {
+    /// Relevant-document search (Definition 1): the query is a concept
+    /// set, ranked by `Ddq` (Equation 2).
+    Rds,
+    /// Similar-document search (Definition 2): the query is a document's
+    /// concept set, ranked by the symmetric `Ddd` (Equation 3).
+    Sds,
+}
+
+/// Optional observers of one search; `Hooks::default()` attaches none.
+/// Neither changes the returned [`QueryResult`].
+#[derive(Default)]
+pub struct Hooks<'h> {
+    /// Progressive emission (Section 5.3, optimization 4): fires for each
+    /// document the moment it is *provably* in the top-k — its exact
+    /// distance is strictly below every unexamined and unseen document's
+    /// lower bound — in non-decreasing distance order, every result
+    /// exactly once.
+    pub on_final: Option<Box<dyn FnMut(RankedDoc) + 'h>>,
+    /// A [`TraceEvent`] stream — the paper's Table 2 walkthrough, live.
+    /// Tracing is verbose; use it for debugging and teaching, not
+    /// benchmarking.
+    pub on_trace: Option<TraceSink<'h>>,
+}
+
+impl<'h> Hooks<'h> {
+    /// Hooks with only the progressive-result sink attached.
+    pub fn on_final(sink: impl FnMut(RankedDoc) + 'h) -> Self {
+        Hooks { on_final: Some(Box::new(sink)), on_trace: None }
+    }
+
+    /// Hooks with only the trace sink attached.
+    pub fn on_trace(sink: impl FnMut(TraceEvent) + 'h) -> Self {
+        Hooks { on_final: None, on_trace: Some(Box::new(sink)) }
+    }
+}
+
 /// The kNDS query engine over an ontology and an [`IndexSource`].
 #[derive(Debug)]
 pub struct Knds<'a, S: IndexSource> {
     ontology: &'a Ontology,
     source: &'a S,
     config: KndsConfig,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Kind {
-    Rds,
-    Sds,
 }
 
 /// One row of the dense candidate table (`Md` bookkeeping of Equation 5).
@@ -107,6 +150,29 @@ impl<'a, S: IndexSource> Knds<'a, S> {
         &self.config
     }
 
+    /// The one query entry point: evaluates a `kind` query for the `k`
+    /// nearest documents over the caller's workspace, with optional
+    /// [`Hooks`] (`examples/algorithm_trace.rs` drives the trace hook).
+    /// `query` is treated as a set. Every other method of this type is a
+    /// one-line convenience over `run`.
+    ///
+    /// All per-query state reuses `ws`'s capacity and is returned clean,
+    /// so a warm workspace makes the hot loop allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query` is empty or `k` is zero.
+    pub fn run(
+        &self,
+        ws: &mut KndsWorkspace,
+        kind: QueryKind,
+        query: &[ConceptId],
+        k: usize,
+        hooks: Hooks<'_>,
+    ) -> QueryResult {
+        self.search(Levels::default(), ws, kind, query, k, hooks)
+    }
+
     /// Evaluates an RDS query (Definition 1): the `k` documents minimizing
     /// `Ddq(d, q)` (Equation 2). `query` is treated as a set.
     ///
@@ -133,8 +199,7 @@ impl<'a, S: IndexSource> Knds<'a, S> {
     ///
     /// Panics if `query` is empty or `k` is zero.
     pub fn rds(&self, query: &[ConceptId], k: usize) -> QueryResult {
-        let mut ws = KndsWorkspace::new();
-        self.rds_with(&mut ws, query, k)
+        self.rds_with(&mut KndsWorkspace::new(), query, k)
     }
 
     /// [`Knds::rds`] over a caller-owned workspace: identical results,
@@ -162,7 +227,7 @@ impl<'a, S: IndexSource> Knds<'a, S> {
     /// assert_eq!(warm.metrics.workspace_reused, 1);
     /// ```
     pub fn rds_with(&self, ws: &mut KndsWorkspace, query: &[ConceptId], k: usize) -> QueryResult {
-        self.run_hooked(ws, Kind::Rds, query, k, None, None)
+        self.run(ws, QueryKind::Rds, query, k, Hooks::default())
     }
 
     /// Evaluates an SDS query (Definition 2): the `k` documents minimizing
@@ -173,8 +238,7 @@ impl<'a, S: IndexSource> Knds<'a, S> {
     ///
     /// Panics if `query_doc` is empty or `k` is zero.
     pub fn sds(&self, query_doc: &[ConceptId], k: usize) -> QueryResult {
-        let mut ws = KndsWorkspace::new();
-        self.sds_with(&mut ws, query_doc, k)
+        self.sds_with(&mut KndsWorkspace::new(), query_doc, k)
     }
 
     /// [`Knds::sds`] over a caller-owned workspace; see
@@ -185,233 +249,268 @@ impl<'a, S: IndexSource> Knds<'a, S> {
         query_doc: &[ConceptId],
         k: usize,
     ) -> QueryResult {
-        self.run_hooked(ws, Kind::Sds, query_doc, k, None, None)
+        self.run(ws, QueryKind::Sds, query_doc, k, Hooks::default())
     }
 
-    /// RDS with progressive emission (Section 5.3, optimization 4):
-    /// `on_final` fires for each document the moment it is *provably* in
-    /// the top-k — its exact distance is strictly below every unexamined
-    /// and unseen document's lower bound — and the emission order is
-    /// non-decreasing in distance. Every result is emitted exactly once;
-    /// the returned [`QueryResult`] is identical to [`Knds::rds`].
-    pub fn rds_streaming(
-        &self,
-        query: &[ConceptId],
-        k: usize,
-        on_final: impl FnMut(RankedDoc),
-    ) -> QueryResult {
-        let mut ws = KndsWorkspace::new();
-        self.run_hooked(&mut ws, Kind::Rds, query, k, Some(Box::new(on_final)), None)
-    }
-
-    /// [`Knds::rds_streaming`] over a caller-owned workspace; see
-    /// [`Knds::rds_with`] for the reuse contract.
-    pub fn rds_streaming_with(
-        &self,
-        ws: &mut KndsWorkspace,
-        query: &[ConceptId],
-        k: usize,
-        on_final: impl FnMut(RankedDoc),
-    ) -> QueryResult {
-        self.run_hooked(ws, Kind::Rds, query, k, Some(Box::new(on_final)), None)
-    }
-
-    /// SDS with progressive emission; see [`Knds::rds_streaming`].
-    pub fn sds_streaming(
-        &self,
-        query_doc: &[ConceptId],
-        k: usize,
-        on_final: impl FnMut(RankedDoc),
-    ) -> QueryResult {
-        let mut ws = KndsWorkspace::new();
-        self.run_hooked(&mut ws, Kind::Sds, query_doc, k, Some(Box::new(on_final)), None)
-    }
-
-    /// [`Knds::sds_streaming`] over a caller-owned workspace; see
-    /// [`Knds::rds_with`] for the reuse contract.
-    pub fn sds_streaming_with(
-        &self,
-        ws: &mut KndsWorkspace,
-        query_doc: &[ConceptId],
-        k: usize,
-        on_final: impl FnMut(RankedDoc),
-    ) -> QueryResult {
-        self.run_hooked(ws, Kind::Sds, query_doc, k, Some(Box::new(on_final)), None)
-    }
-
-    /// RDS with a [`TraceEvent`](crate::trace::TraceEvent) stream — the
-    /// paper's Table 2 walkthrough, live. Tracing is verbose; use it for
-    /// debugging and teaching, not benchmarking.
-    pub fn rds_traced(
-        &self,
-        query: &[ConceptId],
-        k: usize,
-        on_trace: impl FnMut(crate::trace::TraceEvent),
-    ) -> QueryResult {
-        let mut ws = KndsWorkspace::new();
-        self.run_hooked(&mut ws, Kind::Rds, query, k, None, Some(Box::new(on_trace)))
-    }
-
-    /// [`Knds::rds_traced`] over a caller-owned workspace; see
-    /// [`Knds::rds_with`] for the reuse contract.
+    /// [`Knds::rds_with`] with a [`TraceEvent`] stream; see
+    /// [`Hooks::on_trace`].
     pub fn rds_traced_with(
         &self,
         ws: &mut KndsWorkspace,
         query: &[ConceptId],
         k: usize,
-        on_trace: impl FnMut(crate::trace::TraceEvent),
+        on_trace: impl FnMut(TraceEvent),
     ) -> QueryResult {
-        self.run_hooked(ws, Kind::Rds, query, k, None, Some(Box::new(on_trace)))
+        self.run(ws, QueryKind::Rds, query, k, Hooks::on_trace(on_trace))
     }
 
-    /// SDS with a trace stream; see [`Knds::rds_traced`].
-    pub fn sds_traced(
-        &self,
-        query_doc: &[ConceptId],
-        k: usize,
-        on_trace: impl FnMut(crate::trace::TraceEvent),
-    ) -> QueryResult {
-        let mut ws = KndsWorkspace::new();
-        self.run_hooked(&mut ws, Kind::Sds, query_doc, k, None, Some(Box::new(on_trace)))
-    }
-
-    /// [`Knds::sds_traced`] over a caller-owned workspace; see
-    /// [`Knds::rds_with`] for the reuse contract.
+    /// [`Knds::sds_with`] with a [`TraceEvent`] stream; see
+    /// [`Hooks::on_trace`].
     pub fn sds_traced_with(
         &self,
         ws: &mut KndsWorkspace,
         query_doc: &[ConceptId],
         k: usize,
-        on_trace: impl FnMut(crate::trace::TraceEvent),
+        on_trace: impl FnMut(TraceEvent),
     ) -> QueryResult {
-        self.run_hooked(ws, Kind::Sds, query_doc, k, None, Some(Box::new(on_trace)))
+        self.run(ws, QueryKind::Sds, query_doc, k, Hooks::on_trace(on_trace))
     }
 
-    /// The single runner behind every entry point: normalizes the query
-    /// into the workspace, runs the search over borrowed scratch, and
-    /// returns the workspace clean (even the DRC DAG arena is round-
-    /// tripped through it).
-    fn run_hooked(
+    /// The single runner behind every entry point of both engines: one
+    /// workspace session (query normalized in, workspace returned clean)
+    /// around one search under the caller's frontier policy; even the DRC
+    /// DAG arena is round-tripped through the workspace.
+    pub(crate) fn search<F: Frontier<'a>>(
         &self,
+        frontier: F,
         ws: &mut KndsWorkspace,
-        kind: Kind,
+        kind: QueryKind,
         query: &[ConceptId],
         k: usize,
-        on_final: Option<Box<dyn FnMut(RankedDoc) + '_>>,
-        on_trace: Option<crate::trace::TraceSink<'_>>,
+        hooks: Hooks<'_>,
     ) -> QueryResult {
-        assert!(k > 0, "k must be positive");
-        let reused = ws.begin();
-        let mut q = std::mem::take(&mut ws.query);
-        crate::util::normalize_query_into(query, &mut q);
-        assert!(!q.is_empty(), "query must contain at least one concept");
-        // Open a dense-table epoch sized to this query's geometry (the SDS
-        // reverse map needs the first-touch table; the unit engine never
-        // needs Dijkstra distances).
-        let rolled = ws.dense.begin_query(
-            q.len(),
-            self.ontology.len(),
-            self.source.num_docs(),
-            kind == Kind::Sds,
-            false,
-        );
-
-        let drc = Drc::new(self.ontology).with_scratch(ws.take_dag());
-        let mut search = Search {
-            ont: self.ontology,
-            source: self.source,
-            drc,
-            config: &self.config,
-            kind,
-            nq: q.len(),
-            query: q,
-            ws,
-            heap: TopK::new(k),
-            metrics: QueryMetrics { epoch_rollover: rolled as usize, ..QueryMetrics::default() },
-            on_final,
-            on_trace,
-        };
-        let mut result = search.run();
-
-        let Search { drc, mut query, ws, .. } = search;
-        query.clear();
-        ws.query = query;
-        ws.restore_dag(drc.into_scratch());
-        ws.finish();
-        result.metrics.workspace_reused = reused as usize;
-        result.metrics.workspace_bytes = ws.footprint_bytes();
-        result.metrics.table_bytes = ws.dense.footprint_bytes();
-        result
+        ws.session(query, k, |ws, q| {
+            // Open a dense-table epoch sized to this query's geometry (the
+            // SDS reverse map needs the first-touch table; only a policy
+            // that relaxes needs the tentative-distance table).
+            let rolled = ws.dense.begin_query(
+                q.len(),
+                self.ontology.len(),
+                self.source.num_docs(),
+                kind == QueryKind::Sds,
+                F::TENTATIVE,
+            );
+            let mut search = Search {
+                ont: self.ontology,
+                source: self.source,
+                drc: frontier.drc(self.ontology).with_scratch(ws.take_dag()),
+                config: &self.config,
+                kind,
+                query: q,
+                nq: q.len(),
+                frontier,
+                ws,
+                heap: TopK::new(k),
+                metrics: QueryMetrics { epoch_rollover: rolled as usize, ..Default::default() },
+                hooks,
+            };
+            let result = search.run();
+            let Search { drc, ws, .. } = search;
+            ws.restore_dag(drc.into_scratch());
+            result
+        })
     }
 }
 
-/// BFS state: `(origin query-concept index, node, has descended?)`.
+/// Traversal state: `(origin query-concept index, node, has descended?)`.
 /// Ascending states (`false`) may still move to parents; once a state
 /// descends to a child the flag flips and only further descents are valid.
 pub(crate) type State = (u32, ConceptId, bool);
 
-struct Search<'a, 'w, S: IndexSource> {
+/// How the traversal frontier advances — the one thing the unit-weight
+/// and the weighted search disagree on. A policy owns the pending states,
+/// the cost of a step, the rule that admits a pushed state, and the order
+/// rounds come in; the bounds, the examination and the termination test
+/// of Algorithm 2 are the loop's and see only the round's distance.
+///
+/// Contract: every admitted state is handed out by exactly one
+/// [`take_round`](Self::take_round), rounds come in strictly increasing
+/// distance, and a state handed out at distance `l` was pushed with
+/// `dist == l` (so after round `l` every uncovered term is at distance
+/// `≥ l + 1`, which is all Equations 6/8 need).
+pub(crate) trait Frontier<'a> {
+    /// Whether [`DenseTables`] must size the per-state tentative-distance
+    /// table for this policy.
+    const TENTATIVE: bool;
+
+    /// The DRC calculator for this policy's concept metric.
+    fn drc(&self, ontology: &'a Ontology) -> Drc<'a>;
+
+    /// Detaches the policy's buffers from `ws` and seeds distance 0 with
+    /// one ascending state per query concept.
+    fn seed(&mut self, ws: &mut KndsWorkspace, query: &[ConceptId], dedup: bool);
+
+    /// Moves the states pending at distance `dist` out for processing.
+    fn take_round(&mut self, dist: u32) -> Vec<State>;
+
+    /// Whether a state handed out at `dist` was superseded by a cheaper
+    /// path since it was pushed and must be skipped. Never, by default:
+    /// with unit steps the first push of a state is its cheapest.
+    #[inline]
+    fn is_stale(&self, _dense: &DenseTables, _state: State, _dist: u32) -> bool {
+        false
+    }
+
+    /// Cost of ascending `child → parent` (1 by default, the paper's
+    /// metric); `None` skips the edge.
+    #[inline]
+    fn parent_step(&self, _ont: &Ontology, _parent: ConceptId, _child: ConceptId) -> Option<u32> {
+        Some(1)
+    }
+
+    /// Cost of descending from `node` to its `pos`-th child (1 by default).
+    #[inline]
+    fn child_step(&self, _node: ConceptId, _pos: usize) -> u32 {
+        1
+    }
+
+    /// Offers `state` at tentative distance `dist`; `false` if visit
+    /// deduplication rejected it.
+    fn admit(&mut self, dense: &mut DenseTables, dedup: bool, state: State, dist: u32) -> bool;
+
+    /// Hands the drained round's buffer back and returns how many states
+    /// are pending (the quantity the queue watermark limits).
+    fn finish_round(&mut self, drained: Vec<State>, dist: u32) -> usize;
+
+    /// The next distance with pending states, `None` once the reachable
+    /// ontology is exhausted.
+    fn advance(&mut self, dist: u32) -> Option<u32>;
+
+    /// Re-attaches the buffers to `ws` after the search.
+    fn restore(&mut self, ws: &mut KndsWorkspace);
+}
+
+/// Unit edges: breadth-first levels. Level `l + 1` is built in `next`
+/// while level `l` is processed; the two buffers swap-and-clear between
+/// levels instead of allocating a fresh `Vec` per level. Every step costs
+/// 1, so the first push of a state is its minimal distance and dedup is
+/// one visited bit per state, set at push time.
+#[derive(Debug, Default)]
+pub(crate) struct Levels {
+    current: Vec<State>,
+    next: Vec<State>,
+}
+
+impl<'a> Frontier<'a> for Levels {
+    const TENTATIVE: bool = false;
+
+    fn drc(&self, ontology: &'a Ontology) -> Drc<'a> {
+        Drc::new(ontology)
+    }
+
+    fn seed(&mut self, ws: &mut KndsWorkspace, query: &[ConceptId], dedup: bool) {
+        self.current = std::mem::take(&mut ws.frontier);
+        self.next = std::mem::take(&mut ws.next_frontier);
+        self.current.clear();
+        self.next.clear();
+        self.current
+            .extend(query.iter().enumerate().map(|(i, &c)| (packing::narrow_u32(i), c, false)));
+        if dedup {
+            for &(origin, node, desc) in &self.current {
+                ws.dense.mark_state(origin, node, desc);
+            }
+        }
+    }
+
+    #[inline]
+    fn take_round(&mut self, _dist: u32) -> Vec<State> {
+        std::mem::take(&mut self.current)
+    }
+
+    #[inline]
+    fn admit(&mut self, dense: &mut DenseTables, dedup: bool, state: State, _dist: u32) -> bool {
+        let (origin, node, desc) = state;
+        if dedup && !dense.mark_state(origin, node, desc) {
+            return false;
+        }
+        self.next.push(state);
+        true
+    }
+
+    #[inline]
+    fn finish_round(&mut self, drained: Vec<State>, _dist: u32) -> usize {
+        self.current = drained;
+        self.next.len()
+    }
+
+    #[inline]
+    fn advance(&mut self, dist: u32) -> Option<u32> {
+        if self.next.is_empty() {
+            return None;
+        }
+        std::mem::swap(&mut self.current, &mut self.next);
+        self.next.clear();
+        Some(dist + 1)
+    }
+
+    fn restore(&mut self, ws: &mut KndsWorkspace) {
+        ws.frontier = std::mem::take(&mut self.current);
+        ws.next_frontier = std::mem::take(&mut self.next);
+    }
+}
+
+struct Search<'a, 'r, S: IndexSource, F> {
     ont: &'a Ontology,
     source: &'a S,
     drc: Drc<'a>,
-    config: &'a KndsConfig,
-    kind: Kind,
-    query: Vec<ConceptId>,
+    config: &'r KndsConfig,
+    kind: QueryKind,
+    /// The normalized (sorted, deduplicated) query and its length.
+    query: &'r [ConceptId],
     nq: usize,
+    /// The traversal order (levels or buckets), fixed at compile time.
+    frontier: F,
     /// All per-query maps and buffers live here, borrowed for this query.
-    ws: &'w mut KndsWorkspace,
+    ws: &'r mut KndsWorkspace,
     heap: TopK,
     metrics: QueryMetrics,
-    /// Progressive-result sink (Section 5.3, optimization 4).
-    on_final: Option<Box<dyn FnMut(RankedDoc) + 'a>>,
-    /// Trace sink (the Table 2 walkthrough).
-    on_trace: Option<crate::trace::TraceSink<'a>>,
+    /// Progressive-result and trace sinks.
+    hooks: Hooks<'r>,
 }
 
-impl<S: IndexSource> Search<'_, '_, S> {
+impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
     fn run(&mut self) -> QueryResult {
-        // Double-buffered frontier: `frontier` is the current level, `next`
-        // the one being built; the buffers swap-and-clear between levels
-        // instead of allocating a fresh Vec per level.
-        let mut frontier = std::mem::take(&mut self.ws.frontier);
-        let mut next = std::mem::take(&mut self.ws.next_frontier);
-        frontier.clear();
-        frontier.extend(
-            self.query.iter().enumerate().map(|(i, &c)| (packing::narrow_u32(i), c, false)),
-        );
-        if self.config.dedup_visits {
-            for &(origin, node, desc) in &frontier {
-                self.ws.dense.mark_state(origin, node, desc);
-            }
-        }
+        self.frontier.seed(self.ws, self.query, self.config.dedup_visits);
 
-        let mut level: u32 = 0;
-        // cplx: bound depth — one BFS level per turn, exhausting within the diameter; cplx: counter levels
+        let mut dist: u32 = 0;
+        // cplx: bound depth — one distance per turn, exhausting within the valid-path diameter; cplx: counter rounds
         loop {
             #[cfg(feature = "counters")]
-            crate::counters::bump_levels();
-            self.trace(|| crate::trace::TraceEvent::LevelStart { level, frontier: frontier.len() });
+            crate::counters::bump_rounds();
+            let current = self.frontier.take_round(dist);
+            self.trace(|| TraceEvent::LevelStart { level: dist, frontier: current.len() });
             // --- coverage + expansion (traversal bucket) --------------------
             let t0 = Instant::now();
-            next.clear();
-            let mut forced = false;
-            for &(origin, node, descending) in &frontier {
+            for &state in &current {
+                if self.frontier.is_stale(&self.ws.dense, state, dist) {
+                    continue;
+                }
                 self.metrics.nodes_visited += 1;
-                self.apply_coverage(origin, node, level);
-                self.expand(origin, node, descending, &mut next);
+                self.apply_coverage(state.0, state.1, dist);
+                self.expand(state, dist);
             }
-            if next.len() > self.config.queue_cap {
-                forced = true;
+            let forced = self.frontier.finish_round(current, dist) > self.config.queue_cap;
+            if forced {
                 self.metrics.forced_rounds += 1;
             }
             self.metrics.traversal += t0.elapsed();
             self.metrics.levels += 1;
 
             // --- examination (distance-calculation bucket) ------------------
-            let min_unexamined = self.examine(level, forced);
+            let min_unexamined = self.examine(dist, forced);
 
             // --- termination -------------------------------------------------
-            let d_minus = min_unexamined.min(self.unseen_bound(level));
+            let d_minus = min_unexamined.min(self.unseen_bound(dist));
             if self.config.progressive {
                 let final_now = self.heap.iter().filter(|&(_, d)| d <= d_minus).count();
                 self.metrics.progressive_results = self.metrics.progressive_results.max(final_now);
@@ -419,18 +518,18 @@ impl<S: IndexSource> Search<'_, '_, S> {
             }
             if self.heap.is_full() && d_minus >= self.heap.threshold() {
                 let threshold = self.heap.threshold();
-                self.trace(|| crate::trace::TraceEvent::Terminated { level, d_minus, threshold });
+                self.trace(|| TraceEvent::Terminated { level: dist, d_minus, threshold });
                 break;
             }
-            if next.is_empty() {
-                self.finalize_exhausted();
-                break;
+            match self.frontier.advance(dist) {
+                Some(next) => dist = next,
+                None => {
+                    self.finalize_exhausted();
+                    break;
+                }
             }
-            std::mem::swap(&mut frontier, &mut next);
-            level += 1;
         }
-        self.ws.frontier = frontier;
-        self.ws.next_frontier = next;
+        self.frontier.restore(self.ws);
 
         self.metrics.candidates_seen = self.ws.dense.cand.len();
         let results: Vec<RankedDoc> = std::mem::replace(&mut self.heap, TopK::new(1))
@@ -439,7 +538,7 @@ impl<S: IndexSource> Search<'_, '_, S> {
             .map(|(doc, distance)| RankedDoc { doc, distance })
             .collect();
         // Flush the remaining results (already sorted) to the sink.
-        if let Some(sink) = self.on_final.as_mut() {
+        if let Some(sink) = self.hooks.on_final.as_mut() {
             for &r in &results {
                 if self.ws.dense.mark_doc(r.doc) {
                     sink(r);
@@ -453,7 +552,7 @@ impl<S: IndexSource> Search<'_, '_, S> {
     /// no unexamined or unseen document can beat it, so it is final. Any
     /// later emission has distance ≥ `d_minus`, keeping the stream sorted.
     fn emit_final(&mut self, d_minus: f64) {
-        if self.on_final.is_none() {
+        if self.hooks.on_final.is_none() {
             return;
         }
         let mut ready = std::mem::take(&mut self.ws.order);
@@ -465,7 +564,7 @@ impl<S: IndexSource> Search<'_, '_, S> {
                 .map(|(doc, d)| (d, doc)),
         );
         ready.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        if let Some(sink) = self.on_final.as_mut() {
+        if let Some(sink) = self.hooks.on_final.as_mut() {
             for &(distance, doc) in &ready {
                 self.ws.dense.mark_doc(doc);
                 sink(RankedDoc { doc, distance });
@@ -477,12 +576,13 @@ impl<S: IndexSource> Search<'_, '_, S> {
 
     /// Applies the posting list of `node` to the candidate bookkeeping:
     /// forward coverage once per `(origin, node)`, reverse coverage (SDS)
-    /// once per `node`.
+    /// once per `node`. Rounds come in increasing distance, so the first
+    /// application carries the minimal distance under either policy.
     // cplx: bound nq*post — amortized: the dense pair marks admit each (origin,
     // concept) pair once per query, so the posting scans sum to nq·Σ|postings|
     fn apply_coverage(&mut self, origin: u32, node: ConceptId, level: u32) {
         let fwd_new = self.ws.dense.mark_pair(origin, node);
-        let rev_new = self.kind == Kind::Sds && self.ws.dense.touch_first(node);
+        let rev_new = self.kind == QueryKind::Sds && self.ws.dense.touch_first(node);
         if !fwd_new && !rev_new {
             return;
         }
@@ -502,7 +602,7 @@ impl<S: IndexSource> Search<'_, '_, S> {
                     slot
                 }
                 None => {
-                    let len = if self.kind == Kind::Sds {
+                    let len = if self.kind == QueryKind::Sds {
                         packing::narrow_u32(self.source.doc_len(d))
                     } else {
                         0
@@ -515,30 +615,31 @@ impl<S: IndexSource> Search<'_, '_, S> {
         self.ws.postings_buf = postings;
     }
 
-    /// Pushes the valid-path neighbors of a state: once a traversal has
-    /// descended it may not ascend again (the "{G,F} not pushed" rule of
-    /// Example 4).
-    fn expand(&mut self, origin: u32, node: ConceptId, descending: bool, next: &mut Vec<State>) {
+    /// Pushes the valid-path neighbors of a state, each at `dist` plus the
+    /// policy's step cost: once a traversal has descended it may not
+    /// ascend again (the "{G,F} not pushed" rule of Example 4).
+    fn expand(&mut self, (origin, node, descending): State, dist: u32) {
         if !descending {
             for &p in self.ont.parents(node) {
-                self.push_state((origin, p, false), next);
+                let Some(w) = self.frontier.parent_step(self.ont, p, node) else {
+                    debug_assert!(false, "parent adjacency is symmetric");
+                    continue;
+                };
+                self.push_state((origin, p, false), dist + w);
             }
         }
-        for &c in self.ont.children(node) {
-            self.push_state((origin, c, true), next);
+        for (pos, &c) in self.ont.children(node).iter().enumerate() {
+            let w = self.frontier.child_step(node, pos);
+            self.push_state((origin, c, true), dist + w);
         }
     }
 
     #[inline]
-    fn push_state(&mut self, state: State, next: &mut Vec<State>) {
-        if self.config.dedup_visits {
-            let (origin, node, desc) = state;
-            if !self.ws.dense.mark_state(origin, node, desc) {
-                self.metrics.dense_hits += 1;
-                return;
-            }
+    fn push_state(&mut self, state: State, dist: u32) {
+        let dedup = self.config.dedup_visits;
+        if !self.frontier.admit(&mut self.ws.dense, dedup, state, dist) {
+            self.metrics.dense_hits += 1;
         }
-        next.push(state);
     }
 
     /// Sorts unexamined candidates by lower bound and examines while the
@@ -560,12 +661,12 @@ impl<S: IndexSource> Search<'_, '_, S> {
         order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         self.metrics.traversal += t0.elapsed();
 
-        if self.on_trace.is_some() {
+        if self.hooks.on_trace.is_some() {
             for &(_, doc) in &order {
                 let entry = self.ws.dense.slot_of(doc).and_then(|s| self.ws.dense.candidate(s));
                 if let Some(c) = entry {
                     let (covered, partial) = (c.covered, c.partial);
-                    self.trace(|| crate::trace::TraceEvent::Candidate { doc, covered, partial });
+                    self.trace(|| TraceEvent::Candidate { doc, covered, partial });
                 }
             }
         }
@@ -601,7 +702,7 @@ impl<S: IndexSource> Search<'_, '_, S> {
             }
             self.metrics.docs_examined += 1;
             self.heap.offer(doc, exact);
-            self.trace(|| crate::trace::TraceEvent::Examined {
+            self.trace(|| TraceEvent::Examined {
                 doc,
                 lower_bound: lb,
                 error: eps,
@@ -612,15 +713,15 @@ impl<S: IndexSource> Search<'_, '_, S> {
         order.clear();
         self.ws.order = order;
         let threshold = self.heap.threshold();
-        self.trace(|| crate::trace::TraceEvent::ExamineBreak { min_unexamined, threshold });
+        self.trace(|| TraceEvent::ExamineBreak { min_unexamined, threshold });
         min_unexamined
     }
 
     /// Emits a trace event if a sink is attached (the closure keeps event
     /// construction off the hot path).
     #[inline]
-    fn trace(&mut self, event: impl FnOnce() -> crate::trace::TraceEvent) {
-        if let Some(sink) = self.on_trace.as_mut() {
+    fn trace(&mut self, event: impl FnOnce() -> TraceEvent) {
+        if let Some(sink) = self.hooks.on_trace.as_mut() {
             sink(event());
         }
     }
@@ -633,8 +734,8 @@ impl<S: IndexSource> Search<'_, '_, S> {
         let next = (level + 1) as u64;
         let fwd = c.partial + (self.nq as u64 - c.covered as u64) * next;
         match self.kind {
-            Kind::Rds => fwd as f64,
-            Kind::Sds => {
+            QueryKind::Rds => fwd as f64,
+            QueryKind::Sds => {
                 let rev = c.rev_sum + (c.doc_len as u64 - c.rev_covered as u64) * next;
                 fwd as f64 / self.nq as f64 + rev as f64 / c.doc_len.max(1) as f64
             }
@@ -646,8 +747,8 @@ impl<S: IndexSource> Search<'_, '_, S> {
     // are sums of ≤ nq·doc_len hop counts, far below the 2^53 f64 mantissa
     fn partial_distance(&self, c: &Candidate) -> f64 {
         match self.kind {
-            Kind::Rds => c.partial as f64,
-            Kind::Sds => {
+            QueryKind::Rds => c.partial as f64,
+            QueryKind::Sds => {
                 c.partial as f64 / self.nq as f64 + c.rev_sum as f64 / c.doc_len.max(1) as f64
             }
         }
@@ -665,8 +766,8 @@ impl<S: IndexSource> Search<'_, '_, S> {
     /// exact distance (Section 5.3, optimization 3).
     fn is_complete(&self, c: &Candidate) -> bool {
         match self.kind {
-            Kind::Rds => c.covered as usize == self.nq,
-            Kind::Sds => c.covered as usize == self.nq && c.rev_covered == c.doc_len,
+            QueryKind::Rds => c.covered as usize == self.nq,
+            QueryKind::Sds => c.covered as usize == self.nq && c.rev_covered == c.doc_len,
         }
     }
 
@@ -676,8 +777,8 @@ impl<S: IndexSource> Search<'_, '_, S> {
     fn unseen_bound(&self, level: u32) -> f64 {
         let next = (level + 1) as f64;
         match self.kind {
-            Kind::Rds => self.nq as f64 * next,
-            Kind::Sds => 2.0 * next,
+            QueryKind::Rds => self.nq as f64 * next,
+            QueryKind::Sds => 2.0 * next,
         }
     }
 
@@ -699,15 +800,17 @@ impl<S: IndexSource> Search<'_, '_, S> {
 
         let t = Instant::now();
         let exact = match self.kind {
-            Kind::Rds => {
-                let d = self.drc.document_query_distance(&self.ws.concepts_buf, &self.query);
+            QueryKind::Rds => {
+                let d = self.drc.document_query_distance(&self.ws.concepts_buf, self.query);
                 if d == cbr_dradix::INFINITE {
                     f64::INFINITY
                 } else {
                     d as f64
                 }
             }
-            Kind::Sds => self.drc.document_document_distance(&self.ws.concepts_buf, &self.query),
+            QueryKind::Sds => {
+                self.drc.document_document_distance(&self.ws.concepts_buf, self.query)
+            }
         };
         self.metrics.distance_calc += t.elapsed();
         self.metrics.drc_calls += 1;
@@ -720,29 +823,15 @@ impl<S: IndexSource> Search<'_, '_, S> {
     /// all) and sit at infinite distance.
     fn finalize_exhausted(&mut self) {
         let t0 = Instant::now();
-        let mut docs = std::mem::take(&mut self.ws.docs_buf);
-        docs.clear();
-        docs.extend(
-            self.ws
-                .dense
-                .cand_docs
-                .iter()
-                .zip(self.ws.dense.cand.iter())
-                .filter(|(_, c)| !c.examined)
-                .map(|(&d, _)| d),
-        );
-        let finalized = docs.len();
-        self.trace(|| crate::trace::TraceEvent::Exhausted { finalized });
-        for &doc in &docs {
-            let Some(slot) = self.ws.dense.slot_of(doc) else {
+        let finalized = self.ws.dense.cand.iter().filter(|c| !c.examined).count();
+        self.trace(|| TraceEvent::Exhausted { finalized });
+        for slot in 0..self.ws.dense.cand.len() {
+            let row = self.ws.dense.candidate(slot).zip(self.ws.dense.cand_docs.get(slot));
+            let Some((c, &doc)) = row.filter(|(c, _)| !c.examined) else {
                 continue;
             };
-            let Some(exact) = self.ws.dense.candidate(slot).map(|c| {
-                debug_assert_eq!(c.covered as usize, self.nq, "exhaustion implies full coverage");
-                self.partial_distance(c)
-            }) else {
-                continue;
-            };
+            debug_assert_eq!(c.covered as usize, self.nq, "exhaustion implies full coverage");
+            let exact = self.partial_distance(c);
             self.metrics.exact_from_partial += 1;
             self.metrics.docs_examined += 1;
             if let Some(c) = self.ws.dense.candidate_mut(slot) {
@@ -750,8 +839,6 @@ impl<S: IndexSource> Search<'_, '_, S> {
             }
             self.heap.offer(doc, exact);
         }
-        docs.clear();
-        self.ws.docs_buf = docs;
         if !self.heap.is_full() {
             for i in 0..self.source.num_docs() {
                 let d = DocId::from_index(i);

@@ -30,13 +30,14 @@
 //! Engineering extensions around the core algorithm:
 //!
 //! * [`weighted`] — kNDS over weighted edges (bucketed Dijkstra), the
-//!   Section 7 future-work variant;
+//!   Section 7 future-work variant: the same Algorithm 2 loop as
+//!   [`Knds`] under a different frontier policy;
 //! * [`sharded`] — the paper's MapReduce sketch as thread-parallel
 //!   partitioned search with exact top-k merge;
 //! * [`tuner`] — automatic `εθ` selection (the Figure 7 procedure);
 //! * [`trace`] — structured search traces (the Table 2 walkthrough);
-//! * progressive streaming (`rds_streaming`) per Section 5.3,
-//!   optimization 4.
+//! * progressive streaming ([`Hooks::on_final`] through [`Knds::run`],
+//!   the one query entry point) per Section 5.3, optimization 4.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,10 +57,10 @@ pub mod weighted;
 pub mod workspace;
 
 pub use config::KndsConfig;
-pub use engine::{Knds, QueryResult, RankedDoc};
+pub use engine::{Hooks, Knds, QueryKind, QueryResult, RankedDoc};
 pub use metrics::QueryMetrics;
 pub use sharded::{rds_sharded, sds_sharded, ShardView};
 pub use trace::TraceEvent;
-pub use tuner::{tune_error_threshold, TuneFor};
+pub use tuner::tune_error_threshold;
 pub use weighted::WeightedKnds;
 pub use workspace::KndsWorkspace;

@@ -17,7 +17,7 @@
 //! concurrently.
 
 use crate::config::KndsConfig;
-use crate::engine::{Knds, QueryResult, RankedDoc};
+use crate::engine::{Hooks, Knds, QueryKind, QueryResult, RankedDoc};
 use crate::metrics::QueryMetrics;
 use crate::util::TopK;
 use crate::workspace::KndsWorkspace;
@@ -94,7 +94,7 @@ pub fn rds_sharded<S: IndexSource + Sync>(
     config: &KndsConfig,
     shards: u32,
 ) -> QueryResult {
-    run_sharded(ontology, source, query, k, config, shards, true)
+    run_sharded(ontology, source, QueryKind::Rds, query, k, config, shards)
 }
 
 /// Sharded SDS; see [`rds_sharded`].
@@ -106,17 +106,17 @@ pub fn sds_sharded<S: IndexSource + Sync>(
     config: &KndsConfig,
     shards: u32,
 ) -> QueryResult {
-    run_sharded(ontology, source, query_doc, k, config, shards, false)
+    run_sharded(ontology, source, QueryKind::Sds, query_doc, k, config, shards)
 }
 
 fn run_sharded<S: IndexSource + Sync>(
     ontology: &Ontology,
     source: &S,
+    kind: QueryKind,
     query: &[ConceptId],
     k: usize,
     config: &KndsConfig,
     shards: u32,
-    rds: bool,
 ) -> QueryResult {
     assert!(shards > 0, "at least one shard required");
     let partials: Vec<QueryResult> = scope(|scope| {
@@ -132,11 +132,7 @@ fn run_sharded<S: IndexSource + Sync>(
                     // query itself never grows them.
                     let mut ws = KndsWorkspace::new();
                     ws.reserve(ontology.len(), view.num_docs());
-                    if rds {
-                        engine.rds_with(&mut ws, query, k)
-                    } else {
-                        engine.sds_with(&mut ws, query, k)
-                    }
+                    engine.run(&mut ws, kind, query, k, Hooks::default())
                 })
             })
             .collect();

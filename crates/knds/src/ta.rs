@@ -96,11 +96,18 @@ pub fn rds_with<S: IndexSource>(
     query: &[ConceptId],
     k: usize,
 ) -> QueryResult {
-    assert!(k > 0, "k must be positive");
-    let reused = ws.begin();
-    let mut q = std::mem::take(&mut ws.query);
-    crate::util::normalize_query_into(query, &mut q);
-    assert!(!q.is_empty(), "query must contain at least one concept");
+    ws.session(query, k, |ws, q| ta_round_robin(ontology, source, ws, q, k))
+}
+
+/// The TA evaluation proper, over a normalized query inside an open
+/// workspace session.
+fn ta_round_robin<S: IndexSource>(
+    ontology: &Ontology,
+    source: &S,
+    ws: &mut KndsWorkspace,
+    q: &[ConceptId],
+    k: usize,
+) -> QueryResult {
     // TA only needs the per-document marks; the epoch bump replaces the
     // old O(|D|) clear-and-resize of a boolean vector.
     let rolled = ws.dense.begin_query(0, 0, source.num_docs(), false, false);
@@ -158,13 +165,6 @@ pub fn rds_with<S: IndexSource>(
     }
     metrics.traversal += t.elapsed();
     metrics.candidates_seen = metrics.docs_examined;
-
-    q.clear();
-    ws.query = q;
-    ws.finish();
-    metrics.workspace_reused = reused as usize;
-    metrics.workspace_bytes = ws.footprint_bytes();
-    metrics.table_bytes = ws.dense.footprint_bytes();
 
     let results =
         heap.into_sorted().into_iter().map(|(doc, distance)| RankedDoc { doc, distance }).collect();

@@ -11,19 +11,10 @@
 //! the work split), tuning is safe to run on live data.
 
 use crate::config::KndsConfig;
-use crate::engine::Knds;
+use crate::engine::{Hooks, Knds, QueryKind};
 use cbr_index::IndexSource;
 use cbr_ontology::{ConceptId, Ontology};
 use std::time::{Duration, Instant};
-
-/// Which query type to tune for (the optimum differs; Figure 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TuneFor {
-    /// Relevant-document search workloads.
-    Rds,
-    /// Similar-document search workloads.
-    Sds,
-}
 
 /// One candidate's measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,8 +25,9 @@ pub struct TunePoint {
     pub elapsed: Duration,
 }
 
-/// Measures every candidate threshold over the sample workload and returns
-/// the fastest along with the full sweep (for reporting).
+/// Measures every candidate threshold over a sample workload of `kind`
+/// queries (the optimum differs by query type; Figure 7) and returns the
+/// fastest along with the full sweep (for reporting).
 ///
 /// # Panics
 ///
@@ -43,7 +35,7 @@ pub struct TunePoint {
 pub fn tune_error_threshold<S: IndexSource>(
     ontology: &Ontology,
     source: &S,
-    kind: TuneFor,
+    kind: QueryKind,
     sample: &[Vec<ConceptId>],
     k: usize,
     candidates: &[f64],
@@ -61,10 +53,7 @@ pub fn tune_error_threshold<S: IndexSource>(
         let engine = Knds::new(ontology, source, cfg);
         let t0 = Instant::now();
         for q in sample {
-            let r = match kind {
-                TuneFor::Rds => engine.rds_with(&mut ws, q, k),
-                TuneFor::Sds => engine.sds_with(&mut ws, q, k),
-            };
+            let r = engine.run(&mut ws, kind, q, k, Hooks::default());
             std::hint::black_box(r.results.len());
         }
         let elapsed = t0.elapsed();
@@ -105,7 +94,7 @@ mod tests {
         let (best, sweep) = tune_error_threshold(
             &ont,
             &source,
-            TuneFor::Rds,
+            QueryKind::Rds,
             &sample,
             5,
             DEFAULT_CANDIDATES,
@@ -134,7 +123,7 @@ mod tests {
         let (best, _) = tune_error_threshold(
             &ont,
             &source,
-            TuneFor::Sds,
+            QueryKind::Sds,
             &sample,
             3,
             &[0.0, 1.0],
@@ -152,7 +141,7 @@ mod tests {
         tune_error_threshold(
             &ont,
             &source,
-            TuneFor::Rds,
+            QueryKind::Rds,
             &[vec![cbr_ontology::ConceptId(1)]],
             1,
             &[],

@@ -6,7 +6,9 @@
 //! ([`cbr_ontology::EdgeWeights`]) the level-synchronized BFS of the
 //! unit-weight engine becomes a **bucketed Dijkstra**: states pop in
 //! non-decreasing accumulated weight, one bucket per integer distance.
-//! All the Algorithm 2 machinery carries over —
+//! That is a change of traversal order and nothing else, so this module
+//! is only the `Buckets` frontier policy plugged into the one
+//! Algorithm 2 loop of [`crate::engine`]. All its machinery carries over —
 //!
 //! * coverage at first (minimal-distance) pop gives exact `Md`/`M'd`
 //!   entries, because pops are globally distance-ordered;
@@ -25,23 +27,18 @@
 //! queries.
 
 use crate::config::KndsConfig;
-use crate::engine::{Candidate, Kind, QueryResult, RankedDoc, State};
-use crate::metrics::QueryMetrics;
-use crate::util::TopK;
-use crate::workspace::KndsWorkspace;
-use cbr_corpus::DocId;
+use crate::engine::{Frontier, Hooks, Knds, QueryKind, QueryResult, State};
+use crate::workspace::{DenseTables, KndsWorkspace};
 use cbr_dradix::Drc;
 use cbr_index::{packing, IndexSource};
 use cbr_ontology::{ConceptId, EdgeWeights, Ontology};
-use std::time::Instant;
 
 /// Top-k search under weighted valid-path distances.
 #[derive(Debug)]
 pub struct WeightedKnds<'a, S: IndexSource> {
-    ontology: &'a Ontology,
+    /// The shared (ontology, source, configuration) shell and runner.
+    base: Knds<'a, S>,
     weights: &'a EdgeWeights,
-    source: &'a S,
-    config: KndsConfig,
 }
 
 impl<'a, S: IndexSource> WeightedKnds<'a, S> {
@@ -52,26 +49,24 @@ impl<'a, S: IndexSource> WeightedKnds<'a, S> {
         source: &'a S,
         config: KndsConfig,
     ) -> Self {
-        WeightedKnds { ontology, weights, source, config }
+        WeightedKnds { base: Knds::new(ontology, source, config), weights }
     }
 
     /// Weighted RDS: top-k under `Ddq` with weighted concept distances.
     pub fn rds(&self, query: &[ConceptId], k: usize) -> QueryResult {
-        let mut ws = KndsWorkspace::new();
-        self.rds_with(&mut ws, query, k)
+        self.rds_with(&mut KndsWorkspace::new(), query, k)
     }
 
     /// [`WeightedKnds::rds`] over a caller-owned workspace; see
     /// [`Knds::rds_with`](crate::Knds::rds_with).
     pub fn rds_with(&self, ws: &mut KndsWorkspace, query: &[ConceptId], k: usize) -> QueryResult {
-        self.run(ws, Kind::Rds, query, k)
+        self.base.search(self.buckets(), ws, QueryKind::Rds, query, k, Hooks::default())
     }
 
     /// Weighted SDS: top-k under the symmetric `Ddd` with weighted
     /// concept distances.
     pub fn sds(&self, query_doc: &[ConceptId], k: usize) -> QueryResult {
-        let mut ws = KndsWorkspace::new();
-        self.sds_with(&mut ws, query_doc, k)
+        self.sds_with(&mut KndsWorkspace::new(), query_doc, k)
     }
 
     /// [`WeightedKnds::sds`] over a caller-owned workspace; see
@@ -82,406 +77,118 @@ impl<'a, S: IndexSource> WeightedKnds<'a, S> {
         query_doc: &[ConceptId],
         k: usize,
     ) -> QueryResult {
-        self.run(ws, Kind::Sds, query_doc, k)
+        self.base.search(self.buckets(), ws, QueryKind::Sds, query_doc, k, Hooks::default())
     }
 
-    fn run(
-        &self,
-        ws: &mut KndsWorkspace,
-        kind: Kind,
-        query: &[ConceptId],
-        k: usize,
-    ) -> QueryResult {
-        assert!(k > 0, "k must be positive");
-        let reused = ws.begin();
-        let mut q = std::mem::take(&mut ws.query);
-        crate::util::normalize_query_into(query, &mut q);
-        assert!(!q.is_empty(), "query must contain at least one concept");
-        // Dense-table epoch for this query; the weighted engine needs the
-        // Dijkstra tentative-distance table.
-        let rolled = ws.dense.begin_query(
-            q.len(),
-            self.ontology.len(),
-            self.source.num_docs(),
-            kind == Kind::Sds,
-            true,
-        );
-
-        let drc = Drc::with_weights(self.ontology, self.weights).with_scratch(ws.take_dag());
-        let mut search = WeightedSearch {
-            ont: self.ontology,
-            weights: self.weights,
-            source: self.source,
-            drc,
-            config: &self.config,
-            kind,
-            nq: q.len(),
-            query: q,
-            ws,
-            heap: TopK::new(k),
-            metrics: QueryMetrics { epoch_rollover: rolled as usize, ..QueryMetrics::default() },
-        };
-        let mut result = search.run();
-
-        let WeightedSearch { drc, mut query, ws, .. } = search;
-        query.clear();
-        ws.query = query;
-        ws.restore_dag(drc.into_scratch());
-        ws.finish();
-        result.metrics.workspace_reused = reused as usize;
-        result.metrics.workspace_bytes = ws.footprint_bytes();
-        result.metrics.table_bytes = ws.dense.footprint_bytes();
-        result
+    /// The bucket policy over this engine's weights; `seed` attaches the
+    /// workspace's retained buckets.
+    fn buckets(&self) -> Buckets<'a> {
+        Buckets { weights: self.weights, buckets: Vec::new() }
     }
 }
 
-struct WeightedSearch<'a, 'w, S: IndexSource> {
-    ont: &'a Ontology,
+/// Weighted edges: distance-indexed Dijkstra buckets. Buckets grow on
+/// demand; both the outer `Vec` and every inner `Vec` are retained by the
+/// workspace across queries. A state may be pushed more than once (a
+/// cheaper path found later), so dedup is a per-state best tentative
+/// distance — 8 stamped bytes where [`Levels`](crate::engine) pays one
+/// bit — and superseded entries are skipped when their bucket drains.
+struct Buckets<'a> {
     weights: &'a EdgeWeights,
-    source: &'a S,
-    drc: Drc<'a>,
-    config: &'a KndsConfig,
-    kind: Kind,
-    query: Vec<ConceptId>,
-    nq: usize,
-    /// Per-query dense tables and buffers, borrowed for this query (the
-    /// weighted engine uses the tentative-distance table and `buckets`
-    /// where the unit-weight engine uses the visited bitset and the
-    /// frontier pair).
-    ws: &'w mut KndsWorkspace,
-    heap: TopK,
-    metrics: QueryMetrics,
+    buckets: Vec<Vec<State>>,
 }
 
-impl<S: IndexSource> WeightedSearch<'_, '_, S> {
-    fn run(&mut self) -> QueryResult {
-        // Distance-indexed buckets of states. Buckets grow on demand; both
-        // the outer Vec and every inner Vec are retained by the workspace
-        // across queries.
-        let mut buckets = std::mem::take(&mut self.ws.buckets);
-        if buckets.is_empty() {
-            buckets.push(Vec::new());
+impl<'a> Frontier<'a> for Buckets<'a> {
+    const TENTATIVE: bool = true;
+
+    fn drc(&self, ontology: &'a Ontology) -> Drc<'a> {
+        Drc::with_weights(ontology, self.weights)
+    }
+
+    fn seed(&mut self, ws: &mut KndsWorkspace, query: &[ConceptId], _dedup: bool) {
+        self.buckets = std::mem::take(&mut ws.buckets);
+        if self.buckets.is_empty() {
+            self.buckets.push(Vec::new());
         }
-        if let Some(seed) = buckets.first_mut() {
-            for (i, &c) in self.query.iter().enumerate() {
+        if let Some(seed) = self.buckets.first_mut() {
+            for (i, &c) in query.iter().enumerate() {
                 let origin = packing::narrow_u32(i);
-                self.ws.dense.improve_best(origin, c, false, 0);
+                ws.dense.improve_best(origin, c, false, 0);
                 // bound: sized — one seed entry per query concept
                 seed.push((origin, c, false));
             }
         }
-
-        let mut d: u32 = 0;
-        // cplx: bound depth — one bucket per turn, spanning the valid-path diameter; cplx: counter buckets
-        loop {
-            #[cfg(feature = "counters")]
-            crate::counters::bump_buckets();
-            // --- process bucket `d` (traversal bucket) ----------------------
-            let t0 = Instant::now();
-            let mut forced = false;
-            let mut current = buckets.get_mut(d as usize).map(std::mem::take).unwrap_or_default();
-            for &state in &current {
-                let (origin, node, descending) = state;
-                // Lazy deletion: skip stale entries.
-                if self.ws.dense.best_dist(origin, node, descending).is_some_and(|best| best < d) {
-                    continue;
-                }
-                self.metrics.nodes_visited += 1;
-                self.apply_coverage(origin, node, d);
-                self.expand(state, d, descending, &mut buckets);
-            }
-            // Hand the drained bucket's capacity back (expansion only ever
-            // pushes past `d`, so the slot is final for this query).
-            current.clear();
-            if let Some(slot) = buckets.get_mut(d as usize) {
-                *slot = current;
-            }
-            let frontier_size: usize = buckets.iter().map(|b| b.len()).sum();
-            if frontier_size > self.config.queue_cap {
-                forced = true;
-                self.metrics.forced_rounds += 1;
-            }
-            self.metrics.traversal += t0.elapsed();
-            self.metrics.levels += 1;
-
-            // --- examination -------------------------------------------------
-            let min_unexamined = self.examine(d, forced);
-
-            // --- termination -------------------------------------------------
-            let d_minus = min_unexamined.min(self.unseen_bound(d));
-            if self.config.progressive {
-                let final_now = self.heap.iter().filter(|&(_, dd)| dd <= d_minus).count();
-                self.metrics.progressive_results = self.metrics.progressive_results.max(final_now);
-            }
-            if self.heap.is_full() && d_minus >= self.heap.threshold() {
-                break;
-            }
-            // Advance to the next non-empty bucket.
-            let next = buckets
-                .iter()
-                .enumerate()
-                .skip(d as usize + 1)
-                .find(|(_, b)| !b.is_empty())
-                .map(|(i, _)| i);
-            match next {
-                Some(i) => d = packing::narrow_u32(i),
-                None => {
-                    self.finalize_exhausted();
-                    break;
-                }
-            }
-        }
-        self.ws.buckets = buckets;
-
-        self.metrics.candidates_seen = self.ws.dense.cand.len();
-        let results = std::mem::replace(&mut self.heap, TopK::new(1))
-            .into_sorted()
-            .into_iter()
-            .map(|(doc, distance)| RankedDoc { doc, distance })
-            .collect();
-        QueryResult { results, metrics: std::mem::take(&mut self.metrics) }
     }
 
-    // cplx: bound nq*post — amortized: mark_pair admits each (origin, concept)
-    // pair once per query, so the posting scans sum to nq·Σ|postings|
-    fn apply_coverage(&mut self, origin: u32, node: ConceptId, dist: u32) {
-        let fwd_new = self.ws.dense.mark_pair(origin, node);
-        let rev_new = self.kind == Kind::Sds && self.ws.dense.touch_first(node);
-        if !fwd_new && !rev_new {
-            return;
-        }
-        let t = Instant::now();
-        self.ws.postings_buf.clear();
-        self.source.postings(node, &mut self.ws.postings_buf);
-        self.metrics.io += t.elapsed();
-
-        let postings = std::mem::take(&mut self.ws.postings_buf);
-        for &doc in &postings {
-            let slot = match self.ws.dense.slot_of(doc) {
-                Some(slot) => {
-                    self.metrics.dense_hits += 1;
-                    slot
-                }
-                None => {
-                    let len = if self.kind == Kind::Sds {
-                        packing::narrow_u32(self.source.doc_len(doc))
-                    } else {
-                        0
-                    };
-                    self.ws.dense.insert_candidate(doc, len)
-                }
-            };
-            self.ws.dense.apply_to_candidate(slot, origin, dist, fwd_new, rev_new);
-        }
-        self.ws.postings_buf = postings;
+    #[inline]
+    fn take_round(&mut self, dist: u32) -> Vec<State> {
+        self.buckets.get_mut(dist as usize).map(std::mem::take).unwrap_or_default()
     }
 
-    fn expand(&mut self, state: State, d: u32, descending: bool, buckets: &mut Vec<Vec<State>>) {
-        let (origin, node, _) = state;
-        if !descending {
-            for &p in self.ont.parents(node) {
-                let Some(w) = self.weights.weight(self.ont, p, node) else {
-                    debug_assert!(false, "parent adjacency is symmetric");
-                    continue;
-                };
-                self.push(buckets, (origin, p, false), d + w);
-            }
-        }
-        for (pos, &child) in self.ont.children(node).iter().enumerate() {
-            let w = self.weights.weight_at(node, pos);
-            self.push(buckets, (origin, child, true), d + w);
-        }
+    /// Lazy deletion: an entry whose state has since been relaxed below
+    /// this bucket's distance is stale.
+    #[inline]
+    fn is_stale(&self, dense: &DenseTables, (origin, node, desc): State, dist: u32) -> bool {
+        dense.best_dist(origin, node, desc).is_some_and(|best| best < dist)
+    }
+
+    #[inline]
+    fn parent_step(&self, ontology: &Ontology, parent: ConceptId, child: ConceptId) -> Option<u32> {
+        self.weights.weight(ontology, parent, child)
+    }
+
+    #[inline]
+    fn child_step(&self, node: ConceptId, pos: usize) -> u32 {
+        self.weights.weight_at(node, pos)
     }
 
     // Bucket growth is retained by the workspace across queries.
     // flow: workspace-fed
-    fn push(&mut self, buckets: &mut Vec<Vec<State>>, state: State, dist: u32) {
-        if self.config.dedup_visits {
-            // Dijkstra relaxation: only keep strictly improving pushes.
-            let (origin, node, desc) = state;
-            if !self.ws.dense.improve_best(origin, node, desc, dist) {
-                self.metrics.dense_hits += 1;
-                return;
-            }
+    #[inline]
+    fn admit(&mut self, dense: &mut DenseTables, dedup: bool, state: State, dist: u32) -> bool {
+        // Dijkstra relaxation: only keep strictly improving pushes.
+        let (origin, node, desc) = state;
+        if dedup && !dense.improve_best(origin, node, desc, dist) {
+            return false;
         }
-        if buckets.len() <= dist as usize {
-            buckets.resize(dist as usize + 1, Vec::new());
+        if self.buckets.len() <= dist as usize {
+            self.buckets.resize(dist as usize + 1, Vec::new());
         }
-        if let Some(bucket) = buckets.get_mut(dist as usize) {
+        if let Some(bucket) = self.buckets.get_mut(dist as usize) {
             bucket.push(state);
         }
+        true
     }
 
-    fn examine(&mut self, d: u32, forced: bool) -> f64 {
-        let t0 = Instant::now();
-        let mut order = std::mem::take(&mut self.ws.order);
-        order.clear();
-        order.extend(
-            self.ws
-                .dense
-                .cand_docs
-                .iter()
-                .zip(self.ws.dense.cand.iter())
-                .filter(|(_, c)| !c.examined)
-                .map(|(&doc, c)| (self.lower_bound(c, d), doc)),
-        );
-        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        self.metrics.traversal += t0.elapsed();
-
-        let mut min_unexamined = f64::INFINITY;
-        for &(lb, doc) in &order {
-            if self.heap.is_full() && lb >= self.heap.threshold() {
-                min_unexamined = lb;
-                break;
-            }
-            let Some(slot) = self.ws.dense.slot_of(doc) else {
-                debug_assert!(false, "examined doc {doc} has no candidate");
-                continue;
-            };
-            // Degraded result on a missing row: "no error" forces exact
-            // examination, which is always sound.
-            let eps = self.ws.dense.candidate(slot).map_or(0.0, |c| self.error_estimate(c, lb));
-            if !forced && eps > self.config.error_threshold {
-                min_unexamined = lb;
-                break;
-            }
-            let exact = self.exact_distance(doc, slot);
-            if let Some(cand) = self.ws.dense.candidate_mut(slot) {
-                cand.examined = true;
-            }
-            self.metrics.docs_examined += 1;
-            self.heap.offer(doc, exact);
+    /// Hands the drained bucket's capacity back (expansion only ever
+    /// pushes past `dist`, so the slot is final for this query).
+    fn finish_round(&mut self, mut drained: Vec<State>, dist: u32) -> usize {
+        drained.clear();
+        if let Some(slot) = self.buckets.get_mut(dist as usize) {
+            *slot = drained;
         }
-        order.clear();
-        self.ws.order = order;
-        min_unexamined
+        self.buckets.iter().map(|b| b.len()).sum()
     }
 
-    // bound: proven — nq ≥ 1 (asserted at query entry) and every counter is
-    // bounded by nq · max path weight, far below the 2^53 f64 mantissa
-    fn lower_bound(&self, c: &Candidate, d: u32) -> f64 {
-        let next = (d + 1) as u64;
-        let fwd = c.partial + (self.nq as u64 - c.covered as u64) * next;
-        match self.kind {
-            Kind::Rds => fwd as f64,
-            Kind::Sds => {
-                let rev = c.rev_sum + (c.doc_len as u64 - c.rev_covered as u64) * next;
-                fwd as f64 / self.nq as f64 + rev as f64 / c.doc_len.max(1) as f64
-            }
-        }
+    /// The next non-empty bucket.
+    fn advance(&mut self, dist: u32) -> Option<u32> {
+        self.buckets
+            .iter()
+            .enumerate()
+            .skip(dist as usize + 1)
+            .find(|(_, b)| !b.is_empty())
+            .map(|(i, _)| packing::narrow_u32(i))
     }
 
-    // bound: proven — nq ≥ 1 (asserted at query entry); partial and rev_sum
-    // are sums of ≤ nq·doc_len edge weights, far below the 2^53 f64 mantissa
-    fn partial_distance(&self, c: &Candidate) -> f64 {
-        match self.kind {
-            Kind::Rds => c.partial as f64,
-            Kind::Sds => {
-                c.partial as f64 / self.nq as f64 + c.rev_sum as f64 / c.doc_len.max(1) as f64
-            }
-        }
-    }
-
-    fn error_estimate(&self, c: &Candidate, lb: f64) -> f64 {
-        if lb <= 0.0 {
-            return 0.0;
-        }
-        1.0 - self.partial_distance(c) / lb
-    }
-
-    // bound: proven — nq is the query concept count, far below 2^53
-    fn unseen_bound(&self, d: u32) -> f64 {
-        let next = (d + 1) as f64;
-        match self.kind {
-            Kind::Rds => self.nq as f64 * next,
-            Kind::Sds => 2.0 * next,
-        }
-    }
-
-    fn exact_distance(&mut self, doc: DocId, slot: usize) -> f64 {
-        let Some(c) = self.ws.dense.candidate(slot) else {
-            debug_assert!(false, "exact distance for unseen doc {doc}");
-            return f64::INFINITY;
-        };
-        let complete = match self.kind {
-            Kind::Rds => c.covered as usize == self.nq,
-            Kind::Sds => c.covered as usize == self.nq && c.rev_covered == c.doc_len,
-        };
-        if complete {
-            self.metrics.exact_from_partial += 1;
-            return self.partial_distance(c);
-        }
-        let t = Instant::now();
-        self.ws.concepts_buf.clear();
-        self.source.doc_concepts(doc, &mut self.ws.concepts_buf);
-        self.metrics.io += t.elapsed();
-
-        let t = Instant::now();
-        let exact = match self.kind {
-            Kind::Rds => {
-                let dd = self.drc.document_query_distance(&self.ws.concepts_buf, &self.query);
-                if dd == cbr_dradix::INFINITE {
-                    f64::INFINITY
-                } else {
-                    dd as f64
-                }
-            }
-            Kind::Sds => self.drc.document_document_distance(&self.ws.concepts_buf, &self.query),
-        };
-        self.metrics.distance_calc += t.elapsed();
-        self.metrics.drc_calls += 1;
-        exact
-    }
-
-    fn finalize_exhausted(&mut self) {
-        let t0 = Instant::now();
-        let mut docs = std::mem::take(&mut self.ws.docs_buf);
-        docs.clear();
-        docs.extend(
-            self.ws
-                .dense
-                .cand_docs
-                .iter()
-                .zip(self.ws.dense.cand.iter())
-                .filter(|(_, c)| !c.examined)
-                .map(|(&doc, _)| doc),
-        );
-        for &doc in &docs {
-            let Some(slot) = self.ws.dense.slot_of(doc) else {
-                debug_assert!(false, "exhausted doc {doc} has no candidate");
-                continue;
-            };
-            let Some(exact) = self.ws.dense.candidate(slot).map(|c| {
-                debug_assert_eq!(c.covered as usize, self.nq, "exhaustion implies full coverage");
-                self.partial_distance(c)
-            }) else {
-                continue;
-            };
-            self.metrics.exact_from_partial += 1;
-            self.metrics.docs_examined += 1;
-            if let Some(c) = self.ws.dense.candidate_mut(slot) {
-                c.examined = true;
-            }
-            self.heap.offer(doc, exact);
-        }
-        docs.clear();
-        self.ws.docs_buf = docs;
-        if !self.heap.is_full() {
-            for i in 0..self.source.num_docs() {
-                let doc = DocId::from_index(i);
-                if self.ws.dense.slot_of(doc).is_none() && self.source.is_live(doc) {
-                    self.heap.offer(doc, f64::INFINITY);
-                }
-            }
-        }
-        self.metrics.distance_calc += t0.elapsed();
+    fn restore(&mut self, ws: &mut KndsWorkspace) {
+        ws.buckets = std::mem::take(&mut self.buckets);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbr_corpus::{Corpus, CorpusGenerator, CorpusProfile};
+    use cbr_corpus::{Corpus, CorpusGenerator, CorpusProfile, DocId};
     use cbr_index::MemorySource;
     use cbr_ontology::{fixture, weighted, GeneratorConfig, OntologyGenerator};
 
@@ -527,28 +234,6 @@ mod tests {
         dists.sort_by(f64::total_cmp);
         dists.truncate(k);
         dists
-    }
-
-    #[test]
-    fn unit_weights_match_the_unweighted_engine() {
-        let fig = fixture::figure3();
-        let c = |n: &str| fig.concept(n);
-        let corpus = Corpus::from_concept_sets(vec![
-            (vec![c("F"), c("R"), c("T"), c("V")], 0),
-            (vec![c("I"), c("L"), c("U")], 0),
-            (vec![c("M"), c("N")], 0),
-        ]);
-        let source = MemorySource::build(&corpus, fig.ontology.len());
-        let w = EdgeWeights::uniform(&fig.ontology);
-        let weighted_engine = WeightedKnds::new(&fig.ontology, &w, &source, KndsConfig::default());
-        let plain = crate::Knds::new(&fig.ontology, &source, KndsConfig::default());
-        let q = fig.example_query();
-        let a = weighted_engine.rds(&q, 3);
-        let b = plain.rds(&q, 3);
-        for (x, y) in a.results.iter().zip(b.results.iter()) {
-            assert_eq!(x.doc, y.doc);
-            assert_eq!(x.distance, y.distance);
-        }
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! pooled workspace can never leak one query's candidates into another's
 //! results.
 
-use crate::engine::{Candidate, State};
+use crate::engine::{Candidate, QueryResult, State};
 use cbr_corpus::DocId;
 use cbr_dradix::DagScratch;
 use cbr_index::packing;
@@ -66,8 +66,6 @@ pub struct KndsWorkspace {
     pub(crate) buckets: Vec<Vec<State>>,
     /// Examination order buffer: `(lower bound, doc)` per round.
     pub(crate) order: Vec<(f64, DocId)>,
-    /// Scratch document list (exhaustion finalize, progressive emission).
-    pub(crate) docs_buf: Vec<DocId>,
     /// The DRC D-Radix build scratch (node/label arenas et al.).
     pub(crate) dag: DagScratch,
     /// True while a query is in flight (or after a panic left one
@@ -83,11 +81,41 @@ impl KndsWorkspace {
         KndsWorkspace::default()
     }
 
+    /// Runs `body` as one query over this workspace — the one round trip
+    /// behind kNDS (both policies), the full scan and TA: checks `k` and
+    /// the query, normalizes the query into the retained buffer, hands
+    /// `body` the workspace and the normalized query, then returns the
+    /// workspace clean and stamps the reuse and footprint metrics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query` is empty or `k` is zero.
+    pub(crate) fn session(
+        &mut self,
+        query: &[ConceptId],
+        k: usize,
+        body: impl FnOnce(&mut KndsWorkspace, &[ConceptId]) -> QueryResult,
+    ) -> QueryResult {
+        assert!(k > 0, "k must be positive");
+        let reused = self.begin();
+        let mut q = std::mem::take(&mut self.query);
+        crate::util::normalize_query_into(query, &mut q);
+        assert!(!q.is_empty(), "query must contain at least one concept");
+        let mut result = body(self, &q);
+        q.clear();
+        self.query = q;
+        self.finish();
+        result.metrics.workspace_reused = reused as usize;
+        result.metrics.workspace_bytes = self.footprint_bytes();
+        result.metrics.table_bytes = self.dense.footprint_bytes();
+        result
+    }
+
     /// Marks the start of a query. Returns whether the workspace has
     /// served a query before (i.e. its capacities are warm). If the
     /// previous query panicked mid-flight the logical content is still
     /// present; it is cleared here before reuse.
-    pub(crate) fn begin(&mut self) -> bool {
+    fn begin(&mut self) -> bool {
         if self.dirty {
             self.clear();
         }
@@ -99,7 +127,7 @@ impl KndsWorkspace {
 
     /// Marks the end of a query: clears all logical content (keeping
     /// capacity) so the workspace is returned clean.
-    pub(crate) fn finish(&mut self) {
+    fn finish(&mut self) {
         self.clear();
         self.dirty = false;
     }
@@ -144,7 +172,6 @@ impl KndsWorkspace {
             b.clear();
         }
         self.order.clear();
-        self.docs_buf.clear();
         // The DAG scratch clears itself on the next build; the dense
         // stamp arrays are invalidated by the next epoch bump.
     }
@@ -164,7 +191,6 @@ impl KndsWorkspace {
             + self.buckets.capacity() * size_of::<Vec<State>>()
             + self.buckets.iter().map(|b| b.capacity() * size_of::<State>()).sum::<usize>()
             + self.order.capacity() * size_of::<(f64, DocId)>()
-            + self.docs_buf.capacity() * size_of::<DocId>()
             + self.dag.footprint_bytes()
     }
 }

@@ -5,8 +5,9 @@
 
 use cbr_corpus::{Corpus, CorpusGenerator, CorpusProfile};
 use cbr_index::MemorySource;
-use cbr_knds::{baseline, ta, Knds, KndsConfig};
-use cbr_ontology::{ConceptId, GeneratorConfig, Ontology, OntologyGenerator};
+use cbr_knds::{baseline, ta, Knds, KndsConfig, QueryResult, WeightedKnds};
+use cbr_ontology::{ConceptId, EdgeWeights, GeneratorConfig, Ontology, OntologyGenerator};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -187,4 +188,76 @@ fn knds_prunes_compared_to_baseline() {
         got.metrics.docs_examined,
         base.metrics.docs_examined
     );
+}
+
+/// Everything the two frontier policies must agree on at unit weights:
+/// the ranked list to the bit, and the work counters that describe the
+/// traversal (`nodes_visited`, `levels`, `forced_rounds`) and the
+/// examination it drove (`docs_examined`, `drc_calls`). None of the five
+/// legitimately differs: with every edge at weight 1 a Dijkstra bucket
+/// holds exactly one BFS level, strict-improvement relaxation admits a
+/// state exactly when the visited bit would (first reach is minimal), and
+/// the pending-state count the queue watermark sees is the next level's
+/// size under both.
+fn fingerprint(r: &QueryResult) -> (Vec<(cbr_corpus::DocId, u64)>, [usize; 5]) {
+    let m = &r.metrics;
+    (
+        r.results.iter().map(|d| (d.doc, d.distance.to_bits())).collect(),
+        [m.nodes_visited, m.levels as usize, m.forced_rounds, m.docs_examined, m.drc_calls],
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `WeightedKnds` at `EdgeWeights::uniform` *is* `Knds`: same length,
+    /// same documents, same distance bits, same work counters, for RDS and
+    /// SDS, across error thresholds, visit dedup on/off and queue
+    /// watermarks from "forced every round" to the default.
+    #[test]
+    fn unit_weights_equal_the_unweighted_engine(
+        seed in 0u64..400,
+        query_picks in prop::collection::vec(0u32..10_000, 1..6),
+        k in 1usize..9,
+        eps_pick in 0usize..4,
+        dedup in any::<bool>(),
+        cap_pick in 0usize..3,
+    ) {
+        let ont = OntologyGenerator::new(GeneratorConfig::small(150).with_seed(seed)).generate();
+        let profile = CorpusProfile::radio_like()
+            .with_num_docs(40)
+            .with_mean_concepts(8.0)
+            .with_seed(seed.wrapping_add(31));
+        let corpus = CorpusGenerator::new(&ont, profile).generate();
+        let source = MemorySource::build(&corpus, ont.len());
+        let weights = EdgeWeights::uniform(&ont);
+
+        let eps = [0.0, 0.5, 0.9, 1.0][eps_pick];
+        let mut cfg = KndsConfig::default().with_error_threshold(eps).with_dedup_visits(dedup);
+        if cap_pick < 2 {
+            cfg = cfg.with_queue_cap([1, 500][cap_pick]);
+        }
+        let unit = Knds::new(&ont, &source, cfg.clone());
+        let weighted = WeightedKnds::new(&ont, &weights, &source, cfg);
+
+        let mut q: Vec<ConceptId> =
+            query_picks.iter().map(|&p| ConceptId(p % ont.len() as u32)).collect();
+        q.sort_unstable();
+        q.dedup();
+        prop_assert_eq!(
+            fingerprint(&weighted.rds(&q, k)),
+            fingerprint(&unit.rds(&q, k)),
+            "RDS q {:?} k {} eps {} dedup {} cap {}", q, k, eps, dedup, cap_pick
+        );
+
+        // SDS over a query document drawn from the corpus (Section 6.2),
+        // falling back to the concept picks for an empty document.
+        let doc = corpus.get(cbr_corpus::DocId(query_picks[0] % corpus.len() as u32));
+        let qd = if doc.num_concepts() > 0 { doc.concepts().to_vec() } else { q };
+        prop_assert_eq!(
+            fingerprint(&weighted.sds(&qd, k)),
+            fingerprint(&unit.sds(&qd, k)),
+            "SDS q {:?} k {} eps {} dedup {} cap {}", qd, k, eps, dedup, cap_pick
+        );
+    }
 }

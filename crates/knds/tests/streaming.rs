@@ -4,8 +4,10 @@
 
 use cbr_corpus::{CorpusGenerator, CorpusProfile};
 use cbr_index::MemorySource;
-use cbr_knds::{Knds, KndsConfig, RankedDoc};
-use cbr_ontology::{ConceptId, GeneratorConfig, OntologyGenerator};
+use cbr_knds::{
+    Hooks, Knds, KndsConfig, KndsWorkspace, QueryKind, QueryResult, RankedDoc, WeightedKnds,
+};
+use cbr_ontology::{ConceptId, EdgeWeights, GeneratorConfig, OntologyGenerator};
 
 fn setup() -> (cbr_ontology::Ontology, MemorySource, Vec<Vec<ConceptId>>) {
     let ont = OntologyGenerator::new(GeneratorConfig::small(600)).generate();
@@ -22,6 +24,20 @@ fn setup() -> (cbr_ontology::Ontology, MemorySource, Vec<Vec<ConceptId>>) {
         .collect();
     let source = MemorySource::build(&corpus, ont.len());
     (ont, source, queries)
+}
+
+/// One query through [`Knds::run`] with a progressive sink attached:
+/// the emission sequence and the returned result.
+fn stream(
+    knds: &Knds<'_, MemorySource>,
+    ws: &mut KndsWorkspace,
+    kind: QueryKind,
+    q: &[ConceptId],
+    k: usize,
+) -> (Vec<RankedDoc>, QueryResult) {
+    let mut emitted = Vec::new();
+    let r = knds.run(ws, kind, q, k, Hooks::on_final(|d| emitted.push(d)));
+    (emitted, r)
 }
 
 fn check_stream(emitted: &[RankedDoc], result: &[RankedDoc], ctx: &str) {
@@ -44,8 +60,7 @@ fn rds_stream_matches_results_for_all_thresholds() {
     for eps in [0.0, 0.5, 1.0] {
         let knds = Knds::new(&ont, &source, KndsConfig::default().with_error_threshold(eps));
         for (i, q) in queries.iter().enumerate() {
-            let mut emitted = Vec::new();
-            let r = knds.rds_streaming(q, 5, |d| emitted.push(d));
+            let (emitted, r) = stream(&knds, &mut KndsWorkspace::new(), QueryKind::Rds, q, 5);
             check_stream(&emitted, &r.results, &format!("eps {eps} query {i}"));
         }
     }
@@ -56,8 +71,7 @@ fn sds_stream_matches_results() {
     let (ont, source, queries) = setup();
     let knds = Knds::new(&ont, &source, KndsConfig::default());
     for (i, q) in queries.iter().enumerate() {
-        let mut emitted = Vec::new();
-        let r = knds.sds_streaming(q, 4, |d| emitted.push(d));
+        let (emitted, r) = stream(&knds, &mut KndsWorkspace::new(), QueryKind::Sds, q, 4);
         check_stream(&emitted, &r.results, &format!("sds query {i}"));
     }
 }
@@ -77,20 +91,41 @@ fn some_results_arrive_before_termination_on_selective_queries() {
 }
 
 #[test]
-fn streaming_with_variants_reuse_a_caller_workspace() {
+fn streaming_reuses_a_caller_workspace() {
     let (ont, source, queries) = setup();
     let knds = Knds::new(&ont, &source, KndsConfig::default());
-    let mut ws = cbr_knds::KndsWorkspace::new();
+    let mut ws = KndsWorkspace::new();
     for (i, q) in queries.iter().enumerate() {
-        let mut emitted = Vec::new();
-        let r = knds.rds_streaming_with(&mut ws, q, 5, |d| emitted.push(d));
-        check_stream(&emitted, &r.results, &format!("rds_with query {i}"));
+        let (emitted, r) = stream(&knds, &mut ws, QueryKind::Rds, q, 5);
+        check_stream(&emitted, &r.results, &format!("warm rds query {i}"));
         assert_eq!(r.results, knds.rds(q, 5).results);
 
-        let mut emitted = Vec::new();
-        let r = knds.sds_streaming_with(&mut ws, q, 4, |d| emitted.push(d));
-        check_stream(&emitted, &r.results, &format!("sds_with query {i}"));
+        let (emitted, r) = stream(&knds, &mut ws, QueryKind::Sds, q, 4);
+        check_stream(&emitted, &r.results, &format!("warm sds query {i}"));
         assert_eq!(r.results, knds.sds(q, 4).results);
+    }
+}
+
+/// Both frontier policies run the one loop over the one workspace: a
+/// weighted query in between must leave nothing behind (buckets, best
+/// distances, doc marks) that changes what a `Knds` query emits, in what
+/// order, or how often.
+#[test]
+fn weighted_queries_on_the_shared_workspace_do_not_disturb_the_stream() {
+    let (ont, source, queries) = setup();
+    let knds = Knds::new(&ont, &source, KndsConfig::default());
+    let weights = EdgeWeights::from_fn(&ont, |p, c| 1 + (p.0.wrapping_add(c.0) % 3));
+    let weighted = WeightedKnds::new(&ont, &weights, &source, KndsConfig::default());
+    let mut ws = KndsWorkspace::new();
+    for (i, q) in queries.iter().enumerate() {
+        for (kind, k) in [(QueryKind::Rds, 5), (QueryKind::Sds, 4)] {
+            let (expect, _) = stream(&knds, &mut KndsWorkspace::new(), kind, q, k);
+            weighted.rds_with(&mut ws, q, k);
+            weighted.sds_with(&mut ws, q, k);
+            let (emitted, r) = stream(&knds, &mut ws, kind, q, k);
+            check_stream(&emitted, &r.results, &format!("interleaved {kind:?} query {i}"));
+            assert_eq!(emitted, expect, "{kind:?} query {i}: emission order changed");
+        }
     }
 }
 
@@ -99,7 +134,6 @@ fn streaming_with_progressive_disabled_still_flushes_everything() {
     let (ont, source, queries) = setup();
     let cfg = KndsConfig { progressive: false, ..KndsConfig::default() };
     let knds = Knds::new(&ont, &source, cfg);
-    let mut emitted = Vec::new();
-    let r = knds.rds_streaming(&queries[0], 5, |d| emitted.push(d));
+    let (emitted, r) = stream(&knds, &mut KndsWorkspace::new(), QueryKind::Rds, &queries[0], 5);
     check_stream(&emitted, &r.results, "progressive off");
 }

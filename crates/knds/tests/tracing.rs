@@ -3,8 +3,10 @@
 
 use cbr_corpus::Corpus;
 use cbr_index::MemorySource;
-use cbr_knds::{Knds, KndsConfig, TraceEvent};
-use cbr_ontology::fixture;
+use cbr_knds::{
+    Hooks, Knds, KndsConfig, KndsWorkspace, QueryKind, QueryResult, TraceEvent, WeightedKnds,
+};
+use cbr_ontology::{fixture, ConceptId, EdgeWeights};
 
 fn setup() -> (fixture::Figure3, MemorySource) {
     let fig = fixture::figure3();
@@ -20,12 +22,26 @@ fn setup() -> (fixture::Figure3, MemorySource) {
     (fig, source)
 }
 
+/// One query through [`Knds::run`] with a trace sink attached: the event
+/// sequence and the returned result.
+fn traced(
+    knds: &Knds<'_, MemorySource>,
+    ws: &mut KndsWorkspace,
+    kind: QueryKind,
+    q: &[ConceptId],
+    k: usize,
+) -> (Vec<TraceEvent>, QueryResult) {
+    let mut events = Vec::new();
+    let r = knds.run(ws, kind, q, k, Hooks::on_trace(|e| events.push(e)));
+    (events, r)
+}
+
 #[test]
 fn trace_is_ordered_and_complete() {
     let (fig, source) = setup();
     let knds = Knds::new(&fig.ontology, &source, KndsConfig::default());
-    let mut events = Vec::new();
-    let r = knds.rds_traced(&fig.example_query(), 2, |e| events.push(e));
+    let (events, r) =
+        traced(&knds, &mut KndsWorkspace::new(), QueryKind::Rds, &fig.example_query(), 2);
 
     // Levels start at 0 and increase by one.
     let levels: Vec<u32> = events
@@ -72,8 +88,8 @@ fn trace_is_ordered_and_complete() {
 fn candidate_events_report_coverage_monotonically() {
     let (fig, source) = setup();
     let knds = Knds::new(&fig.ontology, &source, KndsConfig::default().with_error_threshold(0.0));
-    let mut events = Vec::new();
-    knds.rds_traced(&fig.example_query(), 3, |e| events.push(e));
+    let (events, _) =
+        traced(&knds, &mut KndsWorkspace::new(), QueryKind::Rds, &fig.example_query(), 3);
     // For any document, coverage counts never decrease across levels.
     let mut last: std::collections::HashMap<cbr_corpus::DocId, u32> = Default::default();
     for e in &events {
@@ -90,7 +106,7 @@ fn traced_with_variants_match_over_a_shared_workspace() {
     let (fig, source) = setup();
     let knds = Knds::new(&fig.ontology, &source, KndsConfig::default());
     let q = fig.example_query();
-    let mut ws = cbr_knds::KndsWorkspace::new();
+    let mut ws = KndsWorkspace::new();
     let mut events = 0usize;
     let traced = knds.rds_traced_with(&mut ws, &q, 3, |_| events += 1);
     assert_eq!(traced.results, knds.rds(&q, 3).results);
@@ -107,17 +123,42 @@ fn tracing_does_not_change_results() {
     let (fig, source) = setup();
     let knds = Knds::new(&fig.ontology, &source, KndsConfig::default());
     let q = fig.example_query();
-    let plain = knds.rds(&q, 3);
-    let traced = knds.rds_traced(&q, 3, |_| {});
-    for (a, b) in plain.results.iter().zip(traced.results.iter()) {
-        assert_eq!(a.doc, b.doc);
-        assert_eq!(a.distance, b.distance);
+    for (kind, k) in [(QueryKind::Rds, 3), (QueryKind::Sds, 2)] {
+        let mut ws = KndsWorkspace::new();
+        let plain = knds.run(&mut ws, kind, &q, k, Hooks::default());
+        let (events, with_trace) = traced(&knds, &mut KndsWorkspace::new(), kind, &q, k);
+        assert!(!events.is_empty(), "{kind:?}: no trace events on a fresh workspace");
+        assert_eq!(plain.results, with_trace.results, "{kind:?}: tracing changed the results");
     }
-    // SDS too.
-    let plain = knds.sds(&q, 2);
-    let traced = knds.sds_traced(&q, 2, |_| {});
-    for (a, b) in plain.results.iter().zip(traced.results.iter()) {
-        assert_eq!(a.doc, b.doc);
-        assert_eq!(a.distance, b.distance);
+}
+
+/// Both frontier policies run the one loop over the one workspace: with
+/// weighted queries interleaved on a warm workspace, a `Knds` query's
+/// trace — every event, and in particular the `Terminated`/`Exhausted`
+/// event that closes it — is the one a fresh workspace produces.
+#[test]
+fn weighted_queries_on_the_shared_workspace_do_not_disturb_the_trace() {
+    let (fig, source) = setup();
+    let knds = Knds::new(&fig.ontology, &source, KndsConfig::default());
+    let weights = EdgeWeights::from_fn(&fig.ontology, |p, _| 1 + (p.0 % 2));
+    let weighted = WeightedKnds::new(&fig.ontology, &weights, &source, KndsConfig::default());
+    let q = fig.example_query();
+    let closing = |events: &[TraceEvent]| {
+        events
+            .iter()
+            .rev()
+            .find(|e| matches!(e, TraceEvent::Terminated { .. } | TraceEvent::Exhausted { .. }))
+            .cloned()
+    };
+    let mut ws = KndsWorkspace::new();
+    // k = 2 terminates early; k = 100 exceeds the collection and exhausts.
+    for (kind, k) in [(QueryKind::Rds, 2), (QueryKind::Sds, 2), (QueryKind::Rds, 100)] {
+        let (expect, _) = traced(&knds, &mut KndsWorkspace::new(), kind, &q, k);
+        assert!(closing(&expect).is_some(), "{kind:?} k {k}: trace has no closing event");
+        weighted.rds_with(&mut ws, &q, k);
+        weighted.sds_with(&mut ws, &q, k);
+        let (events, _) = traced(&knds, &mut ws, kind, &q, k);
+        assert_eq!(closing(&events), closing(&expect), "{kind:?} k {k}: closing event changed");
+        assert_eq!(events, expect, "{kind:?} k {k}: trace changed");
     }
 }

@@ -26,7 +26,7 @@ use cbr_corpus::{Corpus, DocId};
 use cbr_knds::{rds_sharded, Knds, KndsConfig};
 use cbr_ontology::{fixture, ConceptId, Ontology};
 use concept_rank::index::MemorySource;
-use concept_rank::{BatchKind, Engine, EngineBuilder, EngineError, SharedEngine};
+use concept_rank::{Engine, EngineBuilder, EngineError, QueryKind, SharedEngine};
 use sched::explore::{explore, replay, Exploration, Options, ReplayRun};
 
 /// A named harness plus the closure the explorer drives.
@@ -324,7 +324,7 @@ fn batch_slots() -> Harness {
     let corpus = Corpus::from_concept_sets(collection_sets(&fig));
     let engine = EngineBuilder::new().build(fig.ontology, corpus);
     let expected: Vec<Vec<(DocId, f64)>> = engine
-        .batch(BatchKind::Rds, &queries, 2, 1)
+        .batch(QueryKind::Rds, &queries, 2, 1)
         .into_iter()
         .map(|r| {
             r.expect("sequential batch succeeds")
@@ -338,7 +338,7 @@ fn batch_slots() -> Harness {
         name: "batch-slots",
         about: "each batch submission fills exactly one slot with the sequential answer",
         run: Box::new(move || {
-            let out = engine.batch(BatchKind::Rds, &queries, 2, 3);
+            let out = engine.batch(QueryKind::Rds, &queries, 2, 3);
             if out.len() != queries.len() {
                 return Err(format!("{} slots for {} queries", out.len(), queries.len()));
             }
@@ -368,7 +368,7 @@ fn batch_poison() -> Harness {
         name: "batch-poison",
         about: "a worker panicking mid-query reports its slot, never drops it",
         run: Box::new(move || {
-            let out = engine.batch(BatchKind::Rds, &queries, 0, 3);
+            let out = engine.batch(QueryKind::Rds, &queries, 0, 3);
             if out.len() != queries.len() {
                 return Err(format!("{} slots for {} queries", out.len(), queries.len()));
             }

@@ -12,7 +12,7 @@
 
 use cbr_corpus::Corpus;
 use cbr_index::MemorySource;
-use cbr_knds::{Knds, KndsConfig, TraceEvent};
+use cbr_knds::{Hooks, Knds, KndsConfig, KndsWorkspace, QueryKind, TraceEvent};
 use cbr_ontology::fixture;
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
     let q = vec![c("F"), c("I")];
     println!("\nRDS query q = {{F, I}}, k = 2, εθ = 1.0 — the Table 2 setup\n");
 
-    let result = knds.rds_traced(&q, 2, |event| match event {
+    let hooks = Hooks::on_trace(|event| match event {
         TraceEvent::LevelStart { level, frontier } => {
             println!("── iteration {level}: {frontier} BFS states ──");
         }
@@ -63,6 +63,7 @@ fn main() {
             println!("\nontology exhausted; {finalized} candidates finalized from partial sums");
         }
     });
+    let result = knds.run(&mut KndsWorkspace::new(), QueryKind::Rds, &q, 2, hooks);
 
     println!("\ntop-2 results (the contents of Hk):");
     for r in &result.results {

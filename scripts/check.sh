@@ -14,8 +14,10 @@
 # publish/retire and compaction harnesses over the epoch-published
 # snapshot — (same honest + seeded-bug pairing), the bench smoke
 # passes (both JSON trajectory pipelines end to end at micro scale),
-# and tests. Run from the repository root. All sixteen must pass
-# before merging.
+# the whole workspace's tests, and the benchmark tripwire (fmt, clippy,
+# tests and a smoke run of perfbench/, which is outside the workspace
+# and compiles against the crates' public API). Run from the repository
+# root. Every step must pass before merging.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -78,4 +80,15 @@ cargo run -q --release -p cbr-bench --bin repro -- --json --smoke
 # collection, short phases, and in-process validation of the
 # BENCH_scale.json run object; writes nothing.
 cargo run -q --release -p cbr-bench --bin scale -- --smoke
-cargo test -q
+# Every package, not just the root one: the kNDS equivalence/streaming/
+# tracing suites, segmented_equiv, the C05 counter harness and the
+# analyzers' fixture pins live in member crates.
+cargo test -q --workspace
+# Benchmark tripwire: perfbench/ is a package of its own (BENCHMARK.json
+# builds it from source), so nothing above notices when a crate API it
+# compiles against changes. Lint, test and smoke-run it (micro sizes,
+# oracle on, writes nothing).
+cargo fmt --check --manifest-path perfbench/Cargo.toml
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --bin bench -- --smoke

@@ -2,7 +2,7 @@
 //! adds and deletes, checkpointing, and restart — the point-of-care story
 //! of Section 1 exercised end to end.
 
-use concept_rank::{BatchKind, Engine, SharedEngine};
+use concept_rank::{Engine, QueryKind, SharedEngine};
 use concept_rank_repro::demo;
 
 fn queries(e: &Engine, n: usize) -> Vec<Vec<cbr_ontology::ConceptId>> {
@@ -20,7 +20,7 @@ fn full_service_lifecycle() {
     let qs = queries(&engine, 6);
 
     // 1. Parallel batch answers match sequential.
-    let batch = engine.batch(BatchKind::Rds, &qs, 5, 0);
+    let batch = engine.batch(QueryKind::Rds, &qs, 5, 0);
     for (q, out) in qs.iter().zip(&batch) {
         let seq = engine.rds(q, 5).unwrap();
         let par = out.as_ref().unwrap();
@@ -92,7 +92,7 @@ fn full_service_lifecycle() {
 fn tuning_then_querying_is_exact() {
     let mut engine = demo::engine(2_000, 80, 10.0);
     let qs = queries(&engine, 4);
-    let chosen = engine.auto_tune(cbr_knds::TuneFor::Rds, &qs, 5).unwrap();
+    let chosen = engine.auto_tune(cbr_knds::QueryKind::Rds, &qs, 5).unwrap();
     assert!((0.0..=1.0).contains(&chosen));
     for q in &qs {
         let fast = engine.rds(q, 5).unwrap();
