@@ -5,7 +5,8 @@
 //! Everything here is seeded — two runs of `cbr-audit invariants` do the
 //! same work and reach the same verdict.
 
-use crate::report::{Finding, Report};
+use crate::report::{Finding, Stat, Stats};
+use crate::ParsedWorkspace;
 use cbr_corpus::{Corpus, CorpusGenerator, CorpusProfile};
 use cbr_dradix::DRadixDag;
 use cbr_index::MemorySource;
@@ -24,23 +25,28 @@ fn generated(seed: u64) -> (Ontology, Corpus) {
     (ont, corpus)
 }
 
-fn check(report: &mut Report, name: &str, result: Result<(), String>) {
-    match result {
-        Ok(()) => report.passed.push(format!("invariant {name}")),
-        Err(msg) => report.findings.push(Finding::new("INV", name, 0, msg)),
-    }
-}
+/// One invariant check: `Err` carries what was violated.
+type Check = fn() -> Result<(), String>;
 
-/// Runs the full invariant suite and returns its report.
-pub fn run() -> Report {
-    let mut report = Report::default();
-    check(&mut report, "ontology-validate", ontology_validate());
-    check(&mut report, "index-pair-validate", index_pair_validate());
-    check(&mut report, "dradix-validate", dradix_validate());
-    check(&mut report, "dradix-catches-corruption", dradix_catches_corruption());
-    check(&mut report, "snapshot-frame-roundtrip", snapshot_frame_roundtrip());
-    check(&mut report, "workspace-pool-stress", workspace_pool_stress());
-    report
+/// The invariant suite, by check name (the `file` of an `INV` finding).
+const CHECKS: [(&str, Check); 6] = [
+    ("ontology-validate", ontology_validate),
+    ("index-pair-validate", index_pair_validate),
+    ("dradix-validate", dradix_validate),
+    ("dradix-catches-corruption", dradix_catches_corruption),
+    ("snapshot-frame-roundtrip", snapshot_frame_roundtrip),
+    ("workspace-pool-stress", workspace_pool_stress),
+];
+
+/// The invariants gate: runs the full suite (it generates its own
+/// corpora, so the parsed workspace goes unused) and reports each failed
+/// check as an `INV` finding.
+pub fn gate(_pw: &ParsedWorkspace, _fixtures: bool) -> (Vec<Finding>, Stats) {
+    let findings = CHECKS
+        .iter()
+        .filter_map(|(name, check)| check().err().map(|msg| Finding::new("INV", name, 0, msg)))
+        .collect();
+    (findings, vec![("checks", Stat::Int(CHECKS.len()))])
 }
 
 /// Generated ontologies satisfy the graph and Dewey-path validators.
@@ -219,8 +225,8 @@ mod tests {
 
     #[test]
     fn full_invariant_suite_passes() {
-        let report = run();
-        assert!(report.ok(), "invariant failures: {:?}", report.findings);
-        assert_eq!(report.passed.len(), 6);
+        let (findings, stats) = gate(&crate::testkit::parsed(&[]), false);
+        assert!(findings.is_empty(), "invariant failures: {findings:?}");
+        assert_eq!(stats, [("checks", Stat::Int(6))]);
     }
 }

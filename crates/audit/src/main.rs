@@ -1,69 +1,85 @@
 //! `cbr-audit` — run the workspace's self-audit from the command line.
 //!
 //! ```text
-//! cbr-audit lint        [--json]   static analysis rules A01–A06
-//! cbr-audit flow        [--json]   call-graph dataflow rules F01–F05
-//! cbr-audit race        [--json]   lock-discipline rules R01–R05
-//! cbr-audit bound       [--json]   numeric-safety rules B01–B05
-//! cbr-audit cplx        [--json]   symbolic complexity rules C01–C05
-//! cbr-audit invariants  [--json]   structural validate() suite
-//! cbr-audit all         [--json]   lint + flow + race + bound + cplx + invariants
+//! cbr-audit [lint|flow|race|bound|cplx|invariants|all]… [--json] [--fixtures [--expect-findings]]
+//!
+//!   lint         per-file conventions A01–A09
+//!   flow         call-graph dataflow rules F01–F05
+//!   race         lock-discipline rules R01–R05
+//!   bound        numeric-safety rules B01–B05
+//!   cplx         symbolic complexity rules C01–C05
+//!   invariants   structural validate() suite
+//!   all          every gate above
+//!
+//!   --json             machine-readable report, every gate's proof stats included
+//!   --fixtures         run the named gates over their seeded-violation trees
+//!   --expect-findings  with --fixtures: fail unless every rule of every gate run fired
 //! ```
 //!
-//! `all` scans and parses the workspace **once** and hands the shared
-//! [`cbr_flow::ParsedWorkspace`] to every analyzer, so the six-way gate
-//! costs one parse instead of five.
+//! The workspace is scanned and parsed **once** and the shared
+//! [`cbr_audit::ParsedWorkspace`] handed to every gate named.
 //!
-//! Exits 0 when clean; otherwise the bitwise OR of the failing
-//! analyzers' bits (lint=1, flow=2, race=4, bound=8, cplx=16,
-//! invariants=32), so CI logs show *which* gates failed straight from
-//! the status. Usage errors exit 64.
+//! Exits 0 when clean; otherwise the bitwise OR of the failing gates'
+//! bits (lint=1, flow=2, race=4, bound=8, cplx=16, invariants=32), so CI
+//! logs show *which* gates failed straight from the status. Usage errors
+//! exit 64.
 
 #![forbid(unsafe_code)]
 
-use cbr_audit::report::Report;
-use cbr_flow::ParsedWorkspace;
+use cbr_audit::{allowlist, run, run_fixtures, Gate, ParsedWorkspace, GATES, USAGE_BIT};
+
+fn usage() -> ! {
+    eprintln!(
+        "usage: cbr-audit [lint|flow|race|bound|cplx|invariants|all]... [--json] \
+         [--fixtures [--expect-findings]]"
+    );
+    std::process::exit(USAGE_BIT);
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let command = args.iter().find(|a| !a.starts_with("--")).map(String::as_str);
+    let (mut json, mut fixtures, mut expect) = (false, false, false);
+    let mut gates: Vec<&Gate> = Vec::new();
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--json" => json = true,
+            "--fixtures" => fixtures = true,
+            "--expect-findings" => expect = true,
+            "all" => gates.extend(&GATES),
+            name => match GATES.iter().find(|g| g.name == name) {
+                Some(gate) => gates.push(gate),
+                None => usage(),
+            },
+        }
+    }
+    if gates.is_empty() || (expect && !fixtures) {
+        usage();
+    }
 
     let root = cbr_audit::workspace_root();
-    // (analyzer name, its report) per analyzer that ran.
-    let mut runs: Vec<(&str, Report)> = Vec::new();
-    match command {
-        Some("lint") => runs.push(("lint", cbr_audit::run_lint(&root))),
-        Some("flow") => runs.push(("flow", cbr_flow::run_workspace(&root).report)),
-        Some("race") => runs.push(("race", cbr_race::run_workspace(&root).report)),
-        Some("bound") => runs.push(("bound", cbr_bound::run_workspace(&root).report)),
-        Some("cplx") => runs.push(("cplx", cbr_cplx::run_workspace(&root).report)),
-        Some("invariants") => runs.push(("invariants", cbr_audit::invariants::run())),
-        Some("all") => {
-            let pw = ParsedWorkspace::load(&root);
-            runs.push(("lint", cbr_audit::run_lint_files(&root, &pw.ws.files)));
-            runs.push(("flow", cbr_flow::run_parsed(&root, &pw).report));
-            runs.push(("race", cbr_race::run_parsed(&root, &pw).report));
-            runs.push(("bound", cbr_bound::run_parsed(&root, &pw).report));
-            runs.push(("cplx", cbr_cplx::run_parsed(&root, &pw).report));
-            runs.push(("invariants", cbr_audit::invariants::run()));
-        }
-        _ => {
-            eprintln!("usage: cbr-audit <lint|flow|race|bound|cplx|invariants|all> [--json]");
-            std::process::exit(cbr_audit::USAGE_BIT);
-        }
-    }
-
-    let outcomes: Vec<(&str, bool)> = runs.iter().map(|(n, r)| (*n, r.ok())).collect();
-    let mut report = Report::default();
-    for (_, r) in runs {
-        report.merge(r);
-    }
-
-    if json {
-        print!("{}", report.render_json());
+    let report = if fixtures {
+        run_fixtures(&gates, &root)
     } else {
-        print!("{}", report.render_text());
+        run(&gates, &ParsedWorkspace::load(&root), &allowlist::load(&root))
+    };
+    print!("{}", if json { report.render_json() } else { report.render_text() });
+
+    if !expect {
+        std::process::exit(report.failed);
     }
-    std::process::exit(cbr_audit::exit_code(&outcomes));
+    // Non-vacuity: every rule of every gate that has a seeded tree must
+    // have produced at least one finding on it.
+    let mut failed = 0;
+    let ran = |gate: &Gate| report.stats.iter().any(|(name, _)| *name == gate.name);
+    for gate in gates.iter().filter(|g| ran(g)) {
+        for rule in gate.rules {
+            if !report.findings.iter().any(|f| f.rule == *rule) {
+                eprintln!("expect-findings: {} rule {rule} produced no findings", gate.name);
+                failed |= gate.bit;
+            }
+        }
+    }
+    if !report.stats.is_empty() && failed == 0 {
+        eprintln!("expect-findings: every rule of {} gate(s) fired", report.stats.len());
+    }
+    std::process::exit(if report.stats.is_empty() { USAGE_BIT } else { failed });
 }

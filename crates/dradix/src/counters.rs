@@ -4,7 +4,7 @@
 //! builds carry no trace of these, which `scripts/check.sh` confirms by
 //! rebuilding the bench binary without the feature. Each counter pairs
 //! with a `// cplx: counter <name>` marker on a hot loop in `dag.rs`;
-//! the `cbr-cplx` test harness resets them, drives the engine over
+//! the cplx gate's C05 harness resets them, drives the engine over
 //! generated corpora, and asserts the observed iteration counts stay
 //! within a constant factor of the statically proven symbolic bounds.
 

@@ -90,7 +90,7 @@ impl Edge {
 /// iterators, export, validators, test corruptors) hop through
 /// [`DRadixDag::node`], which bounds-checks against the live watermark
 /// instead of indexing raw; the `u32`s threaded through the hot
-/// construction and tuning loops stay untyped, covered by the `A02`
+/// construction and tuning loops stay untyped, covered by the `F04`
 /// allowlist entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct NodeIx(u32);

@@ -10,7 +10,7 @@
 //! boundary tests at the `u32::MAX` packing edge (plus the round-trip
 //! proptest in `tests/packing.rs`).
 //!
-//! `cbr-bound` treats this file as its axiom module — the raw casts
+//! The bound gate treats this file as its axiom module — the raw casts
 //! below are the *implementation* of the checked discipline rules B01
 //! and B02 enforce everywhere else, so the analyzer scans every hot
 //! file except this one. Keep the helpers tiny and total: no panics

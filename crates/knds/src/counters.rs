@@ -3,7 +3,7 @@
 //! Compiled only under the `counters` cfg feature (which also forwards
 //! to `cbr-dradix/counters`): release and bench builds carry no trace
 //! of these. Each counter pairs with a `// cplx: counter <name>` marker
-//! on a hot loop; the `cbr-cplx` test harness resets them, runs queries
+//! on a hot loop; the cplx gate's C05 harness resets them, runs queries
 //! over generated corpora, and asserts the observed iteration counts
 //! stay within a constant factor of the statically proven bounds.
 

@@ -672,6 +672,12 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
         }
 
         let mut min_unexamined = f64::INFINITY;
+        // The §5 termination argument, as an output-sensitive axiom: the
+        // pass walks `order` by ascending D⁻ and stops at the first
+        // candidate with D⁻ ≥ D⁺_k (or ε_d over the threshold), so it
+        // probes the documents that can still enter the top-k, not the |D|
+        // rows of the candidate table (measured: knds.examined_per_result).
+        // cplx: bound k — only candidates with D⁻ < D⁺_k are probed (§5 termination)
         for &(lb, doc) in &order {
             if self.heap.is_full() && lb >= self.heap.threshold() {
                 // Optimization 1 (Section 5.3): nothing below this bound can
