@@ -196,18 +196,19 @@ fn workspace_pool_stress() -> Result<(), String> {
         return Err("no workspace returned to the pool".into());
     }
 
-    // Poison: k = 0 panics inside the engine while a workspace is checked
-    // out; the workspace must be dropped, not returned.
+    // Poison: a panic while a workspace is checked out (injected — every
+    // argument error is a typed `Err`); the workspace must be dropped, not
+    // returned.
     let before = shared.pooled_workspaces();
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {})); // silence the expected panic
     let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _ = shared.rds(&query, 0);
+        shared.with_session(|_, _| panic!("injected"));
     }))
     .is_err();
     std::panic::set_hook(prev_hook);
     if !panicked {
-        return Err("k = 0 should panic (poison probe)".into());
+        return Err("the session's panic should propagate (poison probe)".into());
     }
     if shared.pooled_workspaces() != before - 1 {
         return Err("poisoned workspace was returned to the pool".into());

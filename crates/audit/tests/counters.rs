@@ -16,7 +16,7 @@ use cbr_dradix::counters as dag_counters;
 use cbr_dradix::DRadixDag;
 use cbr_index::MemorySource;
 use cbr_knds::counters as knds_counters;
-use cbr_knds::{Knds, KndsConfig, WeightedKnds};
+use cbr_knds::{Hooks, Knds, KndsConfig, KndsWorkspace, QueryKind, WeightedKnds};
 use cbr_ontology::{ConceptId, EdgeWeights, GeneratorConfig, Ontology, OntologyGenerator};
 use proptest::prelude::*;
 
@@ -155,5 +155,38 @@ proptest! {
             obs.rounds,
             2 * depth + 2
         );
+    }
+
+    /// The `cplx: bound k` axiom on the examination step covers the
+    /// ordering work, not only the probes: per query, the rows placed in
+    /// final `(D⁻, DocId)` order are the documents examined plus at most
+    /// one row per round that broke the pass — never the candidate table
+    /// (a full sort of the unexamined rows every round fails this as soon
+    /// as a round leaves two rows unexamined).
+    #[test]
+    fn ordering_work_is_bounded_by_what_is_examined(
+        seed in 0u64..200,
+        query_picks in prop::collection::vec(0u32..10_000, 1..4),
+        k in 1usize..6,
+        eps_pick in 0usize..4,
+    ) {
+        let ont = ontology(seed);
+        let corpus = corpus(&ont, seed);
+        let source = MemorySource::build(&corpus, ont.len());
+        let q = pick_concepts(&ont, &query_picks);
+        let cfg = KndsConfig::default().with_error_threshold([0.0, 0.5, 0.9, 1.0][eps_pick]);
+        let engine = Knds::new(&ont, &source, cfg);
+
+        for kind in [QueryKind::Rds, QueryKind::Sds] {
+            knds_counters::reset();
+            let r = engine.run(&mut KndsWorkspace::new(), kind, &q, k, Hooks::default());
+            let obs = knds_counters::snapshot();
+            let bound = obs.rounds + r.metrics.docs_examined as u64;
+            prop_assert!(
+                obs.ordered <= bound,
+                "{:?}: ordered {} vs bound rounds {} + docs_examined {} ({} candidates)",
+                kind, obs.ordered, obs.rounds, r.metrics.docs_examined, r.metrics.candidates_seen
+            );
+        }
     }
 }

@@ -287,7 +287,7 @@ fn c03_proves_the_differential_claim() {
         "exactly the TA baseline carries nq·D:\n{text}"
     );
     let counters = int(report.stat("c05_counters"));
-    assert!(counters >= 4, "the counter harness must cover the hot loops, got {counters}");
+    assert_eq!(counters, 5, "the counter harness must cover the hot loops");
 }
 
 /// C03 must not hold by name collision. Composition from the four kNDS

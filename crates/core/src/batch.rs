@@ -29,7 +29,7 @@ impl EngineSnapshot {
     pub fn batch(
         &self,
         kind: QueryKind,
-        queries: &[Vec<ConceptId>],
+        queries: &[impl AsRef<[ConceptId]> + Sync],
         k: usize,
         threads: usize,
     ) -> Vec<Result<QueryResult, EngineError>> {
@@ -40,7 +40,7 @@ impl EngineSnapshot {
         if threads <= 1 {
             let mut ws = KndsWorkspace::new();
             ws.reserve(concepts, docs);
-            return queries.iter().map(|q| self.query_with(&mut ws, kind, q, k)).collect();
+            return queries.iter().map(|q| self.query_with(&mut ws, kind, q.as_ref(), k)).collect();
         }
 
         let work: SegQueue<usize> = SegQueue::new();
@@ -62,7 +62,7 @@ impl EngineSnapshot {
                     ws.reserve(concepts, docs);
                     while let Some(i) = work.pop() {
                         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            self.query_with(&mut ws, kind, &queries[i], k)
+                            self.query_with(&mut ws, kind, queries[i].as_ref(), k)
                         }));
                         match run {
                             Ok(r) => slot_queue.push((i, r)),
@@ -194,26 +194,47 @@ mod tests {
     #[test]
     fn empty_batch_is_empty() {
         let e = engine();
-        assert!(e.batch(QueryKind::Rds, &[], 5, 0).is_empty());
+        assert!(e.batch(QueryKind::Rds, &[] as &[Vec<ConceptId>], 5, 0).is_empty());
+    }
+
+    /// A query whose concepts cannot be read: the panic comes from the
+    /// caller's side of the API, inside the worker that stole the slot.
+    struct Unreadable;
+
+    impl AsRef<[ConceptId]> for Unreadable {
+        fn as_ref(&self) -> &[ConceptId] {
+            panic!("injected: unreadable query")
+        }
     }
 
     #[test]
     fn panicking_worker_reports_slot_instead_of_dropping_it() {
         let e = engine();
-        let qs = queries(&e, 6);
-        // k = 0 trips the kNDS precondition assert inside every worker;
-        // the batch must still return one slot per query, each reporting
-        // the panic, rather than unwinding or silently dropping slots.
-        let out = e.batch(QueryKind::Rds, &qs, 0, 3);
-        assert_eq!(out.len(), qs.len());
+        // Every argument error is a typed `Err`, so the panic is
+        // injected: each worker unwinds on every slot it steals, and the
+        // batch must still return one slot per query, each reporting the
+        // panic, rather than unwinding or silently dropping slots.
+        let out = e.batch(QueryKind::Rds, &[Unreadable, Unreadable, Unreadable], 3, 3);
+        assert_eq!(out.len(), 3);
         for (i, r) in out.iter().enumerate() {
             assert!(
-                matches!(r, Err(EngineError::WorkerPanicked(_))),
+                matches!(r, Err(EngineError::WorkerPanicked(m)) if m.contains("injected")),
                 "slot {i} should report the worker panic, got {r:?}"
             );
         }
         // The engine stays healthy for the next (valid) batch.
-        let ok = e.batch(QueryKind::Rds, &qs, 3, 2);
+        let ok = e.batch(QueryKind::Rds, &queries(&e, 6), 3, 2);
         assert!(ok.iter().all(|r| r.is_ok()));
+    }
+
+    #[test]
+    fn zero_k_is_a_typed_error_in_every_slot() {
+        let e = engine();
+        let qs = queries(&e, 4);
+        for threads in [1, 3] {
+            let out = e.batch(QueryKind::Rds, &qs, 0, threads);
+            assert_eq!(out.len(), qs.len());
+            assert!(out.iter().all(|r| matches!(r, Err(EngineError::ZeroK))), "{out:?}");
+        }
     }
 }

@@ -21,6 +21,8 @@ pub enum EngineError {
     /// The query became empty (input empty, or every concept was removed by
     /// the eligibility filter).
     EmptyQuery,
+    /// `k == 0`: a top-k search must ask for at least one result.
+    ZeroK,
     /// The referenced document has no eligible concepts to compare with.
     EmptyDocument(DocId),
     /// A batch worker panicked while evaluating this query; the payload is
@@ -36,6 +38,7 @@ impl fmt::Display for EngineError {
             EngineError::EmptyQuery => {
                 write!(f, "query is empty after concept-eligibility filtering")
             }
+            EngineError::ZeroK => write!(f, "k must be positive"),
             EngineError::EmptyDocument(d) => write!(f, "document {d} has no eligible concepts"),
             EngineError::WorkerPanicked(m) => write!(f, "batch worker panicked: {m}"),
         }
@@ -206,7 +209,7 @@ impl Engine {
         k: usize,
     ) -> Result<f64, EngineError> {
         let filtered: Vec<Vec<ConceptId>> =
-            sample.iter().map(|q| self.snapshot.eligible_query(q)).collect::<Result<_, _>>()?;
+            sample.iter().map(|q| self.snapshot.checked_query(q, k)).collect::<Result<_, _>>()?;
         let (best, _) = cbr_knds::tune_error_threshold(
             self.snapshot.ontology(),
             self.snapshot.source(),

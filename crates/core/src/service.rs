@@ -75,7 +75,7 @@ impl SharedEngine {
     /// it is dropped). The workspace's dense tables are re-reserved
     /// against the snapshot's size first, so pooled sessions survive
     /// index growth between queries without ever growing mid-query.
-    fn with_session<R>(&self, f: impl FnOnce(&EngineSnapshot, &mut KndsWorkspace) -> R) -> R {
+    pub fn with_session<R>(&self, f: impl FnOnce(&EngineSnapshot, &mut KndsWorkspace) -> R) -> R {
         let mut session = self.pool.pop().unwrap_or_default();
         let Session { ws, snap } = &mut session;
         let snapshot = snap.get(&self.published);
@@ -256,18 +256,32 @@ mod tests {
         let (shared, q) = shared();
         shared.rds(&q, 3).unwrap();
         assert_eq!(shared.pooled_workspaces(), 1);
-        // k = 0 trips the kNDS precondition assert while the pooled
-        // workspace is checked out; it must be dropped, not returned dirty.
+        // A panic while the pooled workspace is checked out (injected:
+        // every argument error is a typed `Err`); the workspace must be
+        // dropped, not returned dirty.
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = shared.rds(&q, 0);
+            shared.with_session(|_, _| panic!("injected"));
         }));
-        assert!(panicked.is_err(), "k = 0 must panic");
+        assert!(panicked.is_err(), "the session's panic must propagate");
         assert_eq!(shared.pooled_workspaces(), 0, "poisoned workspace returned to pool");
         // Service still healthy: the next query cold-starts a fresh one.
         let r = shared.rds(&q, 3).unwrap();
         assert_eq!(r.metrics.workspace_reused, 0, "fresh workspace after poison");
         assert!(!r.results.is_empty());
         assert_eq!(shared.pooled_workspaces(), 1);
+    }
+
+    #[test]
+    fn zero_k_is_a_typed_error_and_keeps_the_pooled_workspace() {
+        let (shared, q) = shared();
+        shared.rds(&q, 3).unwrap();
+        assert_eq!(shared.pooled_workspaces(), 1);
+        assert_eq!(shared.rds(&q, 0).unwrap_err(), EngineError::ZeroK, "rds");
+        assert_eq!(shared.sds(&q, 0).unwrap_err(), EngineError::ZeroK, "sds");
+        assert_eq!(shared.sds_by_doc(DocId(0), 0).unwrap_err(), EngineError::ZeroK, "sds_by_doc");
+        // Refused, not poisoned: the one warm workspace is still pooled.
+        assert_eq!(shared.pooled_workspaces(), 1);
+        assert_eq!(shared.rds(&q, 3).unwrap().metrics.workspace_reused, 1);
     }
 
     #[test]

@@ -138,6 +138,20 @@ impl EngineSnapshot {
         Ok(q)
     }
 
+    /// What every top-k search checks before a workspace is touched: a
+    /// positive `k` and a query with an eligible concept left — so nothing
+    /// a caller passes reaches a kNDS precondition assert.
+    pub(crate) fn checked_query(
+        &self,
+        concepts: &[ConceptId],
+        k: usize,
+    ) -> Result<Vec<ConceptId>, EngineError> {
+        if k == 0 {
+            return Err(EngineError::ZeroK);
+        }
+        self.eligible_query(concepts)
+    }
+
     /// RDS (Definition 1): the `k` documents most relevant to a set of
     /// query concepts. Ineligible concepts are dropped from the query.
     pub fn rds(&self, query: &[ConceptId], k: usize) -> Result<QueryResult, EngineError> {
@@ -169,7 +183,7 @@ impl EngineSnapshot {
         query: &[ConceptId],
         k: usize,
     ) -> Result<QueryResult, EngineError> {
-        let q = self.eligible_query(query)?;
+        let q = self.checked_query(query, k)?;
         let knds = Knds::new(&self.ontology, &self.source, self.config.clone());
         Ok(knds.run(ws, kind, &q, k, Hooks::default()))
     }
@@ -237,7 +251,7 @@ impl EngineSnapshot {
     /// Exhaustive (no-pruning) RDS — exposed for benchmarking and
     /// verification against [`EngineSnapshot::rds`].
     pub fn rds_full_scan(&self, query: &[ConceptId], k: usize) -> Result<QueryResult, EngineError> {
-        let q = self.eligible_query(query)?;
+        let q = self.checked_query(query, k)?;
         Ok(baseline::rds(&self.ontology, &self.source, &q, k))
     }
 
@@ -247,7 +261,7 @@ impl EngineSnapshot {
         query_doc: &[ConceptId],
         k: usize,
     ) -> Result<QueryResult, EngineError> {
-        let q = self.eligible_query(query_doc)?;
+        let q = self.checked_query(query_doc, k)?;
         Ok(baseline::sds(&self.ontology, &self.source, &q, k))
     }
 }
@@ -287,5 +301,33 @@ mod tests {
         assert_eq!(engine.snapshot().query_distance(added, &q).unwrap(), 0.0);
         let now = engine.snapshot().rds(&q, 1).unwrap();
         assert_eq!(now.results[0].distance, 0.0);
+    }
+
+    /// `k == 0` is a typed error at every query entry point of a snapshot
+    /// (the engine's, through `Deref`), never the kNDS precondition panic.
+    #[test]
+    fn zero_k_is_a_typed_error_at_every_entry_point() {
+        use crate::engine::EngineError::ZeroK;
+        use cbr_knds::KndsWorkspace;
+        let fig = cbr_ontology::fixture::figure3();
+        let corpus = cbr_corpus::Corpus::from_concept_sets(vec![(fig.example_document(), 0)]);
+        let q = fig.example_query();
+        let mut engine = EngineBuilder::new().build(fig.ontology, corpus);
+        let doc = cbr_corpus::DocId(0);
+        let ws = &mut KndsWorkspace::new();
+        assert_eq!(engine.rds(&q, 0).unwrap_err(), ZeroK, "rds");
+        assert_eq!(engine.rds_with(ws, &q, 0).unwrap_err(), ZeroK, "rds_with");
+        assert_eq!(engine.rds_by_labels(&["I", "L"], 0).unwrap_err(), ZeroK, "rds_by_labels");
+        assert_eq!(engine.sds(&q, 0).unwrap_err(), ZeroK, "sds");
+        assert_eq!(engine.sds_with(ws, &q, 0).unwrap_err(), ZeroK, "sds_with");
+        assert_eq!(engine.sds_by_doc(doc, 0).unwrap_err(), ZeroK, "sds_by_doc");
+        assert_eq!(engine.sds_by_doc_with(ws, doc, 0).unwrap_err(), ZeroK, "sds_by_doc_with");
+        assert_eq!(engine.rds_full_scan(&q, 0).unwrap_err(), ZeroK, "rds_full_scan");
+        assert_eq!(engine.sds_full_scan(&q, 0).unwrap_err(), ZeroK, "sds_full_scan");
+        let tuned = engine.auto_tune(cbr_knds::QueryKind::Rds, std::slice::from_ref(&q), 0);
+        assert_eq!(tuned.unwrap_err(), ZeroK, "auto_tune");
+        assert_eq!(ZeroK.to_string(), "k must be positive");
+        // The workspace took no part in the refused calls and still serves.
+        assert_eq!(engine.rds_with(ws, &q, 1).unwrap().metrics.workspace_reused, 0);
     }
 }

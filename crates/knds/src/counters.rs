@@ -11,6 +11,7 @@ use std::cell::Cell;
 
 thread_local! {
     static ROUNDS: Cell<u64> = const { Cell::new(0) };
+    static ORDERED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Observed iteration counts since the last [`reset`].
@@ -20,19 +21,29 @@ pub struct KndsCounters {
     /// levels under `Knds`, drained distance buckets under `WeightedKnds`
     /// (static bound: `depth`).
     pub rounds: u64,
+    /// Rows the examination step of `engine::Search::examine` placed in
+    /// final `(D⁻, DocId)` order — heap pops (static bound: `k`, i.e. what
+    /// is examined plus one break per round, not the candidate table).
+    pub ordered: u64,
 }
 
 /// Zeroes every counter on this thread.
 pub fn reset() {
     ROUNDS.with(|c| c.set(0));
+    ORDERED.with(|c| c.set(0));
 }
 
 /// Reads every counter on this thread.
 pub fn snapshot() -> KndsCounters {
-    KndsCounters { rounds: ROUNDS.with(Cell::get) }
+    KndsCounters { rounds: ROUNDS.with(Cell::get), ordered: ORDERED.with(Cell::get) }
 }
 
 /// One round (level or bucket) of the search loop.
 pub fn bump_rounds() {
     ROUNDS.with(|c| c.set(c.get().wrapping_add(1)));
+}
+
+/// One row popped in order by the examination step.
+pub fn bump_ordered() {
+    ORDERED.with(|c| c.set(c.get().wrapping_add(1)));
 }

@@ -11,8 +11,10 @@
 //!    children (now descending); descending states push only children, so
 //!    every traversed path is ∧-shaped (the valid-path rule of
 //!    Section 3.1);
-//! 3. **examination** — candidates are sorted by lower bound
-//!    (Equations 6/8) and examined while the error estimate
+//! 3. **examination** — one pass over the unexamined candidates computes
+//!    their lower bounds (Equations 6/8) and keeps those still below
+//!    `D⁺ₖ`; these are examined in ascending bound, selected one at a time
+//!    rather than sorted, while the error estimate
 //!    `εd = 1 − Dpartial/D⁻` stays at or below `εθ` (Equation 9): complete
 //!    candidates finalize from their partial sums (Section 5.3,
 //!    optimization 3), incomplete ones get a DRC probe;
@@ -38,12 +40,14 @@
 use crate::config::KndsConfig;
 use crate::metrics::QueryMetrics;
 use crate::trace::{TraceEvent, TraceSink};
-use crate::util::TopK;
+use crate::util::{OrdF64, TopK};
 use crate::workspace::{DenseTables, KndsWorkspace};
 use cbr_corpus::DocId;
 use cbr_dradix::Drc;
 use cbr_index::{packing, IndexSource};
 use cbr_ontology::{ConceptId, Ontology};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// One ranked result.
@@ -561,11 +565,11 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
             self.heap
                 .iter()
                 .filter(|&(doc, d)| d < d_minus && !self.ws.dense.doc_marked(doc))
-                .map(|(doc, d)| (d, doc)),
+                .map(|(doc, d)| Reverse((OrdF64(d), doc))),
         );
-        ready.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        ready.sort_unstable_by_key(|&Reverse(key)| key);
         if let Some(sink) = self.hooks.on_final.as_mut() {
-            for &(distance, doc) in &ready {
+            for &Reverse((OrdF64(distance), doc)) in &ready {
                 self.ws.dense.mark_doc(doc);
                 sink(RankedDoc { doc, distance });
             }
@@ -642,46 +646,53 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
         }
     }
 
-    /// Sorts unexamined candidates by lower bound and examines while the
-    /// error estimate allows (or unconditionally in a forced round).
+    /// One linear pass over the unexamined rows, then examination in
+    /// ascending `(D⁻, DocId)` while the error estimate allows (or
+    /// unconditionally in a forced round). A row whose bound already
+    /// reaches `D⁺_k` at round start can never be examined this round — the
+    /// threshold only falls as results arrive — so it is not ordered at
+    /// all, only folded into the minimum; the rest are heapified in place
+    /// and popped one at a time, so a round costs `|rows| + examined·log`.
     /// Returns the smallest lower bound left unexamined.
     fn examine(&mut self, level: u32, forced: bool) -> f64 {
         let t0 = Instant::now();
         let mut order = std::mem::take(&mut self.ws.order);
         order.clear();
-        order.extend(
-            self.ws
-                .dense
-                .cand_docs
-                .iter()
-                .zip(self.ws.dense.cand.iter())
-                .filter(|(_, c)| !c.examined)
-                .map(|(&d, c)| (self.lower_bound(c, level), d)),
-        );
-        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        self.metrics.traversal += t0.elapsed();
-
-        if self.hooks.on_trace.is_some() {
-            for &(_, doc) in &order {
-                let entry = self.ws.dense.slot_of(doc).and_then(|s| self.ws.dense.candidate(s));
-                if let Some(c) = entry {
-                    let (covered, partial) = (c.covered, c.partial);
-                    self.trace(|| TraceEvent::Candidate { doc, covered, partial });
-                }
+        // `+∞` while the heap is filling: every (finite) bound survives.
+        let bar = self.heap.threshold();
+        let mut min_unexamined = f64::INFINITY;
+        for (&doc, c) in self.ws.dense.cand_docs.iter().zip(&self.ws.dense.cand) {
+            if c.examined {
+                continue;
+            }
+            if let Some(sink) = self.hooks.on_trace.as_mut() {
+                sink(TraceEvent::Candidate { doc, covered: c.covered, partial: c.partial });
+            }
+            let lb = self.lower_bound(c, level);
+            if lb >= bar {
+                min_unexamined = min_unexamined.min(lb);
+            } else {
+                // bound: sized — at most one entry per candidate row, into capacity the workspace retains
+                order.push(Reverse((OrdF64(lb), doc)));
             }
         }
+        let mut order = BinaryHeap::from(order);
+        self.metrics.traversal += t0.elapsed();
 
-        let mut min_unexamined = f64::INFINITY;
-        // The §5 termination argument, as an output-sensitive axiom: the
-        // pass walks `order` by ascending D⁻ and stops at the first
-        // candidate with D⁻ ≥ D⁺_k (or ε_d over the threshold), so it
-        // probes the documents that can still enter the top-k, not the |D|
-        // rows of the candidate table (measured: knds.examined_per_result).
-        // cplx: bound k — only candidates with D⁻ < D⁺_k are probed (§5 termination)
-        for &(lb, doc) in &order {
+        // The §5 termination argument, as an output-sensitive axiom: only
+        // rows with D⁻ < D⁺_k reach the heap, pops come in ascending D⁻ and
+        // stop at the first one with D⁻ ≥ D⁺_k (or ε_d over the threshold),
+        // so both the ordering work and the probes are spent on documents
+        // that can still enter the top-k, not on the |D| rows of the
+        // candidate table (measured: knds.examined_per_result; the
+        // `ordered` probe counts the pops).
+        // cplx: bound k — only candidates with D⁻ < D⁺_k are ordered and probed (§5 termination); cplx: counter ordered
+        while let Some(Reverse((OrdF64(lb), doc))) = order.pop() {
+            #[cfg(feature = "counters")]
+            crate::counters::bump_ordered();
             if self.heap.is_full() && lb >= self.heap.threshold() {
                 // Optimization 1 (Section 5.3): nothing below this bound can
-                // enter the top-k; the sorted order makes the rest moot too.
+                // enter the top-k; ascending pops make the rest moot too.
                 min_unexamined = lb;
                 break;
             }
@@ -717,7 +728,7 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
             });
         }
         order.clear();
-        self.ws.order = order;
+        self.ws.order = order.into_vec();
         let threshold = self.heap.threshold();
         self.trace(|| TraceEvent::ExamineBreak { min_unexamined, threshold });
         min_unexamined

@@ -17,9 +17,11 @@ pub enum TraceEvent {
         /// Number of states in the frontier.
         frontier: usize,
     },
-    /// A document's candidate entry was updated by coverage
-    /// (the `Md`/`M'd` bookkeeping of Equations 5/7). Emitted at most once
-    /// per document per level to bound volume.
+    /// A document's candidate entry (the `Md`/`M'd` bookkeeping of
+    /// Equations 5/7) as the level's examination finds it: emitted from the
+    /// one linear pass over the candidate rows, so once per still-unexamined
+    /// document per level, in row (first-touch) order, before the level's
+    /// first `Examined` event. Tracing adds no ordering pass of its own.
     Candidate {
         /// The document.
         doc: DocId,

@@ -52,6 +52,20 @@ impl<'a, S: IndexSource> WeightedKnds<'a, S> {
         WeightedKnds { base: Knds::new(ontology, source, config), weights }
     }
 
+    /// The one query entry point, as [`Knds::run`]: a `kind` query over the
+    /// caller's workspace with optional [`Hooks`]; the four methods below
+    /// are one-line conveniences over it.
+    pub fn run(
+        &self,
+        ws: &mut KndsWorkspace,
+        kind: QueryKind,
+        query: &[ConceptId],
+        k: usize,
+        hooks: Hooks<'_>,
+    ) -> QueryResult {
+        self.base.search(self.buckets(), ws, kind, query, k, hooks)
+    }
+
     /// Weighted RDS: top-k under `Ddq` with weighted concept distances.
     pub fn rds(&self, query: &[ConceptId], k: usize) -> QueryResult {
         self.rds_with(&mut KndsWorkspace::new(), query, k)
@@ -60,7 +74,7 @@ impl<'a, S: IndexSource> WeightedKnds<'a, S> {
     /// [`WeightedKnds::rds`] over a caller-owned workspace; see
     /// [`Knds::rds_with`](crate::Knds::rds_with).
     pub fn rds_with(&self, ws: &mut KndsWorkspace, query: &[ConceptId], k: usize) -> QueryResult {
-        self.base.search(self.buckets(), ws, QueryKind::Rds, query, k, Hooks::default())
+        self.run(ws, QueryKind::Rds, query, k, Hooks::default())
     }
 
     /// Weighted SDS: top-k under the symmetric `Ddd` with weighted
@@ -77,7 +91,7 @@ impl<'a, S: IndexSource> WeightedKnds<'a, S> {
         query_doc: &[ConceptId],
         k: usize,
     ) -> QueryResult {
-        self.base.search(self.buckets(), ws, QueryKind::Sds, query_doc, k, Hooks::default())
+        self.run(ws, QueryKind::Sds, query_doc, k, Hooks::default())
     }
 
     /// The bucket policy over this engine's weights; `seed` attaches the

@@ -35,10 +35,12 @@
 //! results.
 
 use crate::engine::{Candidate, QueryResult, State};
+use crate::util::OrdF64;
 use cbr_corpus::DocId;
 use cbr_dradix::DagScratch;
 use cbr_index::packing;
 use cbr_ontology::ConceptId;
+use std::cmp::Reverse;
 
 /// Owned, reusable query state for [`Knds`](crate::Knds),
 /// [`WeightedKnds`](crate::WeightedKnds), and the scan baselines.
@@ -64,8 +66,8 @@ pub struct KndsWorkspace {
     pub(crate) next_frontier: Vec<State>,
     /// Weighted: distance-indexed Dijkstra buckets.
     pub(crate) buckets: Vec<Vec<State>>,
-    /// Examination order buffer: `(lower bound, doc)` per round.
-    pub(crate) order: Vec<(f64, DocId)>,
+    /// Examination order buffer: the round's `(lower bound, doc)` min-heap.
+    pub(crate) order: Vec<Reverse<(OrdF64, DocId)>>,
     /// The DRC D-Radix build scratch (node/label arenas et al.).
     pub(crate) dag: DagScratch,
     /// True while a query is in flight (or after a panic left one
@@ -190,7 +192,7 @@ impl KndsWorkspace {
             + (self.frontier.capacity() + self.next_frontier.capacity()) * size_of::<State>()
             + self.buckets.capacity() * size_of::<Vec<State>>()
             + self.buckets.iter().map(|b| b.capacity() * size_of::<State>()).sum::<usize>()
-            + self.order.capacity() * size_of::<(f64, DocId)>()
+            + self.order.capacity() * size_of::<Reverse<(OrdF64, DocId)>>()
             + self.dag.footprint_bytes()
     }
 }

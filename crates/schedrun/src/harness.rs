@@ -355,12 +355,22 @@ fn batch_slots() -> Harness {
     }
 }
 
-/// Model-checked regression for the poisoned-slot path: `k = 0` trips the
-/// kNDS precondition assert inside every worker mid-query, and on every
-/// interleaving the batch must still return one `WorkerPanicked` slot per
-/// query instead of dropping slots or unwinding.
+/// A query whose concepts cannot be read: the caller-side panic the
+/// poison harness injects into the worker that stole the slot.
+struct Unreadable;
+
+impl AsRef<[ConceptId]> for Unreadable {
+    fn as_ref(&self) -> &[ConceptId] {
+        panic!("injected: unreadable query")
+    }
+}
+
+/// Model-checked regression for the poisoned-slot path: every worker
+/// panics on every slot it steals (injected — each argument error is a
+/// typed `Err`), and on every interleaving the batch must still return
+/// one `WorkerPanicked` slot per query instead of dropping slots or
+/// unwinding.
 fn batch_poison() -> Harness {
-    let (_, _, queries) = tiny_collection();
     let fig = fixture::figure3();
     let corpus = Corpus::from_concept_sets(collection_sets(&fig));
     let engine = EngineBuilder::new().build(fig.ontology, corpus);
@@ -368,7 +378,8 @@ fn batch_poison() -> Harness {
         name: "batch-poison",
         about: "a worker panicking mid-query reports its slot, never drops it",
         run: Box::new(move || {
-            let out = engine.batch(QueryKind::Rds, &queries, 0, 3);
+            let queries = [Unreadable, Unreadable, Unreadable];
+            let out = engine.batch(QueryKind::Rds, &queries, 2, 3);
             if out.len() != queries.len() {
                 return Err(format!("{} slots for {} queries", out.len(), queries.len()));
             }

@@ -26,7 +26,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 # snapshot query roots with zero reachable lock acquisitions; B04 matched
 # all eight hot-path roots with zero cyclic functions; C03 recognized the
 # D-Radix build as O((|Pq|+|Pd|)·log) with exactly one quadratic root
-# (the TA baseline) over a non-empty reachable loop set.
+# (the TA baseline) over a non-empty reachable loop set; C05 links all
+# five counter-marked hot loops (the examination step's `ordered` probe
+# among them) to their bump calls.
 audit_json="$(cargo run -q -p cbr-audit -- all --json)"
 grep -Eq '"resolution": (1\.000|0\.99[5-9])' <<<"$audit_json"
 grep -q '"r04_roots": 2' <<<"$audit_json"
@@ -36,6 +38,7 @@ grep -q '"b04_cyclic_fns": 0' <<<"$audit_json"
 grep -q '"c03_dradix_recognized": true' <<<"$audit_json"
 grep -q '"c03_quadratic_roots": 1' <<<"$audit_json"
 grep -q '"reachable_loops": [1-9]' <<<"$audit_json"
+grep -q '"c05_counters": 5' <<<"$audit_json"
 # Non-vacuity: the seeded fixture trees must trip every rule of every
 # gate that has one (F01-F05, R01-R05, B01-B05, C01-C05).
 cargo run -q -p cbr-audit -- all --fixtures --expect-findings
