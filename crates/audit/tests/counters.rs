@@ -13,7 +13,7 @@
 
 use cbr_corpus::{Corpus, CorpusGenerator, CorpusProfile};
 use cbr_dradix::counters as dag_counters;
-use cbr_dradix::DRadixDag;
+use cbr_dradix::{DRadixDag, Drc};
 use cbr_index::MemorySource;
 use cbr_knds::counters as knds_counters;
 use cbr_knds::{Hooks, Knds, KndsConfig, KndsWorkspace, QueryKind, WeightedKnds};
@@ -93,6 +93,39 @@ proptest! {
         );
         // C01: the radix descent consumes ≥ 1 label component per turn,
         // so each popped item drives at most depth+1 turns.
+        prop_assert!(
+            obs.radix_steps <= obs.suffix_pops * (depth + 2),
+            "radix_steps {} vs bound pops·(depth+2) = {}",
+            obs.radix_steps,
+            obs.suffix_pops * (depth + 2)
+        );
+    }
+
+    /// What the pin exists for, as a count: `n` probes of one query
+    /// through one `Drc` stage the query's addresses once and each
+    /// document's once — `|Pq| + Σ|Pdᵢ|`, not `n·|Pq| + Σ|Pdᵢ|` — and
+    /// resuming each insertion from the previous address's walk keeps
+    /// the descent within its per-pop bound.
+    #[test]
+    fn pinned_probes_stage_the_query_once(
+        seed in 0u64..200,
+        doc_picks in prop::collection::vec(prop::collection::vec(0u32..10_000, 1..6), 1..6),
+        query_picks in prop::collection::vec(0u32..10_000, 1..4),
+    ) {
+        let ont = ontology(seed);
+        let query = pick_concepts(&ont, &query_picks);
+        let docs: Vec<Vec<ConceptId>> = doc_picks.iter().map(|p| pick_concepts(&ont, p)).collect();
+        let depth = max_depth(&ont);
+
+        dag_counters::reset();
+        let mut drc = Drc::new(&ont);
+        for doc in &docs {
+            drc.document_query_distance(doc, &query);
+        }
+        let obs = dag_counters::snapshot();
+
+        let staged: u64 = docs.iter().map(|d| total_addresses(&ont, d)).sum();
+        prop_assert_eq!(obs.addrs, total_addresses(&ont, &query) + staged);
         prop_assert!(
             obs.radix_steps <= obs.suffix_pops * (depth + 2),
             "radix_steps {} vs bound pops·(depth+2) = {}",

@@ -23,22 +23,42 @@
 //!
 //! # Reuse
 //!
-//! DRC runs at query time for every probed document, so the DAG is built
-//! and torn down once per probe. To keep that loop allocation-free, one
-//! `DRadixDag` value is reusable: [`build_into`](DRadixDag::build_into)
-//! [`reset`](DRadixDag::reset)s the logical content but keeps every
-//! backing allocation — the node arena (a high-water mark tracks the live
-//! prefix, and each recycled slot keeps its edge `Vec`), the label arena
-//! (edge labels are ranges into one flat `Vec<u32>` instead of per-edge
-//! boxes), the dense concept-slot table, and the tuning scratch
-//! (topological-order buffers). After a few probes the structure reaches
-//! steady state and subsequent builds allocate nothing.
+//! DRC runs at query time for every probed document. To keep that loop
+//! allocation-free, one `DRadixDag` value is reusable: a build clears the
+//! logical content but keeps every backing allocation — the node arena (a
+//! high-water mark tracks the live prefix, and each recycled slot keeps
+//! its edge `Vec`), the label arena (edge labels are ranges into one flat
+//! `Vec<u32>` instead of per-edge boxes), the dense concept-slot table,
+//! and the tuning scratch (topological-order buffers). After a few probes
+//! the structure reaches steady state and builds allocate nothing.
 //!
-//! Per-build bookkeeping (concept → node slot, doc/query membership) is
-//! epoch-stamped and sized by `|C|`: [`reset`](DRadixDag::reset) bumps a
-//! build counter instead of touching the tables, so "clear" is O(1) and
-//! every lookup on the probe path is a single array read — no hashing
-//! anywhere in the EXAMINE step.
+//! Bookkeeping (concept → node slot, doc/query membership) is
+//! epoch-stamped and sized by `|C|`: "clear" moves a table to a fresh
+//! epoch in O(1), and every lookup on the probe path is a single array
+//! read — no hashing anywhere in the EXAMINE step.
+//!
+//! **Pin and overlay.** kNDS probes every document against the *same*
+//! query, so that half of the DAG is built once. The radix structure over
+//! a set of addresses is canonical — root, members and branch points,
+//! whatever the insertion order — and `branch(Pq) ⊆ branch(Pd ∪ Pq)`, so
+//! `T(d, q)` is reached by building `T(∅, q)` once (`pin`, checkpointed)
+//! and inserting only `Pd` per probe (`overlay`). The next overlay first
+//! rolls back: it truncates the node watermark and the label arena,
+//! un-stamps the concept slots of the nodes the last overlay added, copies
+//! the checkpointed rows (tuning and splits touch pinned nodes too) back
+//! over the pinned prefix, and zeroes its own members' distance on pinned
+//! nodes. Membership has one epoch per side; the slot table's lasts as
+//! long as the pin. A probe thus costs `O(|Pd|·log|Pd| + |Pq|)`. Every
+//! build takes this path ([`build_into`](DRadixDag::build_into) is "pin
+//! `query`, overlay `doc`"); a pin holds for one ontology and weighting,
+//! so keeping one across probes is [`Drc`](crate::Drc)'s call.
+//!
+//! **Resume.** A batch is inserted in sorted order, so each address shares
+//! a prefix with the one before. Insertion keeps the `(node, depth)` stack
+//! of the previous address's own walk (a split pushes its midpoint, the
+//! displaced-edge work items nothing), pops it to the longest common
+//! prefix with the next address and resumes there: nodes are never
+//! removed within a batch, so a walk from the root would reach that node.
 
 use cbr_index::packing;
 use cbr_ontology::{ConceptId, Ontology};
@@ -61,6 +81,24 @@ struct Node {
     edges: Vec<Edge>,
     /// Number of incoming edges (for the topological pass).
     indegree: u32,
+}
+
+impl Node {
+    /// Copies what builds and tuning change from `src`, keeping edge capacity.
+    fn restore_from(&mut self, src: &Node) {
+        self.doc_dist = src.doc_dist;
+        self.query_dist = src.query_dist;
+        self.edges.clone_from(&src.edges);
+        self.indegree = src.indegree;
+    }
+}
+
+/// One of a pair's two concept sets: its membership table and distance.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    Doc,
+    Query,
 }
 
 /// A compressed edge: the Dewey components between two materialized nodes,
@@ -149,13 +187,15 @@ pub struct DRadixDag {
     /// labels are subranges of it. Splits re-slice; nothing is copied.
     labels: Vec<u32>,
     addresses_inserted: usize,
-    // --- per-build scratch, cleared (not freed) by `reset` ---------------
-    /// Membership stamps: concept is in the current build's document
-    /// (resp. query) side iff its stamp equals `epoch`.
+    // --- per-build scratch, cleared (not freed) by `pin` -----------------
+    /// Membership stamps: concept is in the current document (resp. query)
+    /// set iff its stamp equals that side's epoch. One epoch per side, so
+    /// an overlay replaces its side's members and leaves the pin's alone.
     doc_stamps: Vec<u32>,
     query_stamps: Vec<u32>,
-    /// Build counter backing the stamped tables; bumped by
-    /// [`reset`](Self::reset), wrap-around zeroes the stamps.
+    doc_epoch: u32,
+    query_epoch: u32,
+    /// Epoch of `concept_slots`: lasts as long as the pin.
     epoch: u32,
     /// `(start, len, concept)` ranges of the addresses to insert, sorted
     /// lexicographically by label content before insertion. The leading
@@ -167,10 +207,28 @@ pub struct DRadixDag {
     topo_indegree: Vec<u32>,
     topo_queue: VecDeque<u32>,
     topo_order: Vec<u32>,
-    /// Pending `(from, target, vs, vl)` insertions for the explicit
+    /// Pending `(from, target, vs, vl, depth)` insertions for the explicit
     /// suffix-insertion worklist; drained within each call, retained so
     /// the hot path never reallocates in steady state.
-    suffix_work: Vec<(u32, ConceptId, u32, u32)>,
+    suffix_work: Vec<(u32, ConceptId, u32, u32, Option<u32>)>,
+    /// `(node, depth)` along the previous address's own walk, root first.
+    walk: Vec<(u32, u32)>,
+    /// Checkpoint of the pinned half: the first `base_live` rows as
+    /// [`pin`](Self::pin) left them, and the watermarks to roll back to.
+    base: Vec<Node>,
+    base_live: usize,
+    base_labels: usize,
+    base_addresses: usize,
+}
+
+/// Moves a stamped table to a fresh epoch — an O(1) clear — zeroing it on
+/// wrap-around, so stamps from 2³² epochs ago cannot alias the new count.
+fn advance<T: Default>(epoch: &mut u32, table: &mut [T]) {
+    *epoch = epoch.wrapping_add(1);
+    if *epoch == 0 {
+        table.iter_mut().for_each(|e| *e = T::default());
+        *epoch = 1;
+    }
 }
 
 impl DRadixDag {
@@ -207,9 +265,11 @@ impl DRadixDag {
     /// Rebuilds `self` for a new `(doc, query)` pair, reusing every
     /// backing allocation of the previous build. Equivalent to
     /// [`DRadixDag::build`] but allocation-free once the value has warmed
-    /// up.
+    /// up. Every build is "pin `query`, overlay `doc`"; this entry point
+    /// trusts no earlier pin and always re-pins.
     pub fn build_into(&mut self, ont: &Ontology, doc: &[ConceptId], query: &[ConceptId]) {
-        self.build_impl(ont, doc, query, None);
+        self.pin(ont, None, Side::Query, query);
+        self.overlay(ont, None, Side::Doc, doc);
     }
 
     /// Weighted counterpart of [`build_into`](Self::build_into).
@@ -220,40 +280,30 @@ impl DRadixDag {
         query: &[ConceptId],
         weights: &cbr_ontology::EdgeWeights,
     ) {
-        self.build_impl(ont, doc, query, Some(weights));
+        self.pin(ont, Some(weights), Side::Query, query);
+        self.overlay(ont, Some(weights), Side::Doc, doc);
     }
 
-    /// Clears the logical content while keeping all capacity: the node
-    /// watermark drops to zero (recycled slots keep their edge `Vec`s),
-    /// the arenas are emptied in place, and the stamped tables are
-    /// "cleared" by bumping the build epoch — O(1) regardless of how many
-    /// concepts the previous build touched.
-    pub fn reset(&mut self) {
+    /// Builds `T(∅, set)` — the pair's half on `side`, the other side empty
+    /// — from scratch and checkpoints it, for [`overlay`](Self::overlay)s to
+    /// complete and roll back in `O(|nodes|)`. Public for the phase bench.
+    #[doc(hidden)]
+    pub fn pin(
+        &mut self,
+        ont: &Ontology,
+        weights: Option<&cbr_ontology::EdgeWeights>,
+        side: Side,
+        set: &[ConceptId],
+    ) {
+        // Clear the logical content, keep all capacity: the watermark drops
+        // to zero (recycled slots keep their edge `Vec`s), the label arena
+        // empties in place, each stamped table moves to a fresh epoch.
         self.live = 0;
         self.labels.clear();
         self.addresses_inserted = 0;
-        self.addr_buf.clear();
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // One full stamp cycle exhausted: zero the tables so stamps
-            // from 2^32 builds ago cannot alias the restarted counter.
-            self.concept_slots.iter_mut().for_each(|e| *e = 0);
-            self.doc_stamps.iter_mut().for_each(|s| *s = 0);
-            self.query_stamps.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 1;
-        }
-        // The topo buffers are cleared at use; nothing to do here.
-    }
-
-    fn build_impl(
-        &mut self,
-        ont: &Ontology,
-        doc: &[ConceptId],
-        query: &[ConceptId],
-        weights: Option<&cbr_ontology::EdgeWeights>,
-    ) {
-        let paths = ont.path_table();
-        self.reset();
+        advance(&mut self.epoch, &mut self.concept_slots);
+        advance(&mut self.doc_epoch, &mut self.doc_stamps);
+        advance(&mut self.query_epoch, &mut self.query_stamps);
         // Size the stamped tables by |C| once; later builds over the same
         // ontology find them already large enough.
         if self.concept_slots.len() < ont.len() {
@@ -261,29 +311,97 @@ impl DRadixDag {
             self.doc_stamps.resize(ont.len(), 0);
             self.query_stamps.resize(ont.len(), 0);
         }
-        for &c in doc {
-            match self.doc_stamps.get_mut(c.index()) {
-                Some(s) => *s = self.epoch,
-                None => debug_assert!(false, "document concept outside the ontology"),
-            }
-        }
-        for &c in query {
-            match self.query_stamps.get_mut(c.index()) {
-                Some(s) => *s = self.epoch,
-                None => debug_assert!(false, "query concept outside the ontology"),
-            }
-        }
-
         // Initialize with the root (Algorithm 1 line 4).
         self.slot_for(ont.root());
+        self.insert_set(ont, weights, side, set);
+        // cplx: bound p*depth — one checkpoint row per pinned radix node
+        for (i, n) in self.nodes.iter().take(self.live).enumerate() {
+            match self.base.get_mut(i) {
+                Some(row) => row.restore_from(n),
+                // bound: sized — one checkpoint row per pinned radix node (cplx: cap p*depth — the node arena's own bound)
+                None => self.base.push(n.clone()),
+            }
+        }
+        self.base_live = self.live;
+        self.base_labels = self.labels.len();
+        self.base_addresses = self.addresses_inserted;
+    }
 
-        // Stage every address of d ∪ q into the label arena, then insert
-        // in lexicographic address order (lines 6–14). The paper merges
-        // the two pre-sorted lists Pd and Pq; sorting the staged ranges by
-        // content is order-equivalent (ties are the same address, whose
-        // second insertion is a no-op) and needs no per-build Vec of
-        // borrowed slices.
-        for &c in doc.iter().chain(query) {
+    /// Completes the pinned half to `T(d, q)` with `set` on `side` — the
+    /// side the [`pin`](Self::pin) that must precede left empty — first
+    /// rolling back whatever the previous overlay and its tuning left.
+    #[doc(hidden)]
+    pub fn overlay(
+        &mut self,
+        ont: &Ontology,
+        weights: Option<&cbr_ontology::EdgeWeights>,
+        side: Side,
+        set: &[ConceptId],
+    ) {
+        if self.base_live == 0 {
+            debug_assert!(false, "overlay completes a pin; there is none");
+            return;
+        }
+        // Un-stamp the slots of the nodes the last overlay added (the slot
+        // epoch lives as long as the pin), then restore the pinned rows.
+        // cplx: bound p*depth — the radix nodes the previous overlay added
+        for n in self.nodes.iter().take(self.live).skip(self.base_live) {
+            if let Some(e) = self.concept_slots.get_mut(n.concept.index()) {
+                *e = 0;
+            }
+        }
+        // cplx: bound p*depth — one checkpoint row per pinned radix node
+        for (n, row) in self.nodes.iter_mut().zip(&self.base).take(self.base_live) {
+            n.restore_from(row);
+        }
+        self.live = self.base_live;
+        self.labels.truncate(self.base_labels);
+        self.addresses_inserted = self.base_addresses;
+        self.insert_set(ont, weights, side, set);
+        #[cfg(debug_assertions)]
+        {
+            let structure = self.validate_structure();
+            debug_assert!(
+                structure.is_ok(),
+                "D-Radix structural invariant violated: {structure:?}"
+            );
+        }
+    }
+
+    /// Makes `set` the members of `side` and inserts their addresses into
+    /// whatever the DAG already holds (Algorithm 1 lines 6–14, one list).
+    fn insert_set(
+        &mut self,
+        ont: &Ontology,
+        weights: Option<&cbr_ontology::EdgeWeights>,
+        side: Side,
+        set: &[ConceptId],
+    ) {
+        let paths = ont.path_table();
+        let (stamps, epoch) = match side {
+            Side::Doc => (&mut self.doc_stamps, &mut self.doc_epoch),
+            Side::Query => (&mut self.query_stamps, &mut self.query_epoch),
+        };
+        advance(epoch, stamps);
+        // cplx: bound p — one side of d ∪ q
+        for &c in set {
+            match stamps.get_mut(c.index()) {
+                Some(s) => *s = *epoch,
+                None => debug_assert!(false, "member concept outside the ontology"),
+            }
+        }
+        // Stage every address of the set into the label arena, then insert in
+        // lexicographic order (one the DAG already holds re-inserts as a no-op).
+        let mut longest = 0;
+        // cplx: bound p — one side of d ∪ q
+        for &c in set {
+            // A member already held (root or pinned node) was born at ∞ on this side.
+            if let Some(n) = self.slot_of(c).and_then(|n| self.nodes.get_mut(n as usize)) {
+                match side {
+                    Side::Doc => n.doc_dist = 0,
+                    Side::Query => n.query_dist = 0,
+                }
+            }
             // cplx: counter addrs
             for (rank, addr) in paths.addresses_ranked(c) {
                 #[cfg(feature = "counters")]
@@ -293,26 +411,26 @@ impl DRadixDag {
                 self.labels.extend_from_slice(addr);
                 // bound: sized — one staging entry per ranked address of d ∪ q
                 self.addr_buf.push((rank, start, packing::narrow_u32(addr.len()), c));
+                longest = longest.max(addr.len());
             }
         }
         let mut addr_buf = std::mem::take(&mut self.addr_buf);
-        // Equal ranks are the same address of the same concept (an address
-        // names a unique root path) staged from both sides of d ∪ q; the
-        // offset tie-break only pins a deterministic permutation of
-        // identical insertions.
-        addr_buf.sort_unstable_by(|&(ka, sa, ..), &(kb, sb, ..)| ka.cmp(&kb).then(sa.cmp(&sb)));
+        // Rank order IS address order; equal ranks (a concept listed twice)
+        // are identical insertions, so any order among them will do.
+        addr_buf.sort_unstable_by_key(|&(rank, ..)| rank);
+        // The walk restarts at the root — slot 0 — with every batch. Sized up
+        // front: the pinned side flips build orders, not what a pair retains.
+        self.walk.clear();
+        self.walk.reserve(longest + 1);
+        // bound: sized — one entry per batch
+        self.walk.push((0, 0));
+        let mut prev = (0, 0);
         for &(_, start, len, concept) in &addr_buf {
-            self.insert_address(ont, weights, concept, start, len);
+            self.insert_address(ont, weights, concept, (start, len), prev);
+            prev = (start, len);
         }
+        addr_buf.clear();
         self.addr_buf = addr_buf;
-        #[cfg(debug_assertions)]
-        {
-            let structure = self.validate_structure();
-            debug_assert!(
-                structure.is_ok(),
-                "D-Radix structural invariant violated: {structure:?}"
-            );
-        }
     }
 
     /// Runs the tuning phase (Algorithm 1 lines 19–27): a bottom-up pass in
@@ -368,13 +486,13 @@ impl DRadixDag {
     /// Whether `c` is a document-side member of the current build.
     #[inline]
     fn is_doc_member(&self, c: ConceptId) -> bool {
-        self.doc_stamps.get(c.index()).is_some_and(|&s| s == self.epoch)
+        self.doc_stamps.get(c.index()).is_some_and(|&s| s == self.doc_epoch)
     }
 
     /// Whether `c` is a query-side member of the current build.
     #[inline]
     fn is_query_member(&self, c: ConceptId) -> bool {
-        self.query_stamps.get(c.index()).is_some_and(|&s| s == self.epoch)
+        self.query_stamps.get(c.index()).is_some_and(|&s| s == self.query_epoch)
     }
 
     /// Distance of radix node `c` from the nearest *document* concept
@@ -439,7 +557,10 @@ impl DRadixDag {
             + (self.doc_stamps.capacity() + self.query_stamps.capacity()) * size_of::<u32>()
             + (self.topo_indegree.capacity() + self.topo_order.capacity()) * size_of::<u32>()
             + self.topo_queue.capacity() * size_of::<u32>()
-            + self.suffix_work.capacity() * size_of::<(u32, ConceptId, u32, u32)>()
+            + self.suffix_work.capacity() * size_of::<(u32, ConceptId, u32, u32, Option<u32>)>()
+            + self.walk.capacity() * size_of::<(u32, u32)>()
+            + self.base.capacity() * size_of::<Node>()
+            + self.base.iter().map(|n| n.edges.capacity() * size_of::<Edge>()).sum::<usize>()
     }
 
     /// Whether concept `c` is materialized as a node.
@@ -530,7 +651,10 @@ impl DRadixDag {
             slot.edges.clear();
             slot.indegree = 0;
         } else {
-            self.nodes.push(Node { concept, doc_dist, query_dist, edges: Vec::new(), indegree: 0 });
+            // Born with a `Vec`'s first growth step: which node a slot holds
+            // flips with the pinned side, and a leaf's slot must fit a branch.
+            let edges = Vec::with_capacity(4);
+            self.nodes.push(Node { concept, doc_dist, query_dist, edges, indegree: 0 });
         }
         self.live += 1;
         match self.concept_slots.get_mut(concept.index()) {
@@ -540,44 +664,48 @@ impl DRadixDag {
         n
     }
 
+    /// Inserts the staged address at label range `(start, len)`. Addresses
+    /// arrive sorted, so it shares a prefix with the last (at `prev`): resume
+    /// below the deepest node of the last walk that lies within that prefix.
     fn insert_address(
         &mut self,
         ont: &Ontology,
         weights: Option<&cbr_ontology::EdgeWeights>,
         concept: ConceptId,
-        start: u32,
-        len: u32,
+        (start, len): (u32, u32),
+        prev: (u32, u32),
     ) {
         self.addresses_inserted += 1;
-        let Some(root) = self.slot_of(ont.root()) else {
-            debug_assert!(false, "root must be materialized before inserts");
-            return;
-        };
-        self.insert_suffix(ont, weights, root, concept, start, len);
+        let shared = cbr_ontology::dewey::longest_common_prefix(
+            self.label_range(prev.0, prev.1),
+            self.label_range(start, len),
+        );
+        // cplx: bound depth — the walk holds at most one node per address component
+        while self.walk.last().is_some_and(|&(_, depth)| depth as usize > shared) {
+            self.walk.pop();
+        }
+        // The root entry, at depth 0, is never popped.
+        let (from, depth) = self.walk.last().copied().unwrap_or((0, 0));
+        debug_assert!(self.suffix_work.is_empty(), "worklist drains within each insertion");
+        // bound: sized — at most two subrange items replace each popped item
+        self.suffix_work.push((from, concept, start + depth, len - depth, Some(depth)));
+        self.insert_suffix(ont, weights);
     }
 
-    /// Function InsertPath: attaches `target`, reachable from the concept of
-    /// node `from` by walking the ontology along the label range
-    /// `[vs, vs + vl)` of the arena, into the radix structure below `from`.
-    fn insert_suffix(
-        &mut self,
-        ont: &Ontology,
-        weights: Option<&cbr_ontology::EdgeWeights>,
-        from: u32,
-        target: ConceptId,
-        vs: u32,
-        vl: u32,
-    ) {
+    /// Function InsertPath over the queued `(from, target, vs, vl, depth)`
+    /// item: attaches `target`, reachable from the concept of node `from`
+    /// by walking the ontology along the label range `[vs, vs + vl)` of the
+    /// arena, into the radix structure below `from`. `depth`: how far below
+    /// the root `from` lies on the address whose walk is being recorded for
+    /// the next to resume from (`None`: a displaced edge, not recorded).
+    fn insert_suffix(&mut self, ont: &Ontology, weights: Option<&cbr_ontology::EdgeWeights>) {
         // Explicit worklist rather than self-recursion: the edge-split case
         // re-attaches two label ranges that are strict subranges of the one
         // being inserted, so pending work is bounded by the Dewey address
         // length and the query path stays recursion-free (bound B04). The
         // worklist buffer is retained scratch — no per-call allocation.
-        debug_assert!(self.suffix_work.is_empty(), "worklist drains within each insertion");
-        // bound: sized — at most two subrange items replace each popped item
-        self.suffix_work.push((from, target, vs, vl));
         // cplx: counter suffix_pops
-        'work: while let Some((from, target, mut vs, mut vl)) = self.suffix_work.pop() {
+        'work: while let Some((from, target, mut vs, mut vl, mut depth)) = self.suffix_work.pop() {
             #[cfg(feature = "counters")]
             crate::counters::bump_suffix_pops();
             let mut cn = from;
@@ -602,6 +730,7 @@ impl DRadixDag {
                     let t = self.slot_for(target);
                     let w = self.price(ont, weights, cn, vs, vl);
                     self.add_edge(cn, t, vs, vl, w);
+                    self.walked(t, depth, vl);
                     continue 'work;
                 };
 
@@ -618,6 +747,7 @@ impl DRadixDag {
                     cn = m_target;
                     vs += lcp;
                     vl -= lcp;
+                    depth = self.walked(cn, depth, lcp);
                     continue;
                 }
 
@@ -632,6 +762,7 @@ impl DRadixDag {
                     &self.labels[vs as usize..(vs + lcp) as usize],
                 ) else {
                     debug_assert!(false, "edge labels must be valid ontology paths");
+                    self.walk.truncate(1);
                     continue 'work;
                 };
                 self.remove_edge(cn, idx);
@@ -644,15 +775,26 @@ impl DRadixDag {
                 // are subranges of arena labels that already exist — no
                 // copying. Queue order keeps the displaced edge first.
                 let old_target_concept = self.nodes[m_target as usize].concept;
+                let depth = self.walked(mid, depth, lcp);
                 if mid_concept != target {
                     // bound: sized — strict subrange of the popped item (cplx: cap depth*depth — resplits bounded by the label length)
-                    self.suffix_work.push((mid, target, vs + lcp, vl - lcp));
+                    self.suffix_work.push((mid, target, vs + lcp, vl - lcp, depth));
                 }
                 // bound: sized — strict subrange of the split edge label (cplx: cap depth*depth — resplits bounded by the label length)
-                self.suffix_work.push((mid, old_target_concept, ms + lcp, ml - lcp));
+                self.suffix_work.push((mid, old_target_concept, ms + lcp, ml - lcp, None));
                 continue 'work;
             }
         }
+    }
+
+    /// Records that the address being inserted passes `node`, `step` below
+    /// `depth`; returns the new depth (`None` stays `None`).
+    #[inline]
+    fn walked(&mut self, node: u32, depth: Option<u32>, step: u32) -> Option<u32> {
+        let depth = depth? + step;
+        // bound: sized — at most one node per component of the address
+        self.walk.push((node, depth));
+        Some(depth)
     }
 
     /// Cost of walking the label range down from node `from` under the
@@ -705,6 +847,8 @@ impl DRadixDag {
         self.topo_indegree.clear();
         self.topo_indegree.extend(self.nodes[..self.live].iter().map(|n| n.indegree));
         self.topo_queue.clear();
+        // Sized like the order it feeds, whatever width this build order has.
+        self.topo_queue.reserve(self.live);
         self.topo_order.clear();
         for n in 0..packing::narrow_u32(self.live) {
             if self.topo_indegree[n as usize] == 0 {
@@ -933,9 +1077,12 @@ impl DRadixDag {
     /// Pushes a violation for every member concept that is missing or whose
     /// own-side distance is nonzero.
     fn check_members(&self, v: &mut Vec<DagViolation>) {
-        for (stamps, doc_side) in [(&self.doc_stamps, true), (&self.query_stamps, false)] {
+        for (stamps, epoch, doc_side) in [
+            (&self.doc_stamps, self.doc_epoch, true),
+            (&self.query_stamps, self.query_epoch, false),
+        ] {
             for (i, &s) in stamps.iter().enumerate() {
-                if s != self.epoch {
+                if s != epoch {
                     continue;
                 }
                 let c = ConceptId::from_index(i);
@@ -1196,6 +1343,14 @@ mod tests {
     use super::*;
     use cbr_ontology::fixture;
 
+    impl DRadixDag {
+        /// Test-only hook: the slot, document-side and query-side epochs,
+        /// to prime a wrap-around (also used by `drc`'s tests).
+        pub(crate) fn epochs_mut(&mut self) -> [&mut u32; 3] {
+            [&mut self.epoch, &mut self.doc_epoch, &mut self.query_epoch]
+        }
+    }
+
     /// Builds the paper's running example: d = {F,R,T,V}, q = {I,L,U}.
     fn example_dag() -> (fixture::Figure3, DRadixDag) {
         let fig = fixture::figure3();
@@ -1388,6 +1543,18 @@ mod tests {
         ea.sort();
         eb.sort();
         assert_eq!(ea, eb, "edges diverge after reuse");
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "overlay completes a pin"))]
+    fn overlay_without_a_pin_is_refused() {
+        // `overlay` is reachable from outside the crate (the phase bench):
+        // on a DAG nothing was pinned into, release builds must return, not
+        // index the empty arenas.
+        let fig = fixture::figure3();
+        let mut dag = DRadixDag::new();
+        dag.overlay(&fig.ontology, None, Side::Doc, &fig.example_document());
+        assert_eq!(dag.stats(), DagStats { nodes: 0, edges: 0, addresses: 0 });
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! The DRC algorithm: D-Radix construction + tuning + aggregation.
 
-use crate::dag::DRadixDag;
+use crate::dag::{DRadixDag, Side};
 use cbr_ontology::{ConceptId, Ontology};
 
 /// The reusable build state of one [`Drc`]: the D-Radix node arena, the
-/// epoch-stamped concept-slot table, the label arena, and the tuning
-/// scratch. Cleared —
-/// never reallocated — between document probes, so the per-document DAG
-/// build at the heart of every kNDS EXAMINE becomes allocation-free once
-/// warm.
+/// epoch-stamped concept-slot table, the label arena, the tuning scratch
+/// and the pinned half's checkpoint. Cleared — never reallocated —
+/// between document probes, so the per-document DAG build at the heart of
+/// every kNDS EXAMINE becomes allocation-free once warm.
 ///
 /// A scratch can be detached with [`Drc::into_scratch`] and re-attached
 /// with [`Drc::with_scratch`], which is how query workspaces carry DAG
@@ -17,6 +16,12 @@ use cbr_ontology::{ConceptId, Ontology};
 #[derive(Debug, Clone, Default)]
 pub struct DagScratch {
     dag: DRadixDag,
+    /// The side `pin` is pinned on in `dag`, set by the `Drc` holding this
+    /// scratch (so under its ontology and weights); `None` once it changes hands.
+    pinned: Option<Side>,
+    pin: Vec<ConceptId>,
+    /// The previous probe's `doc`: on a miss, tells which argument repeats.
+    last_doc: Vec<ConceptId>,
 }
 
 impl DagScratch {
@@ -28,6 +33,7 @@ impl DagScratch {
     /// Approximate heap footprint of the retained allocations, in bytes.
     pub fn footprint_bytes(&self) -> usize {
         self.dag.footprint_bytes()
+            + (self.pin.capacity() + self.last_doc.capacity()) * std::mem::size_of::<ConceptId>()
     }
 }
 
@@ -42,6 +48,14 @@ impl DagScratch {
 /// The value owns a [`DagScratch`] that the distance methods rebuild in
 /// place, so probing many documents against one query allocates only on
 /// the first few probes; hence those methods take `&mut self`.
+///
+/// What repeats is pinned: a probe whose `query` (else whose `doc`)
+/// equals, by content, the argument the last build pinned only overlays
+/// the other one on the checkpointed half (see [`crate::dag`]); any other
+/// probe re-pins — on `doc` if the previous probe passed it too, on
+/// `query` otherwise. The pin's scope is this one value, hence one
+/// ontology and one weighting: a scratch that changes hands
+/// ([`with_scratch`](Self::with_scratch)) keeps its capacity, not its pin.
 #[derive(Debug, Clone)]
 pub struct Drc<'a> {
     ontology: &'a Ontology,
@@ -67,6 +81,7 @@ impl<'a> Drc<'a> {
     /// (e.g. by a pooled query workspace).
     pub fn with_scratch(mut self, scratch: DagScratch) -> Self {
         self.scratch = scratch;
+        self.scratch.pinned = None;
         self
     }
 
@@ -90,11 +105,28 @@ impl<'a> Drc<'a> {
     /// at the core of kNDS's EXAMINE step: allocation-free once the
     /// scratch has warmed up.
     pub fn probe(&mut self, doc: &[ConceptId], query: &[ConceptId]) -> &DRadixDag {
-        let dag = &mut self.scratch.dag;
-        match self.weights {
-            None => dag.build_into(self.ontology, doc, query),
-            Some(w) => dag.build_weighted_into(self.ontology, doc, query, w),
+        let s = &mut self.scratch;
+        let pinned = match s.pinned {
+            Some(Side::Query) if s.pin == query => Side::Query,
+            Some(Side::Doc) if s.pin == doc => Side::Doc,
+            stale => {
+                // Pin the argument that repeats: kNDS and the full scan
+                // hold `query`; a caller holding `doc` shows on its second
+                // probe (`last_doc` is this value's own once it has pinned).
+                let repeats_doc = stale.is_some() && s.last_doc == doc;
+                let (side, set) = if repeats_doc { (Side::Doc, doc) } else { (Side::Query, query) };
+                set.clone_into(&mut s.pin);
+                s.dag.pin(self.ontology, self.weights, side, set);
+                s.pinned = Some(side);
+                side
+            }
+        };
+        doc.clone_into(&mut s.last_doc);
+        match pinned {
+            Side::Query => s.dag.overlay(self.ontology, self.weights, Side::Doc, doc),
+            Side::Doc => s.dag.overlay(self.ontology, self.weights, Side::Query, query),
         }
+        let dag = &mut s.dag;
         dag.tune();
         #[cfg(debug_assertions)]
         {
@@ -410,5 +442,84 @@ mod tests {
             drc.document_document_distance(&d, &d2);
         }
         assert_eq!(drc.scratch_footprint_bytes(), warm, "steady-state probes must not grow");
+    }
+
+    /// Random sorted concept sets over `ont`: one query, `n` documents.
+    fn random_sets(ont: &Ontology, seed: u64, n: usize) -> (Vec<ConceptId>, Vec<Vec<ConceptId>>) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pick = |n: usize| -> Vec<ConceptId> {
+            let mut v: Vec<ConceptId> =
+                (0..n).map(|_| ConceptId(rng.random_range(0..ont.len() as u32))).collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        (pick(5), (0..n).map(|_| pick(7)).collect())
+    }
+
+    #[test]
+    fn adopted_scratch_never_serves_a_stale_pin() {
+        // A pin is only as good as its ontology and weights. Ontologies A
+        // and B issue the same concept ids, so a scratch pinned on `q`
+        // under A looks — by content — like a hit to a `Drc` over B, or
+        // over A with other weights. Adoption must drop the pin.
+        use cbr_ontology::{weighted, GeneratorConfig, OntologyGenerator};
+        let gen = |seed| OntologyGenerator::new(GeneratorConfig::small(120).with_seed(seed));
+        let (a, b) = (gen(41).generate(), gen(42).generate());
+        let w = cbr_ontology::EdgeWeights::from_fn(&a, |p, c| 1 + (p.0.wrapping_add(c.0) % 4));
+        let (q, docs) = random_sets(&a, 7, 4);
+        let pinned_under_a = || {
+            let mut drc = Drc::new(&a);
+            for d in &docs {
+                drc.document_query_distance(d, &q);
+            }
+            drc.into_scratch()
+        };
+        let mut over_b = Drc::new(&b).with_scratch(pinned_under_a());
+        let mut reweighted = Drc::with_weights(&a, &w).with_scratch(pinned_under_a());
+        for d in &docs {
+            assert_eq!(
+                over_b.document_query_distance(d, &q),
+                crate::brute::document_query_distance(&b, d, &q),
+                "distance under B, not the pinned A"
+            );
+            assert_eq!(
+                reweighted.document_query_distance(d, &q),
+                weighted::document_query_distance(&a, &w, d, &q),
+                "weighted distance, not the pinned unit-weight one"
+            );
+        }
+    }
+
+    #[test]
+    fn epoch_wrap_around_keeps_pinned_runs_exact() {
+        // Each of the three epochs (slot table, document side, query
+        // side) primed to wrap at the pin, at the first overlay and at the
+        // second: results must not move. The debug validators inside
+        // `probe` check the stamped tables against the arena every time.
+        use cbr_ontology::{GeneratorConfig, OntologyGenerator};
+        let ont = OntologyGenerator::new(GeneratorConfig::small(120).with_seed(9)).generate();
+        let (q, docs) = random_sets(&ont, 11, 5);
+        let brute =
+            |d: &[ConceptId], q: &[ConceptId]| crate::brute::document_query_distance(&ont, d, q);
+        for which in 0..3 {
+            for back in 0..3 {
+                let mut drc = Drc::new(&ont);
+                drc.document_query_distance(&docs[0], &q); // size the tables
+                *drc.scratch.dag.epochs_mut()[which] = u32::MAX - back;
+                drc.scratch.pinned = None; // the stamps no longer mean anything
+                for d in &docs {
+                    // `q` pinned, overlays on the document side …
+                    assert_eq!(drc.document_query_distance(d, &q), brute(d, &q));
+                }
+                for d in &docs {
+                    // … then `q` pinned as the document, overlays on the
+                    // query side.
+                    assert_eq!(drc.document_query_distance(&q, d), brute(&q, d));
+                }
+            }
+        }
     }
 }
