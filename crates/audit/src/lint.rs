@@ -1,5 +1,7 @@
-//! The lint rules, A01–A09 (A02, the textual no-panic rule for the hot-path
-//! files, is retired: every site it flagged is a flow F04 site).
+//! The lint rules, A01–A09. Two ids are retired, not reused: A02, the
+//! textual no-panic rule for the hot-path files (every site it flagged is
+//! a flow F04 site), and A05, which policed a cargo feature that no
+//! longer exists.
 //!
 //! Every rule has a stable identifier, runs over [`SourceFile`]s (or
 //! `Cargo.toml` manifests for A06), and reports findings that the driver
@@ -9,9 +11,8 @@
 //! invariants" for what each rule protects and why a scanner suffices.
 
 use crate::report::{Finding, Stat, Stats};
-use crate::scanner::{header_end, ident_end, ident_start, match_bracket, skip_ws, SourceFile};
+use crate::scanner::{header_end, ident_end, ident_start, match_bracket, SourceFile};
 use crate::ParsedWorkspace;
-use std::collections::BTreeSet;
 
 /// Directories whose `pub fn` entry points A03 inspects.
 const A03_SCOPES: [&str; 2] = ["crates/knds/src/", "crates/core/src/"];
@@ -161,56 +162,6 @@ pub fn a04_forbid_unsafe(file: &SourceFile) -> Vec<Finding> {
     }
 }
 
-/// A05: `use serde` must sit behind the `serde` cargo feature — the
-/// offline build resolves serde to an empty stub, so an ungated import is
-/// a build break waiting for the default feature set.
-///
-/// `gated_files` holds files whose *module declaration* is feature-gated
-/// in the parent (e.g. `ontology/src/ser.rs`); everything in them is
-/// implicitly gated.
-pub fn a05_serde_gated(file: &SourceFile, gated_files: &BTreeSet<String>) -> Vec<Finding> {
-    if !is_lib_source(&file.rel) || gated_files.contains(&file.rel) {
-        return Vec::new();
-    }
-    file.code_matches("use serde")
-        .into_iter()
-        .filter(|&o| !file.is_test(o) && !file.is_serde_gated(o))
-        .map(|o| {
-            Finding::at(
-                "A05",
-                file,
-                o,
-                "`use serde` outside a `#[cfg(feature = \"serde\")]` gate breaks the offline build",
-            )
-        })
-        .collect()
-}
-
-/// Collects files whose `mod x;` declaration is serde-gated in a parent
-/// module file, making the whole child file implicitly gated for A05.
-pub fn serde_gated_files(files: &[SourceFile]) -> BTreeSet<String> {
-    let mut gated = BTreeSet::new();
-    for f in files {
-        for o in f.code_matches("mod ") {
-            if !f.is_serde_gated(o) {
-                continue;
-            }
-            // `pub mod name;` — a declaration, not an inline `mod { }`.
-            let bytes = f.code.as_bytes();
-            let start = o + "mod ".len();
-            let i = ident_end(bytes, start);
-            if i > start && bytes.get(skip_ws(bytes, i)) == Some(&b';') {
-                let name = &f.code[start..i];
-                if let Some(dir) = f.rel.rsplit_once('/').map(|(d, _)| d) {
-                    gated.insert(format!("{dir}/{name}.rs"));
-                    gated.insert(format!("{dir}/{name}/mod.rs"));
-                }
-            }
-        }
-    }
-    gated
-}
-
 /// A06: every dependency in every manifest must resolve by `path` or
 /// `workspace = true` — the build environment has no registry access, so
 /// a version-only dependency can never build.
@@ -335,13 +286,11 @@ pub fn a09_lock_free_reads(file: &SourceFile) -> Vec<Finding> {
 /// every manifest.
 pub fn gate(pw: &ParsedWorkspace, _fixtures: bool) -> (Vec<Finding>, Stats) {
     let files = &pw.ws.files;
-    let gated = serde_gated_files(files);
     let mut out = Vec::new();
     for f in files {
         out.extend(a01_no_partial_cmp(f));
         out.extend(a03_workspace_variants(f));
         out.extend(a04_forbid_unsafe(f));
-        out.extend(a05_serde_gated(f, &gated));
         out.extend(a07_facade_only_sync(f));
         out.extend(a08_no_hot_path_hash_tables(f));
         out.extend(a09_lock_free_reads(f));
@@ -415,40 +364,16 @@ mod tests {
     }
 
     #[test]
-    fn a05_fires_on_ungated_import() {
-        let f = src("crates/corpus/src/document.rs", "use serde::Serialize;\n");
-        assert_eq!(a05_serde_gated(&f, &BTreeSet::new()).len(), 1);
-    }
-
-    #[test]
-    fn a05_silent_when_gated_or_module_gated() {
-        let gated_use = src(
-            "crates/corpus/src/document.rs",
-            "#[cfg(feature = \"serde\")]\nuse serde::Serialize;\n",
-        );
-        assert!(a05_serde_gated(&gated_use, &BTreeSet::new()).is_empty());
-
-        let lib = src(
-            "crates/ontology/src/lib.rs",
-            "#[cfg(feature = \"serde\")]\npub mod ser;\npub mod graph;\n",
-        );
-        let child = src("crates/ontology/src/ser.rs", "use serde::Serialize;\n");
-        let gated = serde_gated_files(&[lib]);
-        assert!(gated.contains("crates/ontology/src/ser.rs"), "{gated:?}");
-        assert!(a05_serde_gated(&child, &gated).is_empty());
-    }
-
-    #[test]
     fn a06_fires_on_registry_dep() {
-        let toml = "[package]\nname = \"x\"\n[dependencies]\nserde = \"1\"\nfoo = { path = \"../foo\" }\nbar = { workspace = true }\n";
+        let toml = "[package]\nname = \"x\"\n[dependencies]\nregex = \"1\"\nfoo = { path = \"../foo\" }\nbar = { workspace = true }\n";
         let hits = a06_no_registry_deps("crates/x/Cargo.toml", toml);
         assert_eq!(hits.len(), 1, "{hits:?}");
-        assert!(hits[0].message.contains("`serde`"));
+        assert!(hits[0].message.contains("`regex`"));
     }
 
     #[test]
     fn a06_handles_dotted_dep_tables_and_skips_features() {
-        let toml = "[dependencies.good]\npath = \"../good\"\n[dependencies.bad]\nversion = \"2\"\n[features]\nserde = [\"dep:serde\"]\n";
+        let toml = "[dependencies.good]\npath = \"../good\"\n[dependencies.bad]\nversion = \"2\"\n[features]\nfast = [\"dep:fast\"]\n";
         let hits = a06_no_registry_deps("crates/x/Cargo.toml", toml);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert!(hits[0].message.contains("`bad`"));

@@ -3,11 +3,9 @@
 //! The lint rules need a few things the raw text cannot give them:
 //! a view of the source with comments and string literals blanked out
 //! (so `"panic!"` inside a message never trips F04), byte-accurate
-//! `#[cfg(test)]` region tracking (test code may unwrap freely),
-//! `#[cfg(feature = "serde")]` item tracking (gated serde imports are
-//! legal), and `#[cfg(debug_assertions)]` tracking (debug-only
-//! validation hooks are outside the release hot path the flow rules
-//! reason about). It is a character-level scanner, not a parser: it
+//! `#[cfg(test)]` region tracking (test code may unwrap freely), and
+//! `#[cfg(debug_assertions)]` tracking (debug-only validation hooks are
+//! outside the release hot path the flow rules reason about). It is a character-level scanner, not a parser: it
 //! understands exactly the token classes the rules query — line and
 //! nested block comments, string/char/raw-string literals versus
 //! lifetimes, attribute spans, and brace-matched item extents — and
@@ -31,8 +29,6 @@ pub struct SourceFile {
     pub code: String,
     /// Per-byte: inside a `#[cfg(test)]` item (or a file under `tests/`).
     in_test: Vec<bool>,
-    /// Per-byte: inside a `#[cfg(feature = "serde")]`-gated item.
-    in_serde_gate: Vec<bool>,
     /// Per-byte: inside a `#[cfg(debug_assertions)]`-gated item or block.
     in_debug_gate: Vec<bool>,
 }
@@ -47,7 +43,6 @@ impl SourceFile {
             text: text.to_string(),
             code,
             in_test: vec![whole_file_test; text.len()],
-            in_serde_gate: vec![false; text.len()],
             in_debug_gate: vec![false; text.len()],
         };
         file.mark_attr_regions();
@@ -65,11 +60,6 @@ impl SourceFile {
     /// Whether the byte at `offset` is inside test-only code.
     pub fn is_test(&self, offset: usize) -> bool {
         self.in_test.get(offset).copied().unwrap_or(false)
-    }
-
-    /// Whether the byte at `offset` is inside a serde-gated item.
-    pub fn is_serde_gated(&self, offset: usize) -> bool {
-        self.in_serde_gate.get(offset).copied().unwrap_or(false)
     }
 
     /// Whether the byte at `offset` is inside a
@@ -132,7 +122,7 @@ impl SourceFile {
     }
 
     /// Finds `#[cfg(...)]`-style attributes and marks the item each one
-    /// governs in the test / serde-gate masks.
+    /// governs in the test / debug-gate masks.
     fn mark_attr_regions(&mut self) {
         let bytes = self.code.as_bytes();
         let mut i = 0;
@@ -141,21 +131,16 @@ impl SourceFile {
                 let Some(close) = match_bracket(bytes, i + 1, b'[', b']') else {
                     break;
                 };
-                // Attribute arguments carry string literals ("serde"),
-                // which the code mask blanks — classify on the original.
+                // Attribute arguments can carry string literals, which
+                // the code mask blanks — classify on the original.
                 let attr = &self.text[i..=close];
                 let is_test_cfg = attr.contains("cfg(test)") || attr.contains("cfg(all(test");
-                let is_serde_cfg = (attr.contains("cfg(feature") || attr.contains("cfg_attr"))
-                    && attr.contains("\"serde\"");
                 let is_debug_cfg = attr.contains("cfg(debug_assertions)");
-                if is_test_cfg || is_serde_cfg || is_debug_cfg {
+                if is_test_cfg || is_debug_cfg {
                     if let Some((start, end)) = self.item_after(close + 1) {
                         for o in start..=end.min(self.in_test.len() - 1) {
                             if is_test_cfg {
                                 self.in_test[o] = true;
-                            }
-                            if is_serde_cfg {
-                                self.in_serde_gate[o] = true;
                             }
                             if is_debug_cfg {
                                 self.in_debug_gate[o] = true;
@@ -607,17 +592,6 @@ mod tests {
     }
 
     #[test]
-    fn serde_gate_covers_use_and_mod_items() {
-        let src = "#[cfg(feature = \"serde\")]\nuse serde::Serialize;\n#[cfg(feature = \"serde\")]\nmod gated {\n    use serde::de;\n}\nuse std::fmt;\n";
-        let f = SourceFile::parse("x.rs", src);
-        let hits = f.code_matches("use serde");
-        assert_eq!(hits.len(), 2);
-        assert!(hits.iter().all(|&h| f.is_serde_gated(h)));
-        let std_use = f.code_matches("use std::fmt")[0];
-        assert!(!f.is_serde_gated(std_use));
-    }
-
-    #[test]
     fn cfg_all_test_regions_are_marked() {
         let src = "fn live() { x.unwrap(); }\n#[cfg(all(test, not(feature = \"model\")))]\nmod tests {\n    fn t() { y.unwrap(); }\n}\n";
         let f = SourceFile::parse("x.rs", src);
@@ -652,17 +626,5 @@ mod tests {
              vec![3]; v[i] + (a)[0] }",
         );
         assert_eq!(slice_index_sites(&f).len(), 2, "v[i] and (a)[0] only");
-    }
-
-    #[test]
-    fn cfg_attr_serde_derive_gates_nothing_but_itself() {
-        // cfg_attr on a struct marks the struct item as gated — the rule
-        // only consults the mask for `use serde` sites, so this is inert
-        // but must not panic or mis-blank.
-        let src =
-            "#[cfg_attr(feature = \"serde\", derive(Serialize))]\npub struct S;\nuse std::io;\n";
-        let f = SourceFile::parse("x.rs", src);
-        assert_eq!(f.code_matches("pub struct S").len(), 1);
-        assert!(!f.is_serde_gated(f.code_matches("use std::io")[0]));
     }
 }

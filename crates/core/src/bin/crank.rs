@@ -6,18 +6,20 @@
 //! crank stats --index DIR                             ontology + corpus statistics
 //! crank rds   --index DIR --query "l1|l2|l3" [-k N] [--eps E] [--expand R]
 //! crank sds   --index DIR --doc NAME_OR_ID [-k N] [--eps E]
+//! crank tune  --index DIR [--kind rds|sds] [-k N]     sweep the error threshold
+//! crank dot   --index DIR --query "l1|l2" [--radius R] [--out FILE]
 //! ```
 //!
-//! Data files use the tab-separated formats of `cbr_corpus::io`; built
-//! indexes are binary snapshot directories (`cbr_index::SnapshotStore`).
+//! Data files use the tab-separated formats of `cbr_corpus::io`; a built
+//! index is the snapshot directory `Engine::save` writes, plus one `names`
+//! snapshot holding the document names.
 
 #![forbid(unsafe_code)]
 
-use cbr_corpus::{io as cio, Corpus, CorpusStats, DocId, FilterConfig};
+use cbr_corpus::{io as cio, CorpusStats, DocId, FilterConfig};
 use cbr_index::SnapshotStore;
-use cbr_knds::KndsConfig;
-use cbr_ontology::{GeneratorConfig, Ontology, OntologyGenerator, OntologyStats};
-use concept_rank::{Engine, EngineBuilder, ExpansionConfig};
+use cbr_ontology::{GeneratorConfig, OntologyGenerator, OntologyStats};
+use concept_rank::{persist, Engine, EngineBuilder, ExpansionConfig};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -33,30 +35,42 @@ fn main() -> ExitCode {
 }
 
 type AnyError = Box<dyn std::error::Error>;
+type Flags = HashMap<String, String>;
+
+type Handler = fn(&Flags) -> Result<(), AnyError>;
+
+/// The dispatch table: command, the flags it accepts, its handler. The
+/// index-reading commands all take [`load`]'s three.
+const COMMANDS: [(&str, &[&str], Handler); 7] = [
+    ("demo", &["out", "concepts", "docs"], demo),
+    ("build", &["ontology", "docs", "text-docs", "out"], build),
+    ("stats", &["index", "eps", "min-depth"], stats),
+    ("rds", &["index", "eps", "min-depth", "query", "k", "expand"], rds),
+    ("sds", &["index", "eps", "min-depth", "doc", "k"], sds),
+    ("tune", &["index", "eps", "min-depth", "kind", "k"], tune),
+    ("dot", &["index", "eps", "min-depth", "query", "radius", "out"], dot),
+];
 
 fn run(args: &[String]) -> Result<(), AnyError> {
-    let Some(command) = args.first() else {
+    let Some((command, rest)) = args.split_first() else {
         return Err(usage().into());
     };
-    let flags = parse_flags(&args[1..])?;
-    match command.as_str() {
-        "demo" => demo(&flags),
-        "build" => build(&flags),
-        "stats" => stats(&flags),
-        "rds" => rds(&flags),
-        "sds" => sds(&flags),
-        "tune" => tune(&flags),
-        "dot" => dot(&flags),
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}\n{}", usage()).into()),
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        println!("{}", usage());
+        return Ok(());
     }
+    let Some((_, accepted, handler)) = COMMANDS.iter().find(|(name, ..)| name == command) else {
+        return Err(format!("unknown command {command:?}\n{}", usage()).into());
+    };
+    let flags = parse_flags(rest)?;
+    if let Some(key) = flags.keys().find(|k| !accepted.contains(&k.as_str())) {
+        return Err(format!("unknown flag --{key} for `crank {command}`").into());
+    }
+    handler(&flags)
 }
 
 fn usage() -> &'static str {
-    "usage: crank <demo|build|stats|rds|sds> [flags]\n\
+    "usage: crank <demo|build|stats|rds|sds|tune|dot> [flags]\n\
      \x20 demo  --out DIR [--concepts N] [--docs N]\n\
      \x20 build --ontology FILE (--docs FILE | --text-docs FILE) --out DIR\n\
      \x20 stats --index DIR\n\
@@ -66,33 +80,27 @@ fn usage() -> &'static str {
      \x20 dot   --index DIR --query \"label|label\" [--radius R] [--out FILE]"
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, AnyError> {
+fn parse_flags(args: &[String]) -> Result<Flags, AnyError> {
     let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
+    for pair in args.chunks(2) {
+        let key = pair[0]
             .strip_prefix("--")
-            .or_else(|| args[i].strip_prefix('-'))
-            .ok_or_else(|| format!("expected a flag, found {:?}", args[i]))?;
-        let value = args.get(i + 1).ok_or_else(|| format!("flag --{key} needs a value"))?;
+            .or_else(|| pair[0].strip_prefix('-'))
+            .ok_or_else(|| format!("expected a flag, found {:?}", pair[0]))?;
+        let value = pair.get(1).ok_or_else(|| format!("flag --{key} needs a value"))?;
         flags.insert(key.to_string(), value.clone());
-        i += 2;
     }
     Ok(flags)
 }
 
-fn required<'a>(flags: &'a HashMap<String, String>, key: &str) -> Result<&'a str, AnyError> {
+fn required<'a>(flags: &'a Flags, key: &str) -> Result<&'a str, AnyError> {
     flags
         .get(key)
         .map(|s| s.as_str())
         .ok_or_else(|| format!("missing required flag --{key}").into())
 }
 
-fn parse_or<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, AnyError>
+fn parse_or<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> Result<T, AnyError>
 where
     T::Err: std::fmt::Display,
 {
@@ -108,7 +116,7 @@ where
 
 /// Writes a small synthetic ontology + corpus in the text formats, ready
 /// for `crank build`.
-fn demo(flags: &HashMap<String, String>) -> Result<(), AnyError> {
+fn demo(flags: &Flags) -> Result<(), AnyError> {
     let out = required(flags, "out")?;
     let n_concepts: usize = parse_or(flags, "concepts", 800)?;
     let n_docs: usize = parse_or(flags, "docs", 120)?;
@@ -132,7 +140,7 @@ fn demo(flags: &HashMap<String, String>) -> Result<(), AnyError> {
     Ok(())
 }
 
-fn build(flags: &HashMap<String, String>) -> Result<(), AnyError> {
+fn build(flags: &Flags) -> Result<(), AnyError> {
     let ont_path = required(flags, "ontology")?;
     let out = required(flags, "out")?;
 
@@ -150,11 +158,10 @@ fn build(flags: &HashMap<String, String>) -> Result<(), AnyError> {
     };
     println!("parsed {} concepts, {} documents", ont.len(), corpus.len());
 
-    let store = SnapshotStore::open(out)?;
-    store.save("ontology", &ont)?;
-    store.save("corpus", &corpus)?;
-    store.save("names", &names)?;
-    println!("index written to {out}");
+    let out = std::path::Path::new(out);
+    EngineBuilder::new().build(ont, corpus).save(out)?;
+    SnapshotStore::open(out).save("names", &persist::encode_names(&names))?;
+    println!("index written to {}", out.display());
     Ok(())
 }
 
@@ -163,24 +170,39 @@ struct LoadedIndex {
     names: Vec<String>,
 }
 
-fn load(flags: &HashMap<String, String>) -> Result<LoadedIndex, AnyError> {
-    let dir = required(flags, "index")?;
-    let store = SnapshotStore::open(dir)?;
-    let ont: Ontology = store.load("ontology")?;
-    let corpus: Corpus = store.load("corpus")?;
-    let names: Vec<String> = store.load("names")?;
-
-    let eps: f64 = parse_or(flags, "eps", 0.5)?;
+/// Reopens a built index. `--eps` overrides the saved error threshold
+/// and `--min-depth` re-applies a depth filter; a missing, torn or
+/// mismatched snapshot is an error, never a panic.
+fn load(flags: &Flags) -> Result<LoadedIndex, AnyError> {
+    let dir = std::path::Path::new(required(flags, "index")?);
     let min_depth: u32 = parse_or(flags, "min-depth", 0)?;
-    let mut builder =
-        EngineBuilder::new().knds_config(KndsConfig::default().with_error_threshold(eps));
-    if min_depth > 0 {
-        builder = builder.filter(FilterConfig { min_depth, cf_sigma: f64::INFINITY });
+    let refilter = (min_depth > 0).then_some(FilterConfig { min_depth, cf_sigma: f64::INFINITY });
+    let mut engine =
+        Engine::load(dir, refilter).map_err(|e| format!("index {}: {e}", dir.display()))?;
+    let eps: f64 = parse_or(flags, "eps", engine.config().error_threshold)?;
+    if !(0.0..=1.0).contains(&eps) {
+        return Err(format!("--eps: {eps} is outside [0, 1]").into());
     }
-    Ok(LoadedIndex { engine: builder.build(ont, corpus), names })
+    let config = engine.config().clone().with_error_threshold(eps);
+    engine.set_config(config);
+
+    let names = SnapshotStore::open(dir)
+        .load("names")
+        .and_then(|body| persist::decode_names(&body))
+        .map_err(|e| format!("index {}: names: {e}", dir.display()))?;
+    if names.len() != engine.num_docs() {
+        return Err(format!(
+            "index {}: {} names for {} documents",
+            dir.display(),
+            names.len(),
+            engine.num_docs()
+        )
+        .into());
+    }
+    Ok(LoadedIndex { engine, names })
 }
 
-fn stats(flags: &HashMap<String, String>) -> Result<(), AnyError> {
+fn stats(flags: &Flags) -> Result<(), AnyError> {
     let idx = load(flags)?;
     println!("== ontology ==");
     println!("{}", OntologyStats::compute(idx.engine.ontology()));
@@ -189,7 +211,7 @@ fn stats(flags: &HashMap<String, String>) -> Result<(), AnyError> {
     Ok(())
 }
 
-fn rds(flags: &HashMap<String, String>) -> Result<(), AnyError> {
+fn rds(flags: &Flags) -> Result<(), AnyError> {
     let idx = load(flags)?;
     let query_text = required(flags, "query")?;
     let k: usize = parse_or(flags, "k", 10)?;
@@ -215,7 +237,7 @@ fn rds(flags: &HashMap<String, String>) -> Result<(), AnyError> {
     Ok(())
 }
 
-fn sds(flags: &HashMap<String, String>) -> Result<(), AnyError> {
+fn sds(flags: &Flags) -> Result<(), AnyError> {
     let idx = load(flags)?;
     let doc_ref = required(flags, "doc")?;
     let k: usize = parse_or(flags, "k", 10)?;
@@ -233,7 +255,7 @@ fn sds(flags: &HashMap<String, String>) -> Result<(), AnyError> {
 
 /// Auto-tunes εθ on a sample of the indexed collection and prints the
 /// sweep (the Figure 7 procedure, automated).
-fn tune(flags: &HashMap<String, String>) -> Result<(), AnyError> {
+fn tune(flags: &Flags) -> Result<(), AnyError> {
     let idx = load(flags)?;
     let k: usize = parse_or(flags, "k", 10)?;
     let kind = match flags.get("kind").map(|s| s.as_str()).unwrap_or("rds") {
@@ -262,7 +284,7 @@ fn tune(flags: &HashMap<String, String>) -> Result<(), AnyError> {
 }
 
 /// Renders the neighborhood of a concept query as Graphviz DOT.
-fn dot(flags: &HashMap<String, String>) -> Result<(), AnyError> {
+fn dot(flags: &Flags) -> Result<(), AnyError> {
     let idx = load(flags)?;
     let query_text = required(flags, "query")?;
     let radius: u32 = parse_or(flags, "radius", 2)?;

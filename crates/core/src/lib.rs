@@ -53,7 +53,6 @@ pub mod batch;
 pub mod engine;
 pub mod expansion;
 pub mod explain;
-#[cfg(feature = "serde")]
 pub mod persist;
 pub mod rerank;
 pub mod service;

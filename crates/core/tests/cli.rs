@@ -158,9 +158,11 @@ fn errors_exit_nonzero_with_message() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
 
-    // Missing index.
-    let out = crank().arg("stats").args(["--index", "/nonexistent/cbr-index"]).output().unwrap();
-    assert!(!out.status.success());
+    // Missing index: refused, and not created as a side effect.
+    let missing = std::env::temp_dir().join(format!("cbr-cli-{}-missing", std::process::id()));
+    let e = run_err(crank().arg("stats").args(["--index", missing.to_str().unwrap()]));
+    assert!(e.contains("-missing"), "names the directory: {e}");
+    assert!(!missing.exists());
 
     // Unknown label.
     let (dir, _q) = demo_index("err");
@@ -172,5 +174,86 @@ fn errors_exit_nonzero_with_message() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("no concept labeled"));
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// Runs `cmd` expecting the typed failure path: exit status 1 and exactly
+/// one `error: …` line on stderr — no panic message, no backtrace.
+fn run_err(cmd: &mut Command) -> String {
+    let out = cmd.output().expect("spawn crank");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "one line: {stderr}");
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    stderr
+}
+
+/// README's quick start, as written there: default demo sizes and the
+/// query it prints.
+#[test]
+fn readme_quick_start_runs_as_written() {
+    let dir = workdir("readme");
+    let at = |leaf: &str| dir.join(leaf).to_str().unwrap().to_string();
+    run_ok(crank().args(["demo", "--out", &at("")]));
+    run_ok(crank().args(["build", "--ontology", &at("ontology.tsv")]).args([
+        "--docs",
+        &at("documents.tsv"),
+        "--out",
+        &at("index"),
+    ]));
+    let query = "distal cardiac inflammation|primary cardiac neoplasm";
+    let rds = run_ok(crank().args(["rds", "--index", &at("index"), "--query", query, "-k", "5"]));
+    assert_eq!(rds.lines().count(), 6, "header + 5 results: {rds}");
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn help_lists_every_command() {
+    let help = run_ok(crank().arg("help"));
+    let first = help.lines().next().unwrap();
+    assert_eq!(first, "usage: crank <demo|build|stats|rds|sds|tune|dot> [flags]");
+    for command in ["demo", "build", "stats", "rds", "sds", "tune", "dot"] {
+        assert!(help.lines().skip(1).any(|l| l.trim_start().starts_with(command)), "{command}");
+    }
+}
+
+#[test]
+fn bad_flags_and_bad_indexes_fail_with_one_typed_line() {
+    let (dir, query) = demo_index("hostile");
+    let index = dir.join("index");
+    let index_arg = index.to_str().unwrap();
+
+    let e = run_err(crank().arg("rds").args(["--index", index_arg, "--frobnicate", "1"]));
+    assert!(e.contains("unknown flag --frobnicate"), "{e}");
+    let e = run_err(crank().arg("rds").args(["--query", &query]));
+    assert!(e.contains("missing required flag --index"), "{e}");
+    let e = run_err(crank().arg("rds").args(["--index", index_arg, "--query"]));
+    assert!(e.contains("needs a value"), "{e}");
+    let e = run_err(crank().arg("stats").args(["--index", index_arg, "--eps", "1.5"]));
+    assert!(e.contains("--eps"), "{e}");
+
+    // Each of the four snapshot files in turn: one flipped byte, a torn
+    // tail, plain garbage, and the file gone.
+    for name in ["ontology", "corpus", "config", "names"] {
+        let path = index.join(format!("{name}.snap"));
+        let good = std::fs::read(&path).unwrap();
+        let mut flipped = good.clone();
+        flipped[good.len() / 2] ^= 0x40;
+        for bad in [&flipped[..], &good[..good.len() - 3], b"garbage"] {
+            std::fs::write(&path, bad).unwrap();
+            run_err(crank().arg("stats").args(["--index", index_arg]));
+        }
+        std::fs::remove_file(&path).unwrap();
+        run_err(crank().arg("rds").args(["--index", index_arg, "--query", &query]));
+        std::fs::write(&path, &good).unwrap();
+    }
+
+    // A well-formed names snapshot of the wrong length is a mismatch, not
+    // a later out-of-bounds lookup.
+    let names = cbr_index::SnapshotStore::open(&index);
+    names.save("names", &0u64.to_le_bytes()).unwrap();
+    let e = run_err(crank().arg("stats").args(["--index", index_arg]));
+    assert!(e.contains("0 names for 60 documents"), "{e}");
+
     std::fs::remove_dir_all(dir).unwrap();
 }

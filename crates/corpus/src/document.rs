@@ -1,13 +1,10 @@
 //! Documents as concept sets.
 
 use cbr_ontology::ConceptId;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dense identifier of a document within one [`Corpus`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct DocId(pub u32);
 
 impl DocId {
@@ -44,7 +41,6 @@ impl fmt::Display for DocId {
 /// Concepts are stored sorted and deduplicated; the paper's distance
 /// definitions (Equations 1–3) treat documents as sets.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Document {
     id: DocId,
     concepts: Box<[ConceptId]>,
@@ -113,7 +109,6 @@ impl Document {
 
 /// An immutable collection of documents with dense ids.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Corpus {
     documents: Vec<Document>,
 }
@@ -254,14 +249,5 @@ mod tests {
         assert_eq!(filtered.len(), 2);
         assert_eq!(filtered.get(DocId(0)).num_concepts(), 0);
         assert_eq!(filtered.get(DocId(1)).num_concepts(), 1);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_roundtrip() {
-        let corpus = Corpus::from_concept_sets(vec![(vec![c(1), c(3)], 7)]);
-        let bytes = cbr_ontology::ser::to_tokens(&corpus).unwrap();
-        let back: Corpus = cbr_ontology::ser::from_tokens(&bytes).unwrap();
-        assert_eq!(back.get(DocId(0)), corpus.get(DocId(0)));
     }
 }

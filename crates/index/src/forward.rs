@@ -3,8 +3,6 @@
 use crate::packing;
 use cbr_corpus::{Corpus, DocId};
 use cbr_ontology::ConceptId;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// CSR-layout forward index over a corpus.
 ///
@@ -12,7 +10,6 @@ use serde::{Deserialize, Serialize};
 /// probes (Algorithm 2 line 19) and the `|C|` normalizers of the SDS
 /// distance (Equation 3).
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ForwardIndex {
     offsets: Vec<u32>,
     concepts: Vec<ConceptId>,
@@ -91,15 +88,5 @@ mod tests {
         for d in corpus.documents() {
             assert_eq!(idx.concepts(d.id()), d.concepts());
         }
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_roundtrip() {
-        let corpus = Corpus::from_concept_sets(vec![(vec![ConceptId(1)], 0)]);
-        let idx = ForwardIndex::build(&corpus);
-        let bytes = cbr_ontology::ser::to_tokens(&idx).unwrap();
-        let back: ForwardIndex = cbr_ontology::ser::from_tokens(&bytes).unwrap();
-        assert_eq!(back.concepts(DocId(0)), idx.concepts(DocId(0)));
     }
 }

@@ -3,8 +3,6 @@
 use crate::packing;
 use cbr_corpus::{Corpus, DocId};
 use cbr_ontology::ConceptId;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// CSR-layout inverted index over a corpus.
 ///
@@ -14,7 +12,6 @@ use serde::{Deserialize, Serialize};
 /// materialized per query by `cbr-knds`, because document-to-concept
 /// distances depend on the query-time ontology.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct InvertedIndex {
     offsets: Vec<u32>,
     docs: Vec<DocId>,
@@ -138,14 +135,5 @@ mod tests {
         assert_eq!(idx.num_concepts(), 5);
         assert_eq!(idx.num_docs(), 3);
         assert_eq!(idx.total_postings(), 6);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_roundtrip() {
-        let idx = InvertedIndex::build(&corpus(), 5);
-        let bytes = cbr_ontology::ser::to_tokens(&idx).unwrap();
-        let back: InvertedIndex = cbr_ontology::ser::from_tokens(&bytes).unwrap();
-        assert_eq!(back.postings(c(3)), idx.postings(c(3)));
     }
 }

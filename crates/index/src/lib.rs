@@ -17,9 +17,9 @@
 //!   path: immutable CSR segments plus a small memtable, sealed and
 //!   compacted by a single writer and published to readers as lock-free
 //!   `Arc`-shared snapshot views (see `DESIGN.md` §12);
-//! * [`SnapshotStore`] — typed binary snapshots of any serde value using
-//!   the workspace codec (`cbr_ontology::ser`); requires the `serde`
-//!   cargo feature.
+//! * [`SnapshotStore`] — a directory of checksummed, atomically replaced
+//!   binary snapshot files, with the little-endian [`snapshot::Writer`] /
+//!   checked [`snapshot::Reader`] their bodies are written in.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +41,6 @@ pub use forward::ForwardIndex;
 pub use inverted::InvertedIndex;
 pub use segment::Segment;
 pub use segmented::{CompactionPolicy, SegmentedSource, SegmentedView};
-#[cfg(feature = "serde")]
 pub use snapshot::SnapshotStore;
 pub use source::{IndexSource, MemorySource};
 pub use validate::{validate_pair, IndexViolation};

@@ -10,8 +10,6 @@ use crate::dewey::PathTable;
 use crate::error::{OntologyError, Result};
 use crate::hash::FxHashMap;
 use crate::id::ConceptId;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// A rooted concept DAG with string labels and precomputed depths.
@@ -20,7 +18,6 @@ use std::sync::OnceLock;
 /// graph is a single-rooted, connected DAG. The structure is immutable after
 /// construction; per-concept data is indexed by [`ConceptId`].
 #[derive(Debug)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Ontology {
     labels: Vec<String>,
     child_offsets: Vec<u32>,
@@ -36,9 +33,7 @@ pub struct Ontology {
     /// Concepts ordered so that every parent precedes all of its children.
     topo_order: Vec<ConceptId>,
     root: ConceptId,
-    #[cfg_attr(feature = "serde", serde(skip))]
     label_index: OnceLock<FxHashMap<String, ConceptId>>,
-    #[cfg_attr(feature = "serde", serde(skip))]
     path_table: OnceLock<PathTable>,
 }
 
@@ -580,25 +575,5 @@ mod tests {
         assert!(pos[0] < pos[2]);
         assert!(pos[1] < pos[3]);
         assert!(pos[2] < pos[3]);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_roundtrip_preserves_structure() {
-        let ont = diamond();
-        let json = serde_json_roundtrip(&ont);
-        assert_eq!(json.len(), ont.len());
-        assert_eq!(json.root(), ont.root());
-        assert_eq!(json.children(ont.root()), ont.children(ont.root()));
-        // Skipped caches rebuild lazily.
-        assert_eq!(json.concept_by_label("leaf"), Some(ConceptId(3)));
-    }
-
-    #[cfg(feature = "serde")]
-    fn serde_json_roundtrip(ont: &Ontology) -> Ontology {
-        // Round-trip through the crate's own binary codec (`crate::ser`),
-        // the same codec used by the snapshot files in `cbr-index`.
-        let bytes = crate::ser::to_tokens(ont).expect("serialize");
-        crate::ser::from_tokens(&bytes).expect("deserialize")
     }
 }

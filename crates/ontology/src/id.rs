@@ -1,7 +1,5 @@
 //! Compact concept identifiers.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dense identifier of a concept within one [`Ontology`](crate::Ontology).
@@ -10,7 +8,6 @@ use std::fmt;
 /// can index directly into per-concept arrays (`Vec<T>` keyed by concept).
 /// They are meaningless across different ontologies.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ConceptId(pub u32);
 
 impl ConceptId {

@@ -47,8 +47,6 @@ pub mod graph;
 pub mod hash;
 pub mod ic;
 pub mod id;
-#[cfg(feature = "serde")]
-pub mod ser;
 pub mod stats;
 pub mod subset;
 pub mod validate;

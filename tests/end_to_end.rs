@@ -25,15 +25,14 @@ fn generated_pipeline_produces_consistent_engine() {
     }
 }
 
-#[cfg(feature = "serde")]
 #[test]
 fn snapshot_roundtrip_preserves_query_results() {
     use cbr_index::SnapshotStore;
-    use cbr_ontology::Ontology;
+    use concept_rank::persist::{decode_corpus, decode_ontology, encode_corpus, encode_ontology};
 
     let dir = std::env::temp_dir().join(format!("cbr-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let store = SnapshotStore::open(&dir).unwrap();
+    let store = SnapshotStore::open(&dir);
 
     let ont = OntologyGenerator::new(GeneratorConfig::small(1_500)).generate();
     let corpus = CorpusGenerator::new(
@@ -41,11 +40,11 @@ fn snapshot_roundtrip_preserves_query_results() {
         CorpusProfile::radio_like().with_num_docs(80).with_mean_concepts(12.0),
     )
     .generate();
-    store.save("ontology", &ont).unwrap();
-    store.save("corpus", &corpus).unwrap();
+    store.save("ontology", &encode_ontology(&ont)).unwrap();
+    store.save("corpus", &encode_corpus(&corpus)).unwrap();
 
-    let ont2: Ontology = store.load("ontology").unwrap();
-    let corpus2: cbr_corpus::Corpus = store.load("corpus").unwrap();
+    let ont2 = decode_ontology(&store.load("ontology").unwrap()).unwrap();
+    let corpus2 = decode_corpus(&store.load("corpus").unwrap(), ont2.len()).unwrap();
 
     let q: Vec<_> = corpus
         .documents()

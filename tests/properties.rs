@@ -176,36 +176,50 @@ proptest! {
         }
     }
 
-    /// The binary codec never panics on malformed input — it returns an
-    /// error for garbage and only accepts byte strings that decode fully.
-    #[cfg(feature = "serde")]
+    /// The snapshot codec never panics on malformed input — the reader and
+    /// the three body decoders return an error for garbage and only accept
+    /// byte strings that decode fully.
     #[test]
     fn codec_rejects_garbage_without_panicking(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = cbr_ontology::ser::from_tokens::<u64>(&bytes);
-        let _ = cbr_ontology::ser::from_tokens::<String>(&bytes);
-        let _ = cbr_ontology::ser::from_tokens::<Vec<u32>>(&bytes);
-        let _ = cbr_ontology::ser::from_tokens::<Option<(bool, String)>>(&bytes);
-        let _ = cbr_ontology::ser::from_tokens::<cbr_corpus::Document>(&bytes);
+        use cbr_index::snapshot::Reader;
+        let _ = Reader::new(&bytes).u64();
+        let _ = Reader::new(&bytes).f64();
+        let _ = Reader::new(&bytes).bool();
+        let _ = Reader::new(&bytes).str();
+        let _ = Reader::new(&bytes).u32s().map(|v| v.count());
+        let _ = Reader::new(&bytes).seq_len(8);
+        if let Ok(ont) = concept_rank::persist::decode_ontology(&bytes) {
+            prop_assert!(ont.validate().is_ok());
+        }
+        if let Ok(corpus) = concept_rank::persist::decode_corpus(&bytes, 16) {
+            prop_assert!(corpus.documents().all(|d| d.concepts().iter().all(|c| c.index() < 16)));
+        }
+        if let Ok(cfg) = concept_rank::persist::decode_config(&bytes) {
+            prop_assert!((0.0..=1.0).contains(&cfg.error_threshold) && cfg.queue_cap > 0);
+        }
     }
 
-    /// The binary codec round-trips arbitrary nested values.
-    #[cfg(feature = "serde")]
+    /// The snapshot codec round-trips arbitrary mixed records.
     #[test]
     fn codec_roundtrips(
         nums in prop::collection::vec(any::<u32>(), 0..20),
         text in ".{0,40}",
-        flag in prop::option::of(any::<bool>()),
+        flag in any::<bool>(),
+        real in any::<u64>(),
     ) {
-        #[derive(serde::Serialize, serde::Deserialize, PartialEq, Debug)]
-        struct Blob {
-            nums: Vec<u32>,
-            text: String,
-            flag: Option<bool>,
-        }
-        let v = Blob { nums, text, flag };
-        let bytes = cbr_ontology::ser::to_tokens(&v).unwrap();
-        let back: Blob = cbr_ontology::ser::from_tokens(&bytes).unwrap();
-        prop_assert_eq!(back, v);
+        use cbr_index::snapshot::{Reader, Writer};
+        let mut w = Writer::new();
+        w.put_u32s(nums.iter().copied());
+        w.put_str(&text);
+        w.put_bool(flag);
+        w.put_f64(f64::from_bits(real));
+        let body = w.finish();
+        let mut r = Reader::new(&body);
+        prop_assert_eq!(r.u32s().unwrap().collect::<Vec<_>>(), nums);
+        prop_assert_eq!(r.str().unwrap(), text.as_str());
+        prop_assert_eq!(r.bool().unwrap(), flag);
+        prop_assert_eq!(r.f64().unwrap().to_bits(), real);
+        prop_assert!(r.expect_end().is_ok());
     }
 }
 

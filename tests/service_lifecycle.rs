@@ -46,46 +46,32 @@ fn full_service_lifecycle() {
     });
     assert!(shared.with_engine(|e| e.is_live(admitted)));
 
-    // 3. The admitted record dominates its own query; discharge removes it.
+    // 3. The admitted record dominates its own query.
     let r = shared.rds(&qs[0], 1).unwrap();
     assert_eq!(r.results[0].distance, 0.0);
     shared.with_engine(|e| assert!(e.is_live(admitted)));
-    // Discharge through a write borrow (no dedicated helper: use the
-    // engine directly to keep the API surface honest).
-    {
-        let s = shared.clone();
-        // SharedEngine exposes reads; deletion needs the owning handle —
-        // emulate an operator action through a fresh engine checkpoint
-        // below instead.
-        let _ = s;
-    }
 
     // 4. Checkpoint and restart: same answers, appended doc folded in.
-    // (Persistence rides on the serde-backed codec, so these steps only
-    // run when the `serde` feature is on.)
-    #[cfg(feature = "serde")]
-    {
-        let dir = std::env::temp_dir().join(format!("cbr-lifecycle-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        shared.with_engine(|e| e.save(&dir)).unwrap();
-        let mut restarted = Engine::load(&dir, None).unwrap();
-        assert_eq!(restarted.num_docs(), shared.num_docs());
-        for q in &qs {
-            let a = shared.rds(q, 4).unwrap();
-            let b = restarted.rds(q, 4).unwrap();
-            for (x, y) in a.results.iter().zip(b.results.iter()) {
-                assert_eq!(x.distance, y.distance, "restart changed a ranking");
-            }
+    let dir = std::env::temp_dir().join(format!("cbr-lifecycle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    shared.with_engine(|e| e.save(&dir)).unwrap();
+    let mut restarted = Engine::load(&dir, None).unwrap();
+    assert_eq!(restarted.num_docs(), shared.num_docs());
+    for q in &qs {
+        let a = shared.rds(q, 4).unwrap();
+        let b = restarted.rds(q, 4).unwrap();
+        for (x, y) in a.results.iter().zip(b.results.iter()) {
+            assert_eq!(x.distance, y.distance, "restart changed a ranking");
         }
-
-        // 5. Deletion after restart: the admitted record leaves the results.
-        let hit = restarted.rds(&qs[0], 1).unwrap().results[0].doc;
-        restarted.remove_document(hit).unwrap();
-        let after = restarted.rds(&qs[0], 3).unwrap();
-        assert!(after.results.iter().all(|r| r.doc != hit));
-
-        std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    // 5. Deletion after restart: the admitted record leaves the results.
+    let hit = restarted.rds(&qs[0], 1).unwrap().results[0].doc;
+    restarted.remove_document(hit).unwrap();
+    let after = restarted.rds(&qs[0], 3).unwrap();
+    assert!(after.results.iter().all(|r| r.doc != hit));
+
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
