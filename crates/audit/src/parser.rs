@@ -638,7 +638,7 @@ mod tests {
         assert_eq!(module_path("crates/knds/src/lib.rs"), "knds");
         assert_eq!(module_path("crates/dradix/src/dag/mod.rs"), "dradix::dag");
         assert_eq!(module_path("crates/core/tests/service.rs"), "core::tests::service");
-        assert_eq!(module_path("crates/bench/benches/drc_phases.rs"), "bench::benches::drc_phases");
+        assert_eq!(module_path("crates/bench/src/bin/repro.rs"), "bench::bin::repro");
         assert_eq!(module_path("src/lib.rs"), "repro");
         assert_eq!(module_path("tests/paper.rs"), "repro::tests::paper");
         assert_eq!(module_path("examples/quickstart.rs"), "repro::examples::quickstart");

@@ -8,15 +8,15 @@
 //! ```
 //!
 //! Subcommands: `ontology`, `table3`, `fig6`, `fig7`, `fig8`, `fig9`,
-//! `ablation`, `phases`, `all`. Flags: `--scale micro|small|paper`,
-//! `--queries <n>`.
+//! `ablation`, `effectiveness`, `all` (those eight in order), `phases`.
+//! Flags: `--scale micro|small|paper`, `--queries <n>`.
 //!
-//! `--json [--label <name>]` runs the kNDS perf-trajectory workloads
-//! (`fig8_query_size`, `fig9_topk`) instead of a report and appends the
-//! measurements to `BENCH_knds.json` in the current directory, computing
-//! per-figure speedups against the first recorded run. `--json --smoke`
-//! is the CI variant: micro scale, prints the run to stdout, re-parses
-//! its own output, and writes nothing.
+//! This binary redraws the paper's tables and figures; it is not the
+//! instrument for a performance claim. Its time columns are single
+//! passes over a handful of queries, good for shapes and ratios. A claim
+//! that a change made queries faster cites `perfbench/` (the benchmark
+//! `BENCHMARK.json` declares), which samples wall-clock latency over
+//! fixed workloads with a noise floor.
 //!
 //! Absolute times are not comparable to the paper (different hardware,
 //! language, and data scale); the *shapes* — who wins, growth rates,
@@ -25,37 +25,39 @@
 
 #![forbid(unsafe_code)]
 
-use cbr_bench::json::Json;
-use cbr_bench::trajectory::TrajectorySpec;
 use cbr_bench::{fmt_duration, Scale, Table, Timing, Workbench};
 use cbr_corpus::CorpusStats;
-use cbr_dradix::{brute, DagScratch, Drc};
-use cbr_knds::{baseline, ta, Knds, KndsConfig, KndsWorkspace, QueryMetrics};
+use cbr_dradix::dag::Side;
+use cbr_dradix::{brute, DRadixDag, DagScratch, Drc};
+use cbr_knds::{baseline, ta, Hooks, Knds, KndsConfig, KndsWorkspace, QueryKind, QueryMetrics};
 use cbr_ontology::{ConceptId, OntologyStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// The schema of the trajectory file `--json` maintains (relative to the
-/// working directory; `scripts/check.sh` runs from the repository root).
-/// `BENCH_scale.json` (the `scale` binary) shares the same format through
-/// the same [`TrajectorySpec`] machinery.
-const TRAJECTORY: TrajectorySpec = TrajectorySpec {
-    file: "BENCH_knds.json",
-    bench: "knds",
-    figures: &["fig8_query_size", "fig9_topk"],
-    key_fields: &["collection", "kind", "nq", "k"],
-    measure_fields: &["median_ns", "qps", "workspace_bytes", "table_bytes"],
-};
+/// A command name and the report it prints.
+type Report = (&'static str, fn(&Workbench));
+
+/// Every report. `all` prints all but the last, in this order; `phases`
+/// re-runs the Figure 8/9 workloads, so it is only printed by name.
+const REPORTS: [Report; 9] = [
+    ("ontology", ontology_report),
+    ("table3", table3),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("ablation", ablation),
+    ("effectiveness", effectiveness),
+    ("phases", phases),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut command = None;
     let mut scale = Scale::small();
     let mut queries_override = None;
-    let mut json = false;
-    let mut smoke = false;
-    let mut label = None;
 
     let mut i = 0;
     while i < args.len() {
@@ -76,13 +78,7 @@ fn main() {
                 i += 1;
                 queries_override = args.get(i).and_then(|s| s.parse::<usize>().ok());
             }
-            "--json" => json = true,
-            "--smoke" => smoke = true,
-            "--label" => {
-                i += 1;
-                label = args.get(i).cloned();
-            }
-            cmd if command.is_none() => command = Some(cmd.to_string()),
+            cmd if command.is_none() => command = Some(cmd),
             other => {
                 eprintln!("unexpected argument {other:?}");
                 std::process::exit(2);
@@ -90,19 +86,21 @@ fn main() {
         }
         i += 1;
     }
-    if smoke && !json {
-        eprintln!("--smoke requires --json");
-        std::process::exit(2);
-    }
-    if smoke {
-        // CI smoke: smallest workbench, a couple of queries per point.
-        scale = Scale::micro();
-        scale.queries_per_point = 2;
-    }
     if let Some(q) = queries_override {
         scale.queries_per_point = q;
     }
-    let command = command.unwrap_or_else(|| "all".to_string());
+    // Resolved before the workbench is built: a mistyped command fails at
+    // once, not after minutes of set-up.
+    let reports: &[Report] = match command.unwrap_or("all") {
+        "all" => &REPORTS[..REPORTS.len() - 1],
+        name => match REPORTS.iter().position(|&(n, _)| n == name) {
+            Some(at) => &REPORTS[at..=at],
+            None => {
+                eprintln!("unknown command {name:?}");
+                std::process::exit(2);
+            }
+        },
+    };
 
     eprintln!(
         "building workbench (ontology {} concepts, PATIENT {}×{:.0}, RADIO {}×{:.0}, {} queries/point) …",
@@ -117,35 +115,8 @@ fn main() {
     let wb = Workbench::build(scale);
     eprintln!("workbench ready in {:.1?}\n", t.elapsed());
 
-    if json {
-        trajectory(&wb, label.as_deref(), smoke);
-        return;
-    }
-
-    match command.as_str() {
-        "ontology" => ontology_report(&wb),
-        "table3" => table3(&wb),
-        "fig6" => fig6(&wb),
-        "fig7" => fig7(&wb),
-        "fig8" => fig8(&wb),
-        "fig9" => fig9(&wb),
-        "ablation" => ablation(&wb),
-        "effectiveness" => effectiveness(&wb),
-        "phases" => phases(&wb),
-        "all" => {
-            ontology_report(&wb);
-            table3(&wb);
-            fig6(&wb);
-            fig7(&wb);
-            fig8(&wb);
-            fig9(&wb);
-            ablation(&wb);
-            effectiveness(&wb);
-        }
-        other => {
-            eprintln!("unknown command {other:?}");
-            std::process::exit(2);
-        }
+    for (_, report) in reports {
+        report(&wb);
     }
 }
 
@@ -199,137 +170,6 @@ fn run_baseline_sds(
     let metrics: Vec<QueryMetrics> =
         queries.iter().map(|q| baseline::sds(&wb.ontology, &coll.source, q, k).metrics).collect();
     Timing::from_metrics(&metrics, k)
-}
-
-// ---------------------------------------------------------------------------
-// Machine-readable perf trajectory (--json)
-// ---------------------------------------------------------------------------
-
-/// Measures one trajectory point: warm-workspace kNDS over `queries`.
-/// One uncounted warm-up query fills the workspace capacities so the
-/// numbers reflect the steady state the service path runs in.
-fn trajectory_point(
-    wb: &Workbench,
-    coll: &cbr_bench::Collection,
-    kind: &str,
-    queries: &[Vec<ConceptId>],
-    nq: usize,
-    k: usize,
-    eps: f64,
-) -> Json {
-    let cfg = KndsConfig::default().with_error_threshold(eps);
-    let engine = Knds::new(&wb.ontology, &coll.source, cfg);
-    let mut ws = KndsWorkspace::new();
-    let run = |ws: &mut KndsWorkspace, q: &Vec<ConceptId>| match kind {
-        "RDS" => engine.rds_with(ws, q, k),
-        _ => engine.sds_with(ws, q, k),
-    };
-    if let Some(q) = queries.first() {
-        let warm = run(&mut ws, q);
-        debug_assert!(warm.results.len() <= k, "warm-up returned more than k results");
-    }
-    let metrics: Vec<QueryMetrics> = queries.iter().map(|q| run(&mut ws, q).metrics).collect();
-    let timing = Timing::from_metrics(&metrics, k);
-    let total: Duration = metrics.iter().map(|m| m.total()).sum();
-    let qps = metrics.len() as f64 / total.as_secs_f64().max(1e-12);
-    let workspace_bytes = metrics.iter().map(|m| m.workspace_bytes).max().unwrap_or(0);
-    let table_bytes = metrics.iter().map(|m| m.table_bytes).max().unwrap_or(0);
-    Json::Obj(vec![
-        ("collection".into(), Json::Str(coll.name.into())),
-        ("kind".into(), Json::Str(kind.into())),
-        ("nq".into(), Json::Num(nq as f64)),
-        ("k".into(), Json::Num(k as f64)),
-        ("median_ns".into(), Json::Num(timing.p50.as_nanos() as f64)),
-        ("p95_ns".into(), Json::Num(timing.p95.as_nanos() as f64)),
-        ("qps".into(), Json::Num(qps)),
-        ("workspace_bytes".into(), Json::Num(workspace_bytes as f64)),
-        ("table_bytes".into(), Json::Num(table_bytes as f64)),
-    ])
-}
-
-/// Runs the two trajectory figures and packages them as one run object.
-fn trajectory_run(wb: &Workbench, label: &str) -> Json {
-    let k_default = 10;
-    let nq_default = 5;
-    let mut fig8 = Vec::new();
-    for coll in &wb.collections {
-        for nq in [1usize, 3, 5, 10] {
-            eprintln!("fig8_query_size: {} RDS nq = {nq} …", coll.name);
-            let queries = coll.rds_queries(wb.scale.queries_per_point, nq, wb.scale.seed ^ 0x80);
-            fig8.push(trajectory_point(wb, coll, "RDS", &queries, nq, k_default, coll.default_eps));
-        }
-    }
-    let mut fig9 = Vec::new();
-    for coll in &wb.collections {
-        for kind in ["RDS", "SDS"] {
-            eprintln!("fig9_topk: {} {kind} k sweep …", coll.name);
-            let queries = match kind {
-                "RDS" => {
-                    coll.rds_queries(wb.scale.queries_per_point, nq_default, wb.scale.seed ^ 0x90)
-                }
-                _ => coll.sds_queries(wb.scale.queries_per_point, wb.scale.seed ^ 0x91),
-            };
-            for k in [3usize, 5, 10, 50, 100] {
-                fig9.push(trajectory_point(
-                    wb,
-                    coll,
-                    kind,
-                    &queries,
-                    nq_default,
-                    k,
-                    coll.default_eps,
-                ));
-            }
-        }
-    }
-    Json::Obj(vec![
-        ("label".into(), Json::Str(label.into())),
-        ("ontology_concepts".into(), Json::Num(wb.scale.ontology_concepts as f64)),
-        ("queries_per_point".into(), Json::Num(wb.scale.queries_per_point as f64)),
-        (
-            "figures".into(),
-            Json::Obj(vec![
-                ("fig8_query_size".into(), Json::Arr(fig8)),
-                ("fig9_topk".into(), Json::Arr(fig9)),
-            ]),
-        ),
-    ])
-}
-
-/// `--json` driver: measure, self-validate, and either print (smoke) or
-/// merge into the trajectory file with speedups vs the first recorded
-/// run — all through the shared [`TrajectorySpec`] machinery.
-fn trajectory(wb: &Workbench, label: Option<&str>, smoke: bool) {
-    let label = label.unwrap_or(if smoke { "smoke" } else { "run" });
-    let run = trajectory_run(wb, label);
-
-    if smoke {
-        match TRAJECTORY.smoke(&run) {
-            Ok(text) => {
-                print!("{text}");
-                eprintln!("smoke OK: run re-parsed and validated; nothing written");
-            }
-            Err(e) => {
-                eprintln!("smoke: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    match TRAJECTORY.record(run) {
-        Ok(recorded) => {
-            for (fig, s) in &recorded.speedups {
-                eprintln!("{fig}: median speedup {s}x vs baseline run");
-            }
-            print!("{}", recorded.text);
-            eprintln!("recorded run {label:?} in {}", TRAJECTORY.file);
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -761,6 +601,92 @@ fn ablation(wb: &Workbench) {
     }
     println!("-- (f) weighted-edge engine (RDS, RADIO, nq = {nq}) --");
     println!("{}", t.render());
+
+    // (g) Workspace reuse: a fresh `KndsWorkspace` per query (what `rds`/
+    // `sds` do) vs one warm workspace for the whole workload. Wall time
+    // around the call, because allocating the workspace is the cost.
+    let engine = Knds::new(&wb.ontology, &coll.source, cfg);
+    let mut t = Table::new(&["kind", "fresh / query", "reused / query", "fresh ÷ reused"]);
+    for (kind, queries) in [
+        (QueryKind::Rds, coll.rds_queries(wb.scale.queries_per_point, nq, wb.scale.seed ^ 0xA6)),
+        (QueryKind::Sds, coll.sds_queries(wb.scale.queries_per_point, wb.scale.seed ^ 0xA7)),
+    ] {
+        let n = queries.len().max(1) as u32;
+        let mut ws = KndsWorkspace::new();
+        if let Some(q) = queries.first() {
+            black_box(engine.run(&mut ws, kind, q, k, Hooks::default()));
+        }
+        let t0 = Instant::now();
+        for q in &queries {
+            black_box(engine.run(&mut KndsWorkspace::new(), kind, q, k, Hooks::default()));
+        }
+        let fresh = t0.elapsed() / n;
+        let t0 = Instant::now();
+        for q in &queries {
+            black_box(engine.run(&mut ws, kind, q, k, Hooks::default()));
+        }
+        let reused = t0.elapsed() / n;
+        t.row(vec![
+            format!("{kind:?}").to_uppercase(),
+            fmt_duration(fresh),
+            fmt_duration(reused),
+            format!("{:.2}x", fresh.as_secs_f64() / reused.as_secs_f64().max(1e-12)),
+        ]);
+    }
+    println!("-- (g) workspace reuse (RADIO, k = {k}) --");
+    println!("{}", t.render());
+
+    // (h) The phases of one DRC probe (Section 4.3) over prefixes of the
+    // largest PATIENT record: `construct` builds the whole D-Radix into a
+    // retained DAG (`fresh DAG`: into a new one) and is `pin` (the query's
+    // half, once a query) plus `overlay` (roll back, insert one document);
+    // `tune` is the distance pass. A pinned probe — every kNDS probe after
+    // a query's first — costs overlay + tune.
+    const REPS: u32 = 50;
+    let coll = wb.collection("PATIENT");
+    let queries = coll.query_documents(wb.scale.queries_per_point, nq, wb.scale.seed ^ 0xA8);
+    let largest = coll.corpus.documents().max_by_key(|d| d.num_concepts());
+    let record = largest.map_or(&[][..], |d| d.concepts());
+    let ont = &wb.ontology;
+    let _ = ont.path_table();
+    let mut dag = DRadixDag::new();
+    let ops = (queries.len() as u32 * REPS).max(1) as f64;
+    let each = |d: Duration| format!("{:.2} µs", d.as_secs_f64() * 1e6 / ops);
+    let mut t = Table::new(&["|d|", "fresh DAG", "construct", "pin", "overlay", "tune"]);
+    for size in [10usize, 30, 60] {
+        let Some(doc) = record.get(..size) else { continue };
+        let [mut fresh, mut construct, mut pin, mut overlay, mut tune] = [Duration::ZERO; 5];
+        for q in &queries {
+            for _ in 0..REPS {
+                let t0 = Instant::now();
+                black_box(DRadixDag::build(ont, doc, q));
+                fresh += t0.elapsed();
+            }
+            for _ in 0..REPS {
+                let t0 = Instant::now();
+                dag.build_into(ont, doc, q);
+                construct += t0.elapsed();
+            }
+            for _ in 0..REPS {
+                let t0 = Instant::now();
+                dag.pin(ont, None, Side::Query, q);
+                pin += t0.elapsed();
+            }
+            for _ in 0..REPS {
+                let t0 = Instant::now();
+                dag.overlay(ont, None, Side::Doc, doc);
+                let built = Instant::now();
+                dag.tune();
+                tune += built.elapsed();
+                overlay += built - t0;
+            }
+        }
+        black_box(dag.stats());
+        let cells = [fresh, construct, pin, overlay, tune].map(each);
+        t.row(std::iter::once(size.to_string()).chain(cells).collect());
+    }
+    println!("-- (h) DRC phases per probe (PATIENT, nq = {nq}) --");
+    println!("{}", t.render());
 }
 
 /// Effectiveness on synthetic relevance: cohort members (documents built
@@ -876,8 +802,8 @@ fn effectiveness(wb: &Workbench) {
     }
 }
 
-/// Phase breakdown of the trajectory workloads: where each fig8/fig9
-/// point spends its time (ontology traversal + candidate bookkeeping,
+/// Phase breakdown of the Figure 8/9 workloads: where each point
+/// spends its time (ontology traversal + candidate bookkeeping,
 /// index access, exact-distance computation). The paper's Table 5
 /// analogue, and the compass for hot-loop work: a point dominated by
 /// DRC probes will not move however fast the BFS bookkeeping gets.

@@ -1,14 +1,11 @@
-//! Minimal JSON value, parser, and renderer for the bench trajectory
-//! file (`BENCH_knds.json`).
+//! Minimal JSON value, parser, and renderer: what `perfbench/` reads its
+//! span lines and `baseline.json` with and renders its result line from.
 //!
 //! The workspace deliberately carries no serde-JSON dependency (A06 keeps
-//! the dependency closure path-only), and the trajectory file needs both
-//! directions: each `repro --json` run re-reads the file to append a run
-//! and to compute speedups against the recorded baseline, and the smoke
-//! step re-parses its own output to prove the emitter is well-formed.
-//! This module is that round trip: a strict RFC 8259 subset (no comments,
-//! no trailing commas), objects kept in insertion order so renders are
-//! stable across runs.
+//! the dependency closure path-only), and the benchmark needs both
+//! directions. This module is that round trip: a strict RFC 8259 subset
+//! (no comments, no trailing commas), objects kept in insertion order so
+//! renders are stable across runs.
 
 use std::fmt;
 

@@ -8,12 +8,17 @@
 //! [`Scale`], and the helpers below time workloads with the same
 //! time-bucket split the paper plots (distance calculation, graph
 //! traversal, index I/O).
+//!
+//! One instrument per job: the `repro` binary of this crate redraws the
+//! paper's tables and figures, and `perfbench/` (a package of its own,
+//! run through `BENCHMARK.json`) is the only thing a performance claim
+//! may cite. [`json`] is here because `perfbench` reads and writes its
+//! reports with it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;
-pub mod trajectory;
 
 use cbr_corpus::{ConceptFilter, Corpus, CorpusGenerator, CorpusProfile, DocId, FilterConfig};
 use cbr_index::MemorySource;
@@ -58,7 +63,7 @@ impl Scale {
         }
     }
 
-    /// A micro scale for criterion benches and tests.
+    /// A micro scale for smoke runs and tests.
     pub fn micro() -> Scale {
         Scale {
             ontology_concepts: 4_000,
@@ -251,8 +256,6 @@ pub struct Timing {
     pub drc_calls: f64,
     /// Mean fraction of examined documents that entered the top-k.
     pub examination_precision: f64,
-    /// Median per-query total.
-    pub p50: Duration,
     /// 95th-percentile per-query total.
     pub p95: Duration,
 }
@@ -265,14 +268,10 @@ impl Timing {
         let mut precision = 0.0;
         let mut totals: Vec<Duration> = metrics.iter().map(|m| m.total()).collect();
         totals.sort_unstable();
-        let pct = |q: f64| -> Duration {
-            if totals.is_empty() {
-                Duration::ZERO
-            } else {
-                totals[((totals.len() - 1) as f64 * q).round() as usize]
-            }
+        let p95 = match totals.len() {
+            0 => Duration::ZERO,
+            len => totals[((len - 1) as f64 * 0.95).round() as usize],
         };
-        let (p50, p95) = (pct(0.5), pct(0.95));
         for m in metrics {
             acc.accumulate(m);
             precision += m.examination_precision(k);
@@ -288,7 +287,6 @@ impl Timing {
             docs_examined,
             drc_calls,
             examination_precision: precision / n as f64,
-            p50,
             p95,
         }
     }
@@ -413,7 +411,6 @@ mod tests {
         assert_eq!(t.distance_calc, Duration::from_millis(4));
         assert_eq!(t.drc_calls, 2.0);
         assert_eq!(t.examination_precision, 0.5);
-        assert_eq!(t.p50, Duration::from_millis(4));
         assert_eq!(t.p95, Duration::from_millis(4));
     }
 }

@@ -359,6 +359,32 @@ mod tests {
         assert!(s.avg_tokens_per_doc > s.avg_concepts_per_doc);
     }
 
+    /// `perfbench` builds `scale_rds`/`scale_mixed` from this profile and
+    /// the static audit does not scan `perfbench`, so this test is what
+    /// keeps `radio_scale` from reading as a dead export.
+    #[test]
+    fn radio_scale_is_radio_shaped_and_lean() {
+        let radio = CorpusProfile::radio_like();
+        let p = CorpusProfile::radio_scale(1_000_000);
+        assert_eq!(p.num_docs, 1_000_000);
+        assert_eq!(p.vocabulary_size, 62_500, "vocabulary grows with the collection");
+        assert_eq!(CorpusProfile::radio_scale(1_000).vocabulary_size, radio.vocabulary_size);
+        let shape = |p: &CorpusProfile| {
+            (p.clustering, p.clusters_per_doc, p.cluster_walk_len, p.size_spread, p.min_depth)
+        };
+        assert_eq!(shape(&p), shape(&radio), "sparse and dispersed like RADIO");
+
+        let ont = test_ontology(4_000);
+        let corpus = CorpusGenerator::new(&ont, CorpusProfile::radio_scale(2_000)).generate();
+        assert_eq!(corpus.len(), 2_000);
+        let s = CorpusStats::compute(&corpus);
+        assert!(
+            (22.0..26.0).contains(&s.avg_concepts_per_doc),
+            "avg {} concepts a document, not ≈ 24",
+            s.avg_concepts_per_doc
+        );
+    }
+
     #[test]
     fn respects_depth_threshold() {
         let ont = test_ontology(2_000);

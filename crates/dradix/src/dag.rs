@@ -286,7 +286,8 @@ impl DRadixDag {
 
     /// Builds `T(∅, set)` — the pair's half on `side`, the other side empty
     /// — from scratch and checkpoints it, for [`overlay`](Self::overlay)s to
-    /// complete and roll back in `O(|nodes|)`. Public for the phase bench.
+    /// complete and roll back in `O(|nodes|)`. Public for `repro ablation`'s
+    /// phase table.
     #[doc(hidden)]
     pub fn pin(
         &mut self,
@@ -1548,7 +1549,7 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, should_panic(expected = "overlay completes a pin"))]
     fn overlay_without_a_pin_is_refused() {
-        // `overlay` is reachable from outside the crate (the phase bench):
+        // `overlay` is reachable from outside the crate (`repro ablation`):
         // on a DAG nothing was pinned into, release builds must return, not
         // index the empty arenas.
         let fig = fixture::figure3();

@@ -378,9 +378,9 @@ pub(crate) trait Frontier<'a> {
         1
     }
 
-    /// Offers `state` at tentative distance `dist`; `false` if visit
-    /// deduplication rejected it.
-    fn admit(&mut self, dense: &mut DenseTables, dedup: bool, state: State, dist: u32) -> bool;
+    /// Offers `state` at tentative distance `dist`; visit deduplication
+    /// may reject it.
+    fn admit(&mut self, dense: &mut DenseTables, dedup: bool, state: State, dist: u32);
 
     /// Hands the drained round's buffer back and returns how many states
     /// are pending (the quantity the queue watermark limits).
@@ -432,13 +432,11 @@ impl<'a> Frontier<'a> for Levels {
     }
 
     #[inline]
-    fn admit(&mut self, dense: &mut DenseTables, dedup: bool, state: State, _dist: u32) -> bool {
+    fn admit(&mut self, dense: &mut DenseTables, dedup: bool, state: State, _dist: u32) {
         let (origin, node, desc) = state;
-        if dedup && !dense.mark_state(origin, node, desc) {
-            return false;
+        if !dedup || dense.mark_state(origin, node, desc) {
+            self.next.push(state);
         }
-        self.next.push(state);
-        true
     }
 
     #[inline]
@@ -494,6 +492,9 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
             let current = self.frontier.take_round(dist);
             self.trace(|| TraceEvent::LevelStart { level: dist, frontier: current.len() });
             // --- coverage + expansion (traversal bucket) --------------------
+            // `apply_coverage` times its index reads into `io`; they are
+            // taken back out below so the buckets stay disjoint.
+            let io_before = self.metrics.io;
             let t0 = Instant::now();
             for &state in &current {
                 if self.frontier.is_stale(&self.ws.dense, state, dist) {
@@ -507,7 +508,8 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
             if forced {
                 self.metrics.forced_rounds += 1;
             }
-            self.metrics.traversal += t0.elapsed();
+            let index_time = self.metrics.io - io_before;
+            self.metrics.traversal += t0.elapsed().saturating_sub(index_time);
             self.metrics.levels += 1;
 
             // --- examination (distance-calculation bucket) ------------------
@@ -601,10 +603,7 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
 
         for &d in &postings {
             let slot = match self.ws.dense.slot_of(d) {
-                Some(slot) => {
-                    self.metrics.dense_hits += 1;
-                    slot
-                }
+                Some(slot) => slot,
                 None => {
                     let len = if self.kind == QueryKind::Sds {
                         packing::narrow_u32(self.source.doc_len(d))
@@ -641,9 +640,7 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
     #[inline]
     fn push_state(&mut self, state: State, dist: u32) {
         let dedup = self.config.dedup_visits;
-        if !self.frontier.admit(&mut self.ws.dense, dedup, state, dist) {
-            self.metrics.dense_hits += 1;
-        }
+        self.frontier.admit(&mut self.ws.dense, dedup, state, dist);
     }
 
     /// One linear pass over the unexamined rows, then examination in
@@ -874,6 +871,7 @@ mod tests {
     use cbr_corpus::Corpus;
     use cbr_index::MemorySource;
     use cbr_ontology::fixture;
+    use std::time::Duration;
 
     /// A small collection over the Figure 3 ontology.
     fn setup() -> (fixture::Figure3, Corpus, MemorySource) {
@@ -984,6 +982,59 @@ mod tests {
         assert!(r.metrics.levels > 0);
         assert!(r.metrics.docs_examined >= 2);
         assert!(r.metrics.candidates_seen >= r.metrics.docs_examined);
+    }
+
+    /// `MemorySource` whose every `postings` call busy-waits `SPIN` first,
+    /// so index time dominates the query and is known from the call count.
+    struct SpinningSource<'a> {
+        inner: &'a MemorySource,
+        postings_calls: std::cell::Cell<u32>,
+    }
+
+    const SPIN: Duration = Duration::from_micros(50);
+
+    impl IndexSource for SpinningSource<'_> {
+        fn postings(&self, c: ConceptId, out: &mut Vec<DocId>) {
+            let t = Instant::now();
+            while t.elapsed() < SPIN {
+                std::hint::spin_loop();
+            }
+            self.postings_calls.set(self.postings_calls.get() + 1);
+            self.inner.postings(c, out);
+        }
+        fn doc_concepts(&self, d: DocId, out: &mut Vec<ConceptId>) {
+            self.inner.doc_concepts(d, out);
+        }
+        fn doc_len(&self, d: DocId) -> usize {
+            self.inner.doc_len(d)
+        }
+        fn num_docs(&self) -> usize {
+            self.inner.num_docs()
+        }
+    }
+
+    #[test]
+    fn time_buckets_are_disjoint() {
+        let (fig, _corpus, source) = setup();
+        let spinning = SpinningSource { inner: &source, postings_calls: Default::default() };
+        let knds = Knds::new(&fig.ontology, &spinning, KndsConfig::default());
+        let q = fig.example_query();
+        for kind in [QueryKind::Rds, QueryKind::Sds] {
+            spinning.postings_calls.set(0);
+            let mut ws = KndsWorkspace::new();
+            let t = Instant::now();
+            let r = knds.run(&mut ws, kind, &q, 2, Hooks::default());
+            let wall = t.elapsed();
+            let spun = SPIN * spinning.postings_calls.get();
+            assert!(spun > Duration::ZERO, "{kind:?} read no posting list");
+            assert!(r.metrics.io >= spun, "{kind:?}: io {:?} < spun {spun:?}", r.metrics.io);
+            assert!(
+                r.metrics.total() <= wall,
+                "{kind:?}: buckets sum to {:?}, more than the {wall:?} the query took ({})",
+                r.metrics.total(),
+                r.metrics
+            );
+        }
     }
 
     #[test]

@@ -47,18 +47,10 @@ pub struct QueryMetrics {
     /// growing once the workspace is warm. [`accumulate`](Self::accumulate)
     /// keeps the maximum.
     pub workspace_bytes: usize,
-    /// Dense-table lookups that hit an already-present live entry (BFS
-    /// state dedup rejections, candidate slot re-touches, Dijkstra
-    /// relaxation rejects). Sums under [`accumulate`](Self::accumulate).
-    pub dense_hits: usize,
     /// 1 if this query's epoch bump wrapped the stamp counter (forcing
     /// the one-in-4-billion full stamp reset), 0 otherwise. Sums under
     /// [`accumulate`](Self::accumulate).
     pub epoch_rollover: usize,
-    /// Bytes retained by the dense epoch-stamped tables (a subset of
-    /// [`workspace_bytes`](Self::workspace_bytes)).
-    /// [`accumulate`](Self::accumulate) keeps the maximum.
-    pub table_bytes: usize,
 }
 
 impl QueryMetrics {
@@ -92,9 +84,7 @@ impl QueryMetrics {
         self.progressive_results += other.progressive_results;
         self.workspace_reused += other.workspace_reused;
         self.workspace_bytes = self.workspace_bytes.max(other.workspace_bytes);
-        self.dense_hits += other.dense_hits;
         self.epoch_rollover += other.epoch_rollover;
-        self.table_bytes = self.table_bytes.max(other.table_bytes);
     }
 
     /// Divides all durations by `n` (workload averaging).

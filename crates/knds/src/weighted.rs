@@ -159,11 +159,11 @@ impl<'a> Frontier<'a> for Buckets<'a> {
     // Bucket growth is retained by the workspace across queries.
     // flow: workspace-fed
     #[inline]
-    fn admit(&mut self, dense: &mut DenseTables, dedup: bool, state: State, dist: u32) -> bool {
+    fn admit(&mut self, dense: &mut DenseTables, dedup: bool, state: State, dist: u32) {
         // Dijkstra relaxation: only keep strictly improving pushes.
         let (origin, node, desc) = state;
         if dedup && !dense.improve_best(origin, node, desc, dist) {
-            return false;
+            return;
         }
         if self.buckets.len() <= dist as usize {
             self.buckets.resize(dist as usize + 1, Vec::new());
@@ -171,7 +171,6 @@ impl<'a> Frontier<'a> for Buckets<'a> {
         if let Some(bucket) = self.buckets.get_mut(dist as usize) {
             bucket.push(state);
         }
-        true
     }
 
     /// Hands the drained bucket's capacity back (expansion only ever

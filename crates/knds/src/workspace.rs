@@ -109,7 +109,6 @@ impl KndsWorkspace {
         self.finish();
         result.metrics.workspace_reused = reused as usize;
         result.metrics.workspace_bytes = self.footprint_bytes();
-        result.metrics.table_bytes = self.dense.footprint_bytes();
         result
     }
 
@@ -574,9 +573,8 @@ impl DenseTables {
         test_bit(&self.doc_bits, self.epoch, doc.index())
     }
 
-    /// Retained bytes of every dense table — the
-    /// [`table_bytes`](crate::QueryMetrics::table_bytes) metric and part
-    /// of the workspace footprint.
+    /// Retained bytes of every dense table — part of the workspace
+    /// footprint.
     pub(crate) fn footprint_bytes(&self) -> usize {
         use std::mem::size_of;
         (self.state_bits.capacity() + self.pair_bits.capacity() + self.doc_bits.capacity())

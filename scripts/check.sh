@@ -9,7 +9,7 @@
 # every rule of every graph gate fires — the cbr-sched schedule
 # exploration — including the publish/retire and compaction harnesses
 # over the epoch-published snapshot — (same honest + seeded-bug pairing),
-# the bench smoke passes (both JSON trajectory pipelines end to end at
+# the repro smoke (every report of the paper's evaluation, end to end at
 # micro scale), the whole workspace's tests, and the benchmark tripwire
 # (fmt, clippy, tests and a smoke run of perfbench/, which is outside the
 # workspace and compiles against the crates' public API). Run from the
@@ -53,15 +53,20 @@ cargo run -q -p cbr-sched --features seeded-races -- \
     --budget 200 \
     --harness seeded-unlock-race --harness seeded-lock-inversion \
     --expect-findings
-# Bench smoke: run the machine-readable trajectory at micro scale and
-# validate the emitted JSON in-process. Catches a panicking measurement
-# loop or a malformed BENCH_knds.json run object without paying for a
-# full benchmark; writes nothing.
-cargo run -q --release -p cbr-bench --bin repro -- --json --smoke
-# Same end-to-end smoke for the mixed read/write scale bench: a tiny
-# collection, short phases, and in-process validation of the
-# BENCH_scale.json run object; writes nothing.
-cargo run -q --release -p cbr-bench --bin scale -- --smoke
+# Repro smoke: every report `repro` can print, on the smallest workbench
+# with two queries a point (about a second once built). A panicking
+# measurement loop fails the run; a report that silently stopped printing
+# fails the grep for its header.
+repro_out="$(cargo run -q --release -p cbr-bench --bin repro -- all --scale micro --queries 2)"
+repro_out+="$(cargo run -q --release -p cbr-bench --bin repro -- phases --scale micro --queries 2)"
+for header in '== Ontology statistics' '== Table 3' '== Figure 6' '== Figure 7' '== Figure 8' \
+    '== Figure 9' '== Ablations' '-- (a)' '-- (b)' '-- (c)' '-- (d)' '-- (e)' '-- (f)' '-- (g)' \
+    '-- (h)' '== Effectiveness' '== Phase breakdown'; do
+    grep -qF -- "$header" <<<"$repro_out" || {
+        echo "repro smoke: no '$header' section in the report" >&2
+        exit 1
+    }
+done
 # Every package, not just the root one: the kNDS equivalence/streaming/
 # tracing suites, segmented_equiv, the C05 counter harness and the
 # analyzers' fixture pins live in member crates.
