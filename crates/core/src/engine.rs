@@ -4,7 +4,7 @@
 
 use crate::snapshot::EngineSnapshot;
 use cbr_corpus::{ConceptFilter, Corpus, DocId, FilterConfig};
-use cbr_index::{CompactionPolicy, SegmentedSource};
+use cbr_index::{CompactionPolicy, LiveConcepts, SegmentedSource};
 use cbr_knds::{KndsConfig, QueryKind};
 use cbr_ontology::{ConceptId, Ontology};
 use sched::sync::Arc;
@@ -75,8 +75,9 @@ impl EngineBuilder {
     }
 
     /// Builds the engine: applies the filter to the corpus, wraps the
-    /// result as the base segment of a [`SegmentedSource`], and derives
-    /// the first published [`EngineSnapshot`].
+    /// result as the base segment of a [`SegmentedSource`], computes its
+    /// exact concept liveness mask, and derives the first published
+    /// [`EngineSnapshot`].
     pub fn build(self, ontology: Ontology, corpus: Corpus) -> Engine {
         let filter = match self.filter {
             Some(cfg) => ConceptFilter::build(&ontology, &corpus, cfg),
@@ -84,14 +85,16 @@ impl EngineBuilder {
         };
         let filtered = filter.apply(&corpus);
         let mut writer = SegmentedSource::from_corpus(&filtered, CompactionPolicy::default());
+        let view = writer.view();
+        let live = LiveConcepts::exact(&ontology, &view);
         let snapshot = EngineSnapshot::assemble(
             Arc::new(ontology),
             Arc::new(filtered),
             Arc::new(filter),
-            writer.view(),
+            view.with_live(live.clone()),
             self.knds,
         );
-        Engine { writer, snapshot }
+        Engine { writer, live, snapshot }
     }
 }
 
@@ -112,6 +115,10 @@ impl EngineBuilder {
 #[derive(Debug)]
 pub struct Engine {
     writer: SegmentedSource,
+    /// Which concepts hold a live posting, at or below them: exact after
+    /// a build or a merging `compact()`, a superset in between (appends
+    /// OR bits in, deletions leave them).
+    live: LiveConcepts,
     snapshot: EngineSnapshot,
 }
 
@@ -138,7 +145,7 @@ impl Engine {
 
     /// Re-derives the cached snapshot after a mutation.
     fn refresh(&mut self) {
-        self.snapshot.set_source(self.writer.view());
+        self.snapshot.set_source(self.writer.view().with_live(self.live.clone()));
     }
 
     /// Replaces the kNDS configuration (e.g. to tune `εθ` per collection).
@@ -151,7 +158,9 @@ impl Engine {
     /// eligibility, normalized, and appended to the segmented memtable —
     /// visible to the next snapshot immediately, with no rebuild.
     pub fn add_document(&mut self, concepts: Vec<ConceptId>) -> DocId {
-        let kept = concepts.into_iter().filter(|&c| self.snapshot.eligible(c)).collect();
+        let kept: Vec<ConceptId> =
+            concepts.into_iter().filter(|&c| self.snapshot.eligible(c)).collect();
+        self.live.or_document(self.snapshot.ontology(), &kept);
         let id = self.writer.append(kept);
         self.refresh();
         id
@@ -159,7 +168,9 @@ impl Engine {
 
     /// Deletes a document (tombstone): ids stay stable, but the document
     /// disappears from postings and query results immediately. Compaction
-    /// later drops the payload physically; the id stays dead.
+    /// later drops the payload physically; the id stays dead. The concept
+    /// liveness mask keeps its bits (a superset is safe) until the next
+    /// merging [`Engine::compact`].
     pub fn remove_document(&mut self, doc: DocId) -> Result<(), EngineError> {
         if self.writer.delete(doc) {
             self.refresh();
@@ -171,11 +182,15 @@ impl Engine {
 
     /// Seals the memtable and merges every segment into one, physically
     /// dropping tombstoned documents (their ids stay allocated and dead).
-    /// Returns whether a merge ran. Queries racing this see either the
-    /// old or the new snapshot, never a mixture.
+    /// Returns whether a merge ran; a merge also recomputes the concept
+    /// liveness mask exactly. Queries racing this see either the old or
+    /// the new snapshot, never a mixture.
     pub fn compact(&mut self) -> bool {
         self.writer.seal();
         let merged = self.writer.compact_all();
+        if merged {
+            self.live = LiveConcepts::exact(self.snapshot.ontology(), &self.writer.view());
+        }
         self.refresh();
         merged
     }

@@ -17,6 +17,9 @@
 //!   path: immutable CSR segments plus a small memtable, sealed and
 //!   compacted by a single writer and published to readers as lock-free
 //!   `Arc`-shared snapshot views (see `DESIGN.md` §12);
+//! * [`LiveConcepts`] / [`LiveMask`] — per-concept `live_here` /
+//!   `live_below` bits a view publishes so the kNDS traversal skips
+//!   concepts and subtrees that hold no live document;
 //! * [`SnapshotStore`] — a directory of checksummed, atomically replaced
 //!   binary snapshot files, with the little-endian [`snapshot::Writer`] /
 //!   checked [`snapshot::Reader`] their bodies are written in.
@@ -28,6 +31,7 @@ pub mod compress;
 pub mod file;
 pub mod forward;
 pub mod inverted;
+pub mod live;
 pub mod packing;
 pub mod segment;
 pub mod segmented;
@@ -39,6 +43,7 @@ pub use compress::{CompressedPostings, CompressedSource};
 pub use file::FileSource;
 pub use forward::ForwardIndex;
 pub use inverted::InvertedIndex;
+pub use live::{LiveConcepts, LiveMask};
 pub use segment::Segment;
 pub use segmented::{CompactionPolicy, SegmentedSource, SegmentedView};
 pub use snapshot::SnapshotStore;

@@ -15,13 +15,16 @@
 //!   whole set ([`SegmentedSource::view`]), implementing [`IndexSource`].
 //!   Everything inside is behind `Arc`, so a view costs a few refcounts
 //!   to clone, stays valid while compactions replace segments underneath,
-//!   and can be handed to any number of query threads with no lock.
+//!   and can be handed to any number of query threads with no lock. It
+//!   publishes the concept liveness mask its owner attaches
+//!   ([`SegmentedView::with_live`], see [`crate::live`]), all-live if none.
 //!
 //! A view taken mid-memtable freezes the partial memtable into a bounded
 //! tail segment (cached until the next append), so published snapshots
 //! always see every append that happened before them — the paper's
 //! "instantly add the EMR at the point of care" claim, minus the lock.
 
+use crate::live::{LiveConcepts, LiveMask};
 use crate::packing;
 use crate::segment::Segment;
 use crate::source::IndexSource;
@@ -62,12 +65,28 @@ pub struct SegmentedView {
     segments: Arc<[Arc<Segment>]>,
     dead: Arc<[u64]>,
     num_docs: usize,
+    /// Published through [`IndexSource::live_mask`]; all-live unless the
+    /// owner attaches one ([`SegmentedView::with_live`]).
+    live: LiveConcepts,
 }
 
 impl SegmentedView {
     /// An empty view (no documents).
     pub fn empty() -> SegmentedView {
-        SegmentedView { segments: Arc::from(vec![]), dead: Arc::from(vec![]), num_docs: 0 }
+        SegmentedView {
+            segments: Arc::from(vec![]),
+            dead: Arc::from(vec![]),
+            num_docs: 0,
+            live: LiveConcepts::default(),
+        }
+    }
+
+    /// This view publishing `live` as its concept mask. The caller vouches
+    /// that `live` over-reports this view's live postings and never
+    /// under-reports them (see [`crate::live`]).
+    pub fn with_live(mut self, live: LiveConcepts) -> SegmentedView {
+        self.live = live;
+        self
     }
 
     /// Number of segments behind this view.
@@ -115,6 +134,10 @@ impl IndexSource for SegmentedView {
 
     fn is_live(&self, d: DocId) -> bool {
         !bit(&self.dead, d.index())
+    }
+
+    fn live_mask(&self) -> LiveMask<'_> {
+        self.live.as_mask()
     }
 }
 
@@ -282,7 +305,12 @@ impl SegmentedSource {
             segments.push(Arc::clone(tail));
         }
         let dead = self.shared_dead.get_or_insert_with(|| Arc::from(self.dead.clone())).clone();
-        SegmentedView { segments: Arc::from(segments), dead, num_docs: self.next_doc() as usize }
+        SegmentedView {
+            segments: Arc::from(segments),
+            dead,
+            num_docs: self.next_doc() as usize,
+            live: LiveConcepts::default(),
+        }
     }
 
     /// Total document slots (live + dead).

@@ -12,7 +12,7 @@
 //! the file-backed implementation can exist without self-referential
 //! borrows and the hot loop can reuse allocations.
 
-use crate::{ForwardIndex, InvertedIndex};
+use crate::{ForwardIndex, InvertedIndex, LiveMask};
 use cbr_corpus::DocId;
 use cbr_ontology::ConceptId;
 
@@ -37,6 +37,16 @@ pub trait IndexSource {
     fn is_live(&self, d: DocId) -> bool {
         let _ = d;
         true
+    }
+
+    /// Which concepts may hold a live posting, and which may have one at
+    /// or below them ([`LiveMask`]); the kNDS traversal reads no posting
+    /// list and takes no downward step where the mask says there is
+    /// nothing. Every bit may over-report, never under-report. The
+    /// default publishes no mask — every concept reads live — so a source
+    /// prunes nothing unless it overrides this.
+    fn live_mask(&self) -> LiveMask<'_> {
+        LiveMask::ALL_LIVE
     }
 }
 

@@ -22,6 +22,14 @@ pub struct KndsConfig {
     ///
     /// Unlike the paper's prototype the frontier is never truncated, so
     /// results stay exact; the watermark only forces work forward.
+    ///
+    /// It counts the states that survive pruning: over a source that
+    /// publishes a liveness mask
+    /// ([`IndexSource::live_mask`](cbr_index::IndexSource::live_mask)),
+    /// children with nothing live below them are never pushed, so the
+    /// frontier reaches the watermark later — typically a level later,
+    /// when the lower bounds are tighter — than the same search over a
+    /// source without one.
     pub queue_cap: usize,
 
     /// Deduplicate BFS states `(origin concept, node, direction)`.

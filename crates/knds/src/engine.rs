@@ -6,11 +6,13 @@
 //! 1. **coverage** — for each state `(origin, node)` reached for the first
 //!    time, the posting list of `node` updates every containing document's
 //!    partial distance (`Md` of Equation 5; for SDS also the reverse map
-//!    `M'd` of Equation 7 on the node's global first touch);
+//!    `M'd` of Equation 7 on the node's global first touch) — skipped
+//!    where the source's [`LiveMask`] says the node has no live posting;
 //! 2. **expansion** — ascending states push parents (still ascending) and
 //!    children (now descending); descending states push only children, so
 //!    every traversed path is ∧-shaped (the valid-path rule of
-//!    Section 3.1);
+//!    Section 3.1). A child with nothing live at or below it is not
+//!    pushed; ascents are never pruned;
 //! 3. **examination** — one pass over the unexamined candidates computes
 //!    their lower bounds (Equations 6/8) and keeps those still below
 //!    `D⁺ₖ`; these are examined in ascending bound, selected one at a time
@@ -44,7 +46,7 @@ use crate::util::{OrdF64, TopK};
 use crate::workspace::{DenseTables, KndsWorkspace};
 use cbr_corpus::DocId;
 use cbr_dradix::Drc;
-use cbr_index::{packing, IndexSource};
+use cbr_index::{packing, IndexSource, LiveMask};
 use cbr_ontology::{ConceptId, Ontology};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -307,6 +309,7 @@ impl<'a, S: IndexSource> Knds<'a, S> {
             let mut search = Search {
                 ont: self.ontology,
                 source: self.source,
+                live: self.source.live_mask(),
                 drc: frontier.drc(self.ontology).with_scratch(ws.take_dag()),
                 config: &self.config,
                 kind,
@@ -464,6 +467,9 @@ impl<'a> Frontier<'a> for Levels {
 struct Search<'a, 'r, S: IndexSource, F> {
     ont: &'a Ontology,
     source: &'a S,
+    /// The source's liveness mask: no posting read where nothing is live
+    /// here, no descent where nothing is live below.
+    live: LiveMask<'a>,
     drc: Drc<'a>,
     config: &'r KndsConfig,
     kind: QueryKind,
@@ -501,7 +507,11 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
                     continue;
                 }
                 self.metrics.nodes_visited += 1;
-                self.apply_coverage(state.0, state.1, dist);
+                // No live posting here: the posting list and the SDS
+                // reverse coverage are both empty.
+                if self.live.live_here(state.1) {
+                    self.apply_coverage(state.0, state.1, dist);
+                }
                 self.expand(state, dist);
             }
             let forced = self.frontier.finish_round(current, dist) > self.config.queue_cap;
@@ -620,7 +630,11 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
 
     /// Pushes the valid-path neighbors of a state, each at `dist` plus the
     /// policy's step cost: once a traversal has descended it may not
-    /// ascend again (the "{G,F} not pushed" rule of Example 4).
+    /// ascend again (the "{G,F} not pushed" rule of Example 4). A child
+    /// with nothing live at or below it is not pushed: every path through
+    /// it descends, so it reaches no document. Ascents are never pruned,
+    /// so every ∧-path to a live concept survives at its length, and
+    /// first-touch levels, partial distances and bounds do not change.
     fn expand(&mut self, (origin, node, descending): State, dist: u32) {
         if !descending {
             for &p in self.ont.parents(node) {
@@ -632,6 +646,9 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
             }
         }
         for (pos, &c) in self.ont.children(node).iter().enumerate() {
+            if !self.live.live_below(c) {
+                continue;
+            }
             let w = self.frontier.child_step(node, pos);
             self.push_state((origin, c, true), dist + w);
         }
