@@ -389,7 +389,7 @@ mod tests {
         assert_eq!(hits.len(), 2, "{hits:?}");
         assert!(hits[0].message.contains("`std::sync`"));
         assert!(hits[1].message.contains("`std::thread`"));
-        let q = src("crates/knds/src/sharded.rs", "use crossbeam::queue::SegQueue;\n");
+        let q = src("crates/knds/src/workspace.rs", "use crossbeam::queue::SegQueue;\n");
         assert_eq!(a07_facade_only_sync(&q).len(), 1);
         let p = src("crates/core/src/service.rs", "use parking_lot::RwLock;\n");
         assert_eq!(a07_facade_only_sync(&p).len(), 1);
@@ -456,7 +456,7 @@ mod tests {
         assert!(a07_facade_only_sync(&test_code).is_empty());
 
         let comment =
-            src("crates/knds/src/sharded.rs", "// replaces std::thread::scope with the facade\n");
+            src("crates/knds/src/tuner.rs", "// replaces std::thread::scope with the facade\n");
         assert!(a07_facade_only_sync(&comment).is_empty());
 
         // The facade's own crate (and everything else outside core/knds)

@@ -551,31 +551,6 @@ fn ablation(wb: &Workbench) {
         emitted as f64 / queries.len() as f64
     );
 
-    // (e) Compressed postings: space vs decode-time trade-off.
-    let mut t = Table::new(&["collection", "raw bytes", "compressed", "ratio", "kNDS time"]);
-    for coll in &wb.collections {
-        let raw_bytes = coll.source.inverted().total_postings() * 4;
-        let compressed =
-            cbr_index::CompressedSource::new(coll.source.inverted(), coll.source.forward().clone());
-        // Both layouts carry the same per-concept offset table; compare the
-        // postings payloads themselves.
-        let comp_bytes = compressed.postings().data_bytes();
-        let queries = coll.rds_queries(wb.scale.queries_per_point, nq, wb.scale.seed ^ 0xA4);
-        let cfg = KndsConfig::default().with_error_threshold(coll.default_eps);
-        let engine = Knds::new(&wb.ontology, &compressed, cfg);
-        let metrics: Vec<QueryMetrics> = queries.iter().map(|q| engine.rds(q, k).metrics).collect();
-        let timing = Timing::from_metrics(&metrics, k);
-        t.row(vec![
-            coll.name.to_string(),
-            format!("{raw_bytes}"),
-            format!("{comp_bytes}"),
-            format!("{:.2}x", raw_bytes as f64 / comp_bytes as f64),
-            format!("{:.2} ms", timing.ms()),
-        ]);
-    }
-    println!("-- (e) delta-varint postings compression (RDS, nq = {nq}) --");
-    println!("{}", t.render());
-
     // (f) Weighted edges (Section 7 future work): unit weights through the
     // Dijkstra engine must cost about the same as the BFS engine; a
     // non-uniform weighting shows the overhead of real weights.

@@ -16,7 +16,7 @@ use std::ops::Deref;
 pub enum EngineError {
     /// A label did not resolve to any ontology concept.
     UnknownLabel(String),
-    /// A document id outside the collection.
+    /// A document id outside the collection, or a deleted document.
     UnknownDocument(DocId),
     /// The query became empty (input empty, or every concept was removed by
     /// the eligibility filter).
@@ -401,6 +401,34 @@ mod tests {
         for (a, b) in after.results.iter().zip(scan.results.iter()) {
             assert_eq!(a.distance, b.distance);
         }
+    }
+
+    /// A deleted document is unknown at once, as a query too: every entry
+    /// that reads a document's concepts gives the same error before and
+    /// after compaction drops its payload.
+    #[test]
+    fn a_deleted_document_is_unknown_before_and_after_compaction() {
+        let mut e = engine();
+        let q = some_query(&e, 2);
+        let docs: Vec<DocId> =
+            e.corpus().documents().filter(|d| d.num_concepts() > 0).map(|d| d.id()).collect();
+        let (victim, other) = (docs[0], docs[1]);
+        e.remove_document(victim).unwrap();
+        let shared = crate::SharedEngine::new(e);
+        let unknown = Err(EngineError::UnknownDocument(victim));
+        let check = |when: &str| {
+            shared.with_engine(|e| {
+                assert_eq!(e.sds_by_doc(victim, 3).map(drop), unknown, "sds_by_doc {when}");
+                assert_eq!(e.document_concepts(victim).map(drop), unknown, "concepts {when}");
+                assert_eq!(e.query_distance(victim, &q).map(drop), unknown, "Ddq {when}");
+                assert_eq!(e.document_distance(other, victim).map(drop), unknown, "Ddd {when}");
+                assert_eq!(e.explain_rds(victim, &q).map(drop), unknown, "explain {when}");
+            });
+            assert_eq!(shared.sds_by_doc(victim, 3).map(drop), unknown, "shared {when}");
+        };
+        check("before compact()");
+        assert!(shared.compact(), "the tombstone forces a merge");
+        check("after compact()");
     }
 
     #[test]

@@ -92,7 +92,7 @@ impl SharedEngine {
     }
 
     /// The current published snapshot: pin it to run many queries —
-    /// batches, shards — against one consistent epoch.
+    /// a batch, say — against one consistent epoch.
     pub fn snapshot(&self) -> Arc<EngineSnapshot> {
         self.published.load()
     }

@@ -99,9 +99,11 @@ impl EngineSnapshot {
         (self.ontology.id_bound(), self.source.num_docs())
     }
 
-    /// The concept set of any document, including appended ones.
+    /// The concept set of a document live at this epoch, bulk or
+    /// appended. A deleted document is unknown from its delete on, whether
+    /// or not compaction has dropped its payload yet.
     pub fn document_concepts(&self, doc: DocId) -> Result<Vec<ConceptId>, EngineError> {
-        if doc.index() >= self.source.num_docs() {
+        if !self.is_live(doc) {
             return Err(EngineError::UnknownDocument(doc));
         }
         let mut out = Vec::new();

@@ -4,15 +4,13 @@
 //! the ontology efficiently (this would typically fit in memory) as well as
 //! an inverted and a forward index that map concepts to documents and
 //! vice-versa (memory or disk-based)". The prototype loads the latter two
-//! from MySQL and reports I/O time separately. This crate supplies both
-//! access paths:
+//! from MySQL and reports I/O time separately; here both stay in memory,
+//! and the engine times every posting read as its I/O component:
 //!
 //! * [`InvertedIndex`] — concept → documents, CSR layout;
 //! * [`ForwardIndex`] — document → concepts, CSR layout;
 //! * [`IndexSource`] — the access trait the ranking algorithms program
-//!   against, with [`MemorySource`] (both indexes resident) and
-//!   [`FileSource`] (per-access `pread` against an on-disk image, the
-//!   MySQL stand-in whose access time the harness reports as I/O time);
+//!   against, with [`MemorySource`] (both indexes resident, static);
 //! * [`Segment`] / [`SegmentedSource`] / [`SegmentedView`] — the dynamic
 //!   path: immutable CSR segments plus a small memtable, sealed and
 //!   compacted by a single writer and published to readers as lock-free
@@ -27,8 +25,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compress;
-pub mod file;
 pub mod forward;
 pub mod inverted;
 pub mod live;
@@ -39,8 +35,6 @@ pub mod snapshot;
 pub mod source;
 pub mod validate;
 
-pub use compress::{CompressedPostings, CompressedSource};
-pub use file::FileSource;
 pub use forward::ForwardIndex;
 pub use inverted::InvertedIndex;
 pub use live::{LiveConcepts, LiveMask};

@@ -3,14 +3,14 @@
 //! The paper's prototype reads postings and forward entries from MySQL and
 //! reports that access time as the I/O component of query latency
 //! (Section 6). [`IndexSource`] abstracts that boundary so the same kNDS
-//! code can run against resident CSR indexes ([`MemorySource`]) or a
-//! per-access on-disk image ([`FileSource`](crate::FileSource)); the query
-//! engine times every call through the trait and reports the total as I/O
-//! time.
+//! code runs against the static resident indexes ([`MemorySource`]) and
+//! the serving engine's segmented snapshot
+//! ([`SegmentedView`](crate::SegmentedView)); the query engine times every
+//! call through the trait and reports the total as I/O time.
 //!
 //! Methods take `&mut Vec` output buffers rather than returning slices so
-//! the file-backed implementation can exist without self-referential
-//! borrows and the hot loop can reuse allocations.
+//! a view can merge postings across its segments and the hot loop can
+//! reuse allocations.
 
 use crate::{ForwardIndex, InvertedIndex, LiveMask};
 use cbr_corpus::DocId;

@@ -32,8 +32,6 @@
 //! * [`weighted`] — kNDS over weighted edges (bucketed Dijkstra), the
 //!   Section 7 future-work variant: the same Algorithm 2 loop as
 //!   [`Knds`] under a different frontier policy;
-//! * [`sharded`] — the paper's MapReduce sketch as thread-parallel
-//!   partitioned search with exact top-k merge;
 //! * [`tuner`] — automatic `εθ` selection (the Figure 7 procedure);
 //! * [`trace`] — structured search traces (the Table 2 walkthrough);
 //! * progressive streaming ([`Hooks::on_final`] through [`Knds::run`],
@@ -48,7 +46,6 @@ pub mod config;
 pub mod counters;
 pub mod engine;
 pub mod metrics;
-pub mod sharded;
 pub mod ta;
 pub mod trace;
 pub mod tuner;
@@ -59,7 +56,6 @@ pub mod workspace;
 pub use config::KndsConfig;
 pub use engine::{Hooks, Knds, QueryKind, QueryResult, RankedDoc};
 pub use metrics::QueryMetrics;
-pub use sharded::{rds_sharded, sds_sharded, ShardView};
 pub use trace::TraceEvent;
 pub use tuner::tune_error_threshold;
 pub use weighted::WeightedKnds;

@@ -153,10 +153,14 @@ fn ta_round_robin<S: IndexSource>(
                 continue;
             }
             metrics.docs_examined += 1;
-            let total: u64 =
-                random.iter().map(|r| r.get(doc.index()).map_or(u32::MAX, |&d| d) as u64).sum();
+            // A document no list reaches has no concepts: `Ddq` is infinite,
+            // as the full scan and kNDS rank it.
+            let total = random.iter().try_fold(0u64, |sum, r| match r.get(doc.index()) {
+                Some(&d) if d != u32::MAX => Some(sum + d as u64),
+                _ => None,
+            });
             // bound: proven — total sums nq u32 distances, far below 2^53
-            heap.offer(doc, total as f64);
+            heap.offer(doc, total.map_or(f64::INFINITY, |t| t as f64));
         }
         pos += 1;
         if heap.is_full() && threshold as f64 >= heap.threshold() {

@@ -6,7 +6,7 @@
 //! `Err(description)` otherwise; the explorer turns the error into a
 //! finding tagged with a replayable schedule ID.
 //!
-//! The honest harnesses cover the four concurrent subsystems:
+//! The honest harnesses cover the three concurrent subsystems:
 //!
 //! * the [`SharedEngine`] workspace pool (readers racing each other and a
 //!   writer),
@@ -15,17 +15,13 @@
 //!   oracle, and retiring an epoch — even by physical compaction — never
 //!   invalidates a reader still pinning it),
 //! * the batch runner's work/slot queues (every submission fills exactly
-//!   one slot, even when a worker panics mid-query),
-//! * sharded kNDS fan-out (the merged top-k equals the single-engine
-//!   answer on every interleaving).
+//!   one slot, even when a worker panics mid-query).
 //!
 //! With the `seeded-races` feature two deliberately broken harnesses are
 //! added so CI can prove the checker is not vacuous.
 
 use cbr_corpus::{Corpus, DocId};
-use cbr_knds::{rds_sharded, Knds, KndsConfig};
-use cbr_ontology::{fixture, ConceptId, Ontology};
-use concept_rank::index::MemorySource;
+use cbr_ontology::{fixture, ConceptId};
 use concept_rank::{Engine, EngineBuilder, EngineError, QueryKind, SharedEngine};
 use sched::explore::{explore, replay, Exploration, Options, ReplayRun};
 
@@ -77,18 +73,6 @@ fn tiny_engine() -> (Engine, Vec<ConceptId>) {
     let corpus = Corpus::from_concept_sets(collection_sets(&fig));
     let q = fig.example_query();
     (EngineBuilder::new().build(fig.ontology, corpus), q)
-}
-
-/// Ontology + source + queries for the read-only harnesses, built once
-/// per harness and shared across schedules by reference.
-fn tiny_collection() -> (Ontology, MemorySource, Vec<Vec<ConceptId>>) {
-    let fig = fixture::figure3();
-    let c = |n: &str| fig.concept(n);
-    let corpus = Corpus::from_concept_sets(collection_sets(&fig));
-    let source = MemorySource::build(&corpus, fig.ontology.len());
-    let queries =
-        vec![fig.example_query(), vec![c("M"), c("N")], vec![c("F"), c("R")], vec![c("G")]];
-    (fig.ontology, source, queries)
 }
 
 /// Port of the PR-2 pool stress test onto the explorer: concurrent readers
@@ -319,8 +303,10 @@ fn compact_race() -> Harness {
 /// matching the sequential answer — under every interleaving of the
 /// work-stealing workers.
 fn batch_slots() -> Harness {
-    let (_, _, queries) = tiny_collection();
     let fig = fixture::figure3();
+    let c = |n: &str| fig.concept(n);
+    let queries =
+        vec![fig.example_query(), vec![c("M"), c("N")], vec![c("F"), c("R")], vec![c("G")]];
     let corpus = Corpus::from_concept_sets(collection_sets(&fig));
     let engine = EngineBuilder::new().build(fig.ontology, corpus);
     let expected: Vec<Vec<(DocId, f64)>> = engine
@@ -391,39 +377,6 @@ fn batch_poison() -> Harness {
                             "slot {i} should report the worker panic, got {other:?}"
                         ))
                     }
-                }
-            }
-            Ok(())
-        }),
-    }
-}
-
-/// Sharded fan-out: the merged per-shard top-k equals the single-engine
-/// top-k on every interleaving of the shard threads.
-fn sharded_merge() -> Harness {
-    let (ont, source, queries) = tiny_collection();
-    let cfg = KndsConfig::default();
-    let q = queries[0].clone();
-    let expected: Vec<(DocId, f64)> = {
-        let single = Knds::new(&ont, &source, cfg.clone());
-        single.rds(&q, 3).results.iter().map(|d| (d.doc, d.distance)).collect()
-    };
-    Harness {
-        name: "sharded-merge",
-        about: "sharded top-k merge equals the single-engine answer",
-        run: Box::new(move || {
-            let got = rds_sharded(&ont, &source, &q, 3, &cfg, 2);
-            let got: Vec<(DocId, f64)> = got.results.iter().map(|d| (d.doc, d.distance)).collect();
-            if got.len() != expected.len() {
-                return Err(format!(
-                    "merged {} results, single engine found {}",
-                    got.len(),
-                    expected.len()
-                ));
-            }
-            for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-                if g.1 != e.1 {
-                    return Err(format!("rank {i}: merged distance {} != {}", g.1, e.1));
                 }
             }
             Ok(())
@@ -502,7 +455,6 @@ pub fn registry() -> Vec<Harness> {
         compact_race(),
         batch_slots(),
         batch_poison(),
-        sharded_merge(),
     ];
     #[cfg(feature = "seeded-races")]
     {

@@ -1,8 +1,8 @@
 //! Cross-crate integration: the full pipeline from generation through
-//! persistence to querying, including the file-backed access path.
+//! persistence to querying.
 
 use cbr_corpus::{CorpusGenerator, CorpusProfile, FilterConfig};
-use cbr_index::{FileSource, ForwardIndex, IndexSource, InvertedIndex, MemorySource};
+use cbr_index::MemorySource;
 use cbr_knds::{Knds, KndsConfig};
 use cbr_ontology::{GeneratorConfig, OntologyGenerator};
 use concept_rank::EngineBuilder;
@@ -60,41 +60,6 @@ fn snapshot_roundtrip_preserves_query_results() {
         assert_eq!(a.distance, b.distance);
     }
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn file_backed_source_answers_identically() {
-    let ont = OntologyGenerator::new(GeneratorConfig::small(1_200)).generate();
-    let corpus = CorpusGenerator::new(
-        &ont,
-        CorpusProfile::radio_like().with_num_docs(60).with_mean_concepts(10.0),
-    )
-    .generate();
-    let inverted = InvertedIndex::build(&corpus, ont.len());
-    let forward = ForwardIndex::build(&corpus);
-    let mem = MemorySource::new(inverted.clone(), forward.clone());
-
-    let path = std::env::temp_dir().join(format!("cbr-e2e-{}.idx", std::process::id()));
-    FileSource::write_image(&path, &inverted, &forward).unwrap();
-    let file = FileSource::open(&path).unwrap();
-    assert_eq!(file.num_docs(), mem.num_docs());
-
-    let q: Vec<_> = corpus
-        .documents()
-        .find(|d| d.num_concepts() >= 2)
-        .map(|d| d.concepts()[..2].to_vec())
-        .unwrap();
-    let a = Knds::new(&ont, &mem, KndsConfig::default()).rds(&q, 6);
-    let b = Knds::new(&ont, &file, KndsConfig::default()).rds(&q, 6);
-    for (x, y) in a.results.iter().zip(b.results.iter()) {
-        assert_eq!(x.doc, y.doc);
-        assert_eq!(x.distance, y.distance);
-    }
-    // The file-backed run attributes real time to the I/O bucket. (Not
-    // compared against the in-memory run's bucket: both are wall-clock
-    // timers, and scheduler noise can inflate the in-memory one.)
-    assert!(b.metrics.io > std::time::Duration::ZERO);
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]

@@ -88,19 +88,3 @@ fn tuning_then_querying_is_exact() {
         }
     }
 }
-
-#[test]
-fn sharded_matches_engine_results() {
-    let engine = demo::engine(1_500, 100, 8.0);
-    let qs = queries(&engine, 3);
-    // Drive the sharded path against the engine's own collection through a
-    // fresh MemorySource (the engine's source is private).
-    let source = cbr_index::MemorySource::build(engine.corpus(), engine.ontology().len());
-    for q in &qs {
-        let expect = engine.rds(q, 5).unwrap();
-        let got = cbr_knds::rds_sharded(engine.ontology(), &source, q, 5, engine.config(), 4);
-        for (a, b) in got.results.iter().zip(expect.results.iter()) {
-            assert_eq!(a.distance, b.distance);
-        }
-    }
-}
