@@ -5,8 +5,9 @@
 //! (Section 6). [`IndexSource`] abstracts that boundary so the same kNDS
 //! code runs against the static resident indexes ([`MemorySource`]) and
 //! the serving engine's segmented snapshot
-//! ([`SegmentedView`](crate::SegmentedView)); the query engine times every
-//! call through the trait and reports the total as I/O time.
+//! ([`SegmentedView`](crate::SegmentedView)); the query engine reports the
+//! time it spends reading through the trait as I/O time — per round of
+//! posting reads, fetched as one block, and per forward read.
 //!
 //! Methods take `&mut Vec` output buffers rather than returning slices so
 //! a view can merge postings across its segments and the hot loop can

@@ -7,7 +7,13 @@
 //!    time, the posting list of `node` updates every containing document's
 //!    partial distance (`Md` of Equation 5; for SDS also the reverse map
 //!    `M'd` of Equation 7 on the node's global first touch) — skipped
-//!    where the source's [`LiveMask`] says the node has no live posting;
+//!    where the source's [`LiveMask`] says the node has no live posting.
+//!    A round first *fetches*: it decides every state's coverage and
+//!    appends each list it needs to one buffer, timed as index access as
+//!    a whole rather than list by list; then it *applies* the lists in
+//!    fetch order and *expands* the same states (step 2). Coverage and
+//!    expansion share no table, so the split changes no mark, insertion
+//!    or update order;
 //! 2. **expansion** — ascending states push parents (still ascending) and
 //!    children (now descending); descending states push only children, so
 //!    every traversed path is ∧-shaped (the valid-path rule of
@@ -334,6 +340,23 @@ impl<'a, S: IndexSource> Knds<'a, S> {
 /// descends to a child the flag flips and only further descents are valid.
 pub(crate) type State = (u32, ConceptId, bool);
 
+/// One posting list a round's fetch pass appended to the workspace's fetch
+/// buffer: ids `begin..end` cover origin `origin` forward (`fwd`) and/or
+/// the list's concept in reverse (`rev`, SDS only).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Span {
+    origin: u32,
+    begin: usize,
+    end: usize,
+    fwd: bool,
+    rev: bool,
+}
+
+/// Fetched posting ids (64 KiB) past which a round applies what it has
+/// fetched before fetching on: the fetch buffer stays bounded by one block
+/// plus one posting list, and the clock is read per block, not per list.
+const FETCH_BLOCK: usize = 16 * 1024;
+
 /// How the traversal frontier advances — the one thing the unit-weight
 /// and the weighted search disagree on. A policy owns the pending states,
 /// the cost of a step, the rule that admits a pushed state, and the order
@@ -497,29 +520,23 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
             crate::counters::bump_rounds();
             let current = self.frontier.take_round(dist);
             self.trace(|| TraceEvent::LevelStart { level: dist, frontier: current.len() });
-            // --- coverage + expansion (traversal bucket) --------------------
-            // `apply_coverage` times its index reads into `io`; they are
-            // taken back out below so the buckets stay disjoint.
-            let io_before = self.metrics.io;
-            let t0 = Instant::now();
-            for &state in &current {
-                if self.frontier.is_stale(&self.ws.dense, state, dist) {
-                    continue;
-                }
-                self.metrics.nodes_visited += 1;
-                // No live posting here: the posting list and the SDS
-                // reverse coverage are both empty.
-                if self.live.live_here(state.1) {
-                    self.apply_coverage(state.0, state.1, dist);
-                }
+            // --- coverage + expansion ----------------------------------------
+            // Fetch the round's posting lists (the index bucket), then apply
+            // them and expand (the traversal bucket): the clock is read per
+            // round, not per posting list.
+            let fetched = self.fetch_round(&current, dist);
+            self.apply_fetched(dist);
+            let mut visited = std::mem::take(&mut self.ws.round);
+            for &state in &visited {
                 self.expand(state, dist);
             }
+            visited.clear();
+            self.ws.round = visited;
             let forced = self.frontier.finish_round(current, dist) > self.config.queue_cap;
             if forced {
                 self.metrics.forced_rounds += 1;
             }
-            let index_time = self.metrics.io - io_before;
-            self.metrics.traversal += t0.elapsed().saturating_sub(index_time);
+            self.metrics.traversal += fetched.elapsed();
             self.metrics.levels += 1;
 
             // --- examination (distance-calculation bucket) ------------------
@@ -590,42 +607,97 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
         self.ws.order = ready;
     }
 
-    /// Applies the posting list of `node` to the candidate bookkeeping:
-    /// forward coverage once per `(origin, node)`, reverse coverage (SDS)
-    /// once per `node`. Rounds come in increasing distance, so the first
-    /// application carries the minimal distance under either policy.
+    /// The fetch pass of a round, timed as `io` as a whole: fetches the
+    /// round's posting lists one block at a time (see [`FETCH_BLOCK`]),
+    /// applying each full block on the way (timed as `traversal`); the
+    /// last block is left for the caller to apply. Returns the instant it
+    /// was fetched.
+    fn fetch_round(&mut self, current: &[State], dist: u32) -> Instant {
+        let mut rest = current;
+        // cplx: bound nq*c — every turn consumes at least one state of the round
+        loop {
+            let start = Instant::now();
+            rest = self.fetch_block(rest, dist);
+            let fetched = Instant::now();
+            self.metrics.io += fetched - start;
+            if rest.is_empty() {
+                return fetched;
+            }
+            self.apply_fetched(dist);
+            self.metrics.traversal += fetched.elapsed();
+        }
+    }
+
+    /// Fetches for `states` until the fetch buffer holds a full block;
+    /// returns the states not yet fetched for. Skips stale states, counts
+    /// the rest as visited and keeps them in the workspace's round list
+    /// for expansion, decides each one's coverage — forward once per
+    /// `(origin, node)`, reverse (SDS) once per `node`; rounds come in
+    /// increasing distance, so the first application carries the minimal
+    /// distance under either policy — and appends every posting list with
+    /// fresh coverage to the fetch buffer, one [`Span`] each.
+    fn fetch_block<'s>(&mut self, states: &'s [State], dist: u32) -> &'s [State] {
+        for (i, &state) in states.iter().enumerate() {
+            if self.frontier.is_stale(&self.ws.dense, state, dist) {
+                continue;
+            }
+            self.metrics.nodes_visited += 1;
+            // bound: sized — one entry per state of the round, into capacity the workspace retains (cplx: cap nq*c — one per (origin, concept, direction) state)
+            self.ws.round.push(state);
+            let (origin, node, _) = state;
+            // No live posting here: the posting list and the SDS reverse
+            // coverage are both empty.
+            if !self.live.live_here(node) {
+                continue;
+            }
+            let fwd = self.ws.dense.mark_pair(origin, node);
+            let rev = self.kind == QueryKind::Sds && self.ws.dense.touch_first(node);
+            if !fwd && !rev {
+                continue;
+            }
+            let begin = self.ws.postings_buf.len();
+            self.source.postings(node, &mut self.ws.postings_buf);
+            let end = self.ws.postings_buf.len();
+            // bound: sized — at most one entry per state of the round, into capacity the workspace retains (cplx: cap nq*c — one per fresh (origin, concept) pair)
+            self.ws.spans.push(Span { origin, begin, end, fwd, rev });
+            if end >= FETCH_BLOCK {
+                return states.get(i + 1..).unwrap_or_default();
+            }
+        }
+        &[]
+    }
+
+    /// The apply pass: runs the fetched posting lists against the
+    /// candidate bookkeeping in fetch order — a document's first hit
+    /// inserts its row, every hit covers it — and empties the fetch
+    /// buffers.
     // cplx: bound nq*post — amortized: the dense pair marks admit each (origin,
     // concept) pair once per query, so the posting scans sum to nq·Σ|postings|
-    fn apply_coverage(&mut self, origin: u32, node: ConceptId, level: u32) {
-        let fwd_new = self.ws.dense.mark_pair(origin, node);
-        let rev_new = self.kind == QueryKind::Sds && self.ws.dense.touch_first(node);
-        if !fwd_new && !rev_new {
-            return;
-        }
-
-        // Detach the postings buffer so the loop below can mutate the
-        // candidate table without aliasing the workspace borrow.
+    fn apply_fetched(&mut self, level: u32) {
+        // Detach the buffers so the loop below can mutate the candidate
+        // table without aliasing the workspace borrow.
         let mut postings = std::mem::take(&mut self.ws.postings_buf);
-        let t = Instant::now();
-        postings.clear();
-        self.source.postings(node, &mut postings);
-        self.metrics.io += t.elapsed();
-
-        for &d in &postings {
-            let slot = match self.ws.dense.slot_of(d) {
-                Some(slot) => slot,
-                None => {
-                    let len = if self.kind == QueryKind::Sds {
-                        packing::narrow_u32(self.source.doc_len(d))
-                    } else {
-                        0
-                    };
-                    self.ws.dense.insert_candidate(d, len)
-                }
-            };
-            self.ws.dense.apply_to_candidate(slot, origin, level, fwd_new, rev_new);
+        let mut spans = std::mem::take(&mut self.ws.spans);
+        for &Span { origin, begin, end, fwd, rev } in &spans {
+            for &d in postings.get(begin..end).unwrap_or_default() {
+                let slot = match self.ws.dense.slot_of(d) {
+                    Some(slot) => slot,
+                    None => {
+                        let len = if self.kind == QueryKind::Sds {
+                            packing::narrow_u32(self.source.doc_len(d))
+                        } else {
+                            0
+                        };
+                        self.ws.dense.insert_candidate(d, len)
+                    }
+                };
+                self.ws.dense.apply_to_candidate(slot, origin, level, fwd, rev);
+            }
         }
+        postings.clear();
+        spans.clear();
         self.ws.postings_buf = postings;
+        self.ws.spans = spans;
     }
 
     /// Pushes the valid-path neighbors of a state, each at `dist` plus the

@@ -16,8 +16,11 @@ pub struct QueryMetrics {
     pub traversal: Duration,
     /// Time computing exact distances (DRC probes and partial finalizes).
     pub distance_calc: Duration,
-    /// Time inside the index source (postings + forward fetches) — the
-    /// analogue of the paper's database access time.
+    /// Time reading the index source — the analogue of the paper's
+    /// database access time: each kNDS round's fetch pass, timed as one
+    /// block (the posting reads plus the per-state bookkeeping that
+    /// decides which lists to read), and every forward read of a DRC
+    /// probe.
     pub io: Duration,
 
     /// Exact distances computed via a DRC probe.

@@ -34,7 +34,7 @@
 //! pooled workspace can never leak one query's candidates into another's
 //! results.
 
-use crate::engine::{Candidate, QueryResult, State};
+use crate::engine::{Candidate, QueryResult, Span, State};
 use crate::util::OrdF64;
 use cbr_corpus::DocId;
 use cbr_dradix::DagScratch;
@@ -56,8 +56,13 @@ pub struct KndsWorkspace {
     /// Dense epoch-stamped state tables (candidates, coverage, dedup,
     /// Dijkstra distances, doc marks) — the hash-free hot path.
     pub(crate) dense: DenseTables,
-    /// Posting-list fetch buffer.
+    /// The round's fetched posting lists, end to end (one block at most
+    /// plus one list; see `engine::FETCH_BLOCK`).
     pub(crate) postings_buf: Vec<DocId>,
+    /// One [`Span`] per list in `postings_buf`.
+    pub(crate) spans: Vec<Span>,
+    /// The round's non-stale states, kept by the fetch pass for expansion.
+    pub(crate) round: Vec<State>,
     /// Forward-index fetch buffer.
     pub(crate) concepts_buf: Vec<ConceptId>,
     /// Current BFS level (double-buffered with `next_frontier`).
@@ -166,6 +171,8 @@ impl KndsWorkspace {
         self.query.clear();
         self.dense.clear();
         self.postings_buf.clear();
+        self.spans.clear();
+        self.round.clear();
         self.concepts_buf.clear();
         self.frontier.clear();
         self.next_frontier.clear();
@@ -187,6 +194,8 @@ impl KndsWorkspace {
         self.query.capacity() * size_of::<ConceptId>()
             + self.dense.footprint_bytes()
             + self.postings_buf.capacity() * size_of::<DocId>()
+            + self.spans.capacity() * size_of::<Span>()
+            + self.round.capacity() * size_of::<State>()
             + self.concepts_buf.capacity() * size_of::<ConceptId>()
             + (self.frontier.capacity() + self.next_frontier.capacity()) * size_of::<State>()
             + self.buckets.capacity() * size_of::<Vec<State>>()
@@ -610,10 +619,17 @@ mod tests {
         ws.query.push(ConceptId(3));
         ws.dense.begin_query(1, 8, 4, false, false);
         ws.dense.insert_candidate(DocId(0), 0);
+        // A round fetched but not yet applied or expanded.
+        ws.postings_buf.extend([DocId(0), DocId(2)]);
+        ws.spans.push(Span::default());
+        ws.round.push((0, ConceptId(1), false));
         // No finish(): simulates a panic mid-query.
         ws.begin();
         assert!(ws.query.is_empty(), "stale query leaked");
         assert!(ws.dense.cand.is_empty(), "stale candidates leaked");
+        assert!(ws.postings_buf.is_empty(), "stale fetched postings leaked");
+        assert!(ws.spans.is_empty(), "stale posting spans leaked");
+        assert!(ws.round.is_empty(), "stale round states leaked");
     }
 
     #[test]
@@ -621,6 +637,8 @@ mod tests {
         let mut ws = KndsWorkspace::new();
         ws.begin();
         ws.postings_buf.extend((0..100).map(DocId));
+        ws.spans.extend([Span::default(); 8]);
+        ws.round.extend([(0, ConceptId(0), false); 8]);
         ws.buckets.push(vec![(0, ConceptId(0), false); 16]);
         ws.dense.begin_query(2, 64, 32, true, true);
         ws.dense.insert_candidate(DocId(5), 3);

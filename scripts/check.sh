@@ -10,10 +10,11 @@
 # exploration — including the publish/retire and compaction harnesses
 # over the epoch-published snapshot — (same honest + seeded-bug pairing),
 # the repro smoke (every report of the paper's evaluation, end to end at
-# micro scale), the whole workspace's tests, and the benchmark tripwire
-# (fmt, clippy, tests and a smoke run of perfbench/, which is outside the
-# workspace and compiles against the crates' public API). Run from the
-# repository root. Every step must pass before merging.
+# micro scale), the whole workspace's tests, the kNDS and D-Radix crates'
+# tests once more as they ship (without the `counters` feature), and the
+# benchmark tripwire (fmt, clippy, tests and a smoke run of perfbench/,
+# which is outside the workspace and compiles against the crates' public
+# API). Run from the repository root. Every step must pass before merging.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -72,6 +73,12 @@ done
 # live in member crates (the one brute-force oracle, tests/oracle.rs, in
 # the root package).
 cargo test -q --workspace
+# The shipped build of the kNDS and D-Radix hot loops. `cbr-audit`'s
+# dev-dependency turns on their `counters` feature and resolver 2 unifies
+# it, so the workspace run above compiles both crates *with* the C05
+# probes; `-p` alone builds them as release, `repro` and perfbench do,
+# without (`cargo tree -e features,dev -p cbr-knds` shows no `counters`).
+cargo test -q -p cbr-knds -p cbr-dradix
 # Benchmark tripwire: perfbench/ is a package of its own (BENCHMARK.json
 # builds it from source), so nothing above notices when a crate API it
 # compiles against changes. Lint, test and smoke-run it (micro sizes,

@@ -14,7 +14,8 @@
 //!
 //! The paths:
 //! * over a static `MemorySource`: `Knds`, `WeightedKnds` at unit weights,
-//!   TA (RDS only) and the full scan;
+//!   TA (RDS only) and the full scan; and `WeightedKnds` at drawn weights
+//!   in 1..=3 against `cbr_ontology::weighted` over the same documents;
 //! * a raw `SegmentedSource` under a tight compaction policy, so seals and
 //!   both compactions happen: its `IndexSource` contract and `Knds` over
 //!   its view, at the end of the script and for a view pinned mid-script;
@@ -28,7 +29,9 @@ use cbr_dradix::{brute, INFINITE};
 use cbr_index::{CompactionPolicy, IndexSource, MemorySource, SegmentedSource, SegmentedView};
 use cbr_knds::WeightedKnds;
 use cbr_knds::{baseline, ta, Hooks, Knds, KndsConfig, KndsWorkspace, QueryResult, RankedDoc};
-use cbr_ontology::{ConceptId, EdgeWeights, GeneratorConfig, Ontology, OntologyGenerator};
+use cbr_ontology::{
+    weighted, ConceptId, EdgeWeights, GeneratorConfig, Ontology, OntologyGenerator,
+};
 use concept_rank::{Engine, EngineBuilder, EngineError, EngineSnapshot, QueryKind, SharedEngine};
 use proptest::prelude::*;
 use proptest::test_runner::{TestCaseError, TestRng};
@@ -58,6 +61,8 @@ struct Case {
     queries: Vec<Vec<ConceptId>>,
     k: usize,
     config: KndsConfig,
+    /// Seeds the drawn edge weights (see [`drawn_weights`]).
+    weight_seed: u64,
 }
 
 /// The one generator.
@@ -96,8 +101,19 @@ impl Strategy for Cases {
             .with_error_threshold([0.0, 1.0, rng.unit_f64()][rng.below(3) as usize])
             .with_queue_cap([1, 1 + rng.below(64) as usize, 50_000][rng.below(3) as usize])
             .with_dedup_visits(rng.below(2) == 0);
-        Case { shape, ontology, bulk, ops, pin_at, queries, k, config }
+        let weight_seed = rng.next_u64();
+        Case { shape, ontology, bulk, ops, pin_at, queries, k, config, weight_seed }
     }
+}
+
+/// Edge weights in 1..=3, a pure function of the seed and the edge: the
+/// weighted search's only case where its frontier hands out stale states.
+fn drawn_weights(ont: &Ontology, seed: u64) -> EdgeWeights {
+    EdgeWeights::from_fn(ont, |p, c| {
+        let h =
+            (seed ^ (u64::from(p.0) << 32) ^ u64::from(c.0)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        1 + (h >> 32) as u32 % 3
+    })
 }
 
 /// The logical collection: every document's concept set, and which died.
@@ -120,20 +136,26 @@ impl Shadow {
     }
 }
 
-/// The one answer: every live document at its brute-force distance, in
-/// `(distance, DocId)` order.
+/// The one answer: every live document at its brute-force distance under
+/// `weights` (unit edges if `None`), in `(distance, DocId)` order.
 fn brute_force(
     ont: &Ontology,
     shadow: &Shadow,
+    weights: Option<&EdgeWeights>,
     kind: QueryKind,
     q: &[ConceptId],
 ) -> Vec<RankedDoc> {
-    let distance = |doc: &[ConceptId]| match kind {
-        QueryKind::Rds => match brute::document_query_distance(ont, doc, q) {
+    let distance = |doc: &[ConceptId]| match (kind, weights) {
+        (QueryKind::Rds, None) => match brute::document_query_distance(ont, doc, q) {
             INFINITE => f64::INFINITY,
             d => d as f64,
         },
-        QueryKind::Sds => brute::document_document_distance(ont, q, doc),
+        (QueryKind::Sds, None) => brute::document_document_distance(ont, q, doc),
+        (QueryKind::Rds, Some(w)) => match weighted::document_query_distance(ont, w, doc, q) {
+            u64::MAX => f64::INFINITY,
+            d => d as f64,
+        },
+        (QueryKind::Sds, Some(w)) => weighted::document_document_distance(ont, w, q, doc),
     };
     let mut all: Vec<RankedDoc> = shadow
         .live()
@@ -153,9 +175,22 @@ fn expect(
     got: Result<QueryResult, EngineError>,
     path: &str,
 ) -> Check {
+    expect_under(case, shadow, None, kind, q, got, path)
+}
+
+/// [`expect`] against the brute-force ranking under `weights`.
+fn expect_under(
+    case: &Case,
+    shadow: &Shadow,
+    weights: Option<&EdgeWeights>,
+    kind: QueryKind,
+    q: &[ConceptId],
+    got: Result<QueryResult, EngineError>,
+    path: &str,
+) -> Check {
     let what = format!("{path}: {kind:?} {q:?} k={}", case.k);
     let got = got.map_err(|e| TestCaseError::fail(format!("{what}: {e}")))?.results;
-    let all = brute_force(&case.ontology, shadow, kind, q);
+    let all = brute_force(&case.ontology, shadow, weights, kind, q);
     let want = &all[..all.len().min(case.k)];
     prop_assert_eq!(got.len(), want.len(), "{}: result count", what);
     let ascending = |p: &[RankedDoc]| {
@@ -203,6 +238,14 @@ fn check_static(case: &Case, bulk: &Corpus, shadow: &Shadow) -> Check {
     expect_all(case, shadow, &BOTH, "WeightedKnds", |kind, q| {
         Ok(weighted.run(&mut ws, kind, q, k, Hooks::default()))
     })?;
+    let drawn = drawn_weights(ont, case.weight_seed);
+    let weighted = WeightedKnds::new(ont, &drawn, &source, case.config.clone());
+    for q in &case.queries {
+        for kind in BOTH {
+            let got = Ok(weighted.run(&mut ws, kind, q, k, Hooks::default()));
+            expect_under(case, shadow, Some(&drawn), kind, q, got, "WeightedKnds, drawn")?;
+        }
+    }
     expect_all(case, shadow, &[QueryKind::Rds], "TA", |_, q| Ok(ta::rds(ont, &source, q, k)))?;
     expect_all(case, shadow, &BOTH, "full scan", |kind, q| {
         Ok(match kind {
@@ -374,6 +417,6 @@ fn view_pinned_before_compaction_is_unaffected_by_it() {
     ops.push(Op::Compact);
     let queries = vec![vec![pick(3), pick(40), pick(77)], vec![pick(8)]];
     let config = KndsConfig::default().with_error_threshold(0.5);
-    let case = Case { shape, ontology, bulk, ops, pin_at, queries, k: 5, config };
+    let case = Case { shape, ontology, bulk, ops, pin_at, queries, k: 5, config, weight_seed: 7 };
     run(&case).unwrap();
 }
