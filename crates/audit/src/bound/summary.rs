@@ -57,7 +57,7 @@ const GROWTH_METHODS: [&str; 6] =
 pub enum SrcTy {
     /// A literal with a known value; never truncating.
     Lit,
-    /// A known primitive type (one of [`TYPE_TOKENS`]).
+    /// A known primitive type (one of `TYPE_TOKENS`).
     Known(String),
     /// Could not be typed; narrow targets treat this conservatively.
     Unknown,

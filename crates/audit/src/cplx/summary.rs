@@ -19,7 +19,7 @@
 //!    the queue identifier.
 //!
 //! A `for` loop whose driver resists all channels is still *bounded*
-//! (it iterates a materialized collection) but typed [`Atom::Unk`];
+//! (it iterates a materialized collection) but typed `Atom::Unk`;
 //! bare `while`/`loop` with no channel are [`LoopBound::Missing`] and
 //! fire C01.
 

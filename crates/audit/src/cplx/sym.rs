@@ -14,7 +14,7 @@
 //! | `Depth` | `depth` | the ontology's Dewey depth / valid-path diameter |
 //! | `Deg`   | `deg`   | the bounded in/out-degree of a concept or DAG node |
 //! | `K`     | `k`     | the requested result count |
-//! | `Seg`   | `seg`   | index segments in a [`SegmentedView`] |
+//! | `Seg`   | `seg`   | index segments in a `SegmentedView` |
 //! | `Nq`    | `nq`    | query profile size `\|Pq\|` |
 //! | `Nd`    | `nd`    | document profile size `\|Pd\|` |
 //! | `P`     | `P`     | combined profile size `\|Pq\|+\|Pd\|` |

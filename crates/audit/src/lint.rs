@@ -266,7 +266,7 @@ pub fn a08_no_hot_path_hash_tables(file: &SourceFile) -> Vec<Finding> {
 }
 
 /// A09: the snapshot/service read path must stay lock-free. Readers
-/// revalidate their pinned [`EngineSnapshot`] with a single `Published`
+/// revalidate their pinned `EngineSnapshot` with a single `Published`
 /// epoch load per query; the writer serializes behind a `Mutex` that
 /// queries never touch. An `RwLock` token in either file means someone
 /// has put a shared-section acquisition back on the steady-state read

@@ -1,6 +1,6 @@
 //! The high-level query engine: the mutable writer half of the
 //! snapshot/session split (the read half is
-//! [`EngineSnapshot`](crate::snapshot::EngineSnapshot)).
+//! [`EngineSnapshot`]).
 
 use crate::snapshot::EngineSnapshot;
 use cbr_corpus::{ConceptFilter, Corpus, DocId, FilterConfig};

@@ -5,7 +5,7 @@
 //! configuration — behind `Arc`s, so cloning one is a handful of refcount
 //! bumps and sharing one across threads needs no lock of any kind. All
 //! ranking entry points (`rds`/`sds`/batch, plus the `_with` variants that
-//! borrow a caller-owned [`KndsWorkspace`](cbr_knds::KndsWorkspace)) live
+//! borrow a caller-owned [`KndsWorkspace`]) live
 //! here; the mutable [`Engine`](crate::Engine) half owns the segmented
 //! writer and re-derives a fresh snapshot after every mutation.
 //!

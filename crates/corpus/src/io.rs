@@ -135,7 +135,8 @@ pub fn parse_documents(text: &str, ont: &Ontology) -> Result<(Corpus, Vec<String
 }
 
 /// Parses raw clinical-note documents: one per line,
-/// `name<TAB>free text…`, pushed through a [`ConceptExtractor`]
+/// `name<TAB>free text…`, pushed through a
+/// [`ConceptExtractor`](crate::extract::ConceptExtractor)
 /// (tokenization, abbreviation expansion, negation filtering). Unknown
 /// terms are simply not matched — unlike [`parse_documents`], free text is
 /// allowed to contain anything.

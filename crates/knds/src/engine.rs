@@ -1,24 +1,36 @@
 //! The kNDS engine (Algorithm 2) for RDS and SDS queries.
 //!
 //! One search proceeds in **rounds**, one per distance `l` at which some
-//! valid-path traversal state sits from its query concept. Round `l`:
+//! valid-path traversal state sits from its query concept. A state is
+//! `(origin, node, direction)` — which query concept the path started
+//! from, where it is, whether it has descended — and a round holds them
+//! grouped by node: one entry per concept, carrying the *origins* that
+//! reach it this round as two bitsets of `⌈nq/64⌉` words, `up` (still
+//! ascending) and `down` (descended). This is multi-source BFS (Then et
+//! al., "The More the Merrier: Efficient Multi-Source Graph Traversal",
+//! PVLDB 8(4), 2014): a concept reached from several query concepts in
+//! the same round is read and expanded once. Round `l`:
 //!
-//! 1. **coverage** — for each state `(origin, node)` reached for the first
-//!    time, the posting list of `node` updates every containing document's
-//!    partial distance (`Md` of Equation 5; for SDS also the reverse map
+//! 1. **coverage** — for each entry, the posting list of its node is read
+//!    once and updates every containing document's partial distance for
+//!    the entry's origins whose `(origin, node)` pair is fresh (`Md` of
+//!    Equation 5, word-wise per origin bit; for SDS also the reverse map
 //!    `M'd` of Equation 7 on the node's global first touch) — skipped
 //!    where the source's [`LiveMask`] says the node has no live posting.
-//!    A round first *fetches*: it decides every state's coverage and
+//!    A round first *fetches*: it decides every entry's coverage and
 //!    appends each list it needs to one buffer, timed as index access as
 //!    a whole rather than list by list; then it *applies* the lists in
-//!    fetch order and *expands* the same states (step 2). Coverage and
+//!    fetch order and *expands* the same entries (step 2). Coverage and
 //!    expansion share no table, so the split changes no mark, insertion
 //!    or update order;
-//! 2. **expansion** — ascending states push parents (still ascending) and
-//!    children (now descending); descending states push only children, so
-//!    every traversed path is ∧-shaped (the valid-path rule of
-//!    Section 3.1). A child with nothing live at or below it is not
-//!    pushed; ascents are never pruned;
+//! 2. **expansion** — an entry pushes its `up` origins to the node's
+//!    parents (still ascending) and all its origins, `up | down` in one
+//!    OR, to its children (now descending), so every traversed path is
+//!    ∧-shaped (the valid-path rule of Section 3.1). Pushes into the next
+//!    round merge by concept, and visit deduplication admits only the
+//!    origins not yet seen there (`new = bits & !seen`). A child with
+//!    nothing live at or below it is not pushed; ascents are never
+//!    pruned;
 //! 3. **examination** — one pass over the unexamined candidates computes
 //!    their lower bounds (Equations 6/8) and keeps those still below
 //!    `D⁺ₖ`; these are examined in ascending bound, selected one at a time
@@ -33,8 +45,9 @@
 //!
 //! Exactness does not depend on `εθ` or the queue watermark: both only
 //! steer when exact distances are computed. Nor does it depend on the
-//! order in which the traversal reaches states, only on every state at
-//! distance `≤ l` having been covered before round `l` is examined — so
+//! order in which the traversal reaches states, or on how a round groups
+//! them, only on every state at distance `≤ l` having been covered, each
+//! origin at its first-touch distance, before round `l` is examined — so
 //! the loop is written once, generic over a `Frontier` policy that owns
 //! the order: `Levels` (unit edges, breadth-first levels — [`Knds`]) or
 //! `weighted::Buckets` (weighted edges, Dijkstra buckets —
@@ -49,7 +62,7 @@ use crate::config::KndsConfig;
 use crate::metrics::QueryMetrics;
 use crate::trace::{TraceEvent, TraceSink};
 use crate::util::{OrdF64, TopK};
-use crate::workspace::{DenseTables, KndsWorkspace};
+use crate::workspace::{popcount, DenseTables, KndsWorkspace};
 use cbr_corpus::DocId;
 use cbr_dradix::Drc;
 use cbr_index::{packing, IndexSource, LiveMask};
@@ -335,20 +348,119 @@ impl<'a, S: IndexSource> Knds<'a, S> {
     }
 }
 
-/// Traversal state: `(origin query-concept index, node, has descended?)`.
-/// Ascending states (`false`) may still move to parents; once a state
-/// descends to a child the flag flips and only further descents are valid.
-pub(crate) type State = (u32, ConceptId, bool);
+/// One round of the traversal frontier: one entry per concept, carrying
+/// the origins (query-concept indexes, one bit each in `⌈nq/64⌉` words)
+/// that reach the concept at this round's distance, split by direction —
+/// `up` for origins still ascending, `down` for origins that have
+/// descended. An entry is the multi-source form of Algorithm 2's states
+/// `(origin, concept, direction)`: one posting read and one expansion
+/// serve every origin it carries (Then et al., "The More the Merrier",
+/// PVLDB 2014).
+#[derive(Debug, Default)]
+pub(crate) struct Round {
+    /// The entries' concepts: ascending in a BFS level, in push order in
+    /// a Dijkstra bucket.
+    pub(crate) nodes: Vec<ConceptId>,
+    /// Entry `i`'s origins: `up` in words `[2is, 2is + s)`, `down` in
+    /// `[2is + s, 2(i + 1)s)`, for the query's stride `s`.
+    words: Vec<u64>,
+    /// Origin-states in the round (see [`Round::pending`]).
+    pub(crate) states: usize,
+}
+
+impl Round {
+    /// Empties the round, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.nodes.clear();
+        self.words.clear();
+        self.states = 0;
+    }
+
+    /// Whether the round holds no entry.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// Origin-states in the round: as pushed while it is pending (what the
+    /// queue watermark counts), as visited once handed out (what
+    /// `TraceEvent::LevelStart` and `nodes_visited` count).
+    pub(crate) fn pending(&self) -> usize {
+        self.states
+    }
+
+    /// Retained bytes (part of the workspace footprint).
+    pub(crate) fn footprint_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.nodes.capacity() * size_of::<ConceptId>() + self.words.capacity() * size_of::<u64>()
+    }
+
+    /// ORs `bits` — origin word `w` — into the `up` or `down` half of
+    /// `node`'s entry, creating the entry first if this round has none.
+    /// `slot` is the concept's entry slot: the entry the concept last got
+    /// in *some* round, so it is this round's entry exactly when this
+    /// round's entry at that index is `node`. Counts the origin-states the
+    /// OR adds.
+    // flow: workspace-fed
+    #[inline]
+    pub(crate) fn or_word(
+        &mut self,
+        slot: &mut u32,
+        node: ConceptId,
+        stride: usize,
+        desc: bool,
+        w: usize,
+        bits: u64,
+    ) {
+        let entry = if self.nodes.get(*slot as usize) == Some(&node) {
+            *slot as usize
+        } else {
+            *slot = packing::narrow_u32(self.nodes.len());
+            // bound: sized — one entry per concept a round reaches, into capacity the workspace retains
+            self.nodes.push(node);
+            self.words.resize(self.words.len() + 2 * stride, 0);
+            *slot as usize
+        };
+        let at = 2 * stride * entry + desc as usize * stride + w;
+        if let Some(word) = self.words.get_mut(at) {
+            self.states += popcount(bits & !*word) as usize;
+            *word |= bits;
+        } else {
+            debug_assert!(false, "origin word {w} beyond the entry");
+        }
+    }
+
+    /// Entry `i`'s `up` and `down` words.
+    pub(crate) fn origins_mut(
+        &mut self,
+        i: usize,
+        stride: usize,
+    ) -> Option<(&mut [u64], &mut [u64])> {
+        let entry = self.words.get_mut(2 * stride * i..2 * stride * (i + 1))?;
+        Some(entry.split_at_mut(stride))
+    }
+
+    /// ORs entry `i`'s origins into the earlier entry `into` and empties
+    /// entry `i` (two entries of one concept become one).
+    pub(crate) fn merge_entry(&mut self, i: usize, into: usize, stride: usize) {
+        debug_assert!(into < i, "entries merge into an earlier one");
+        let (head, tail) = self.words.split_at_mut(2 * stride * i);
+        let target = head.get_mut(2 * stride * into..2 * stride * (into + 1)).unwrap_or_default();
+        for (t, w) in target.iter_mut().zip(tail.iter_mut().take(2 * stride)) {
+            *t |= *w;
+            *w = 0;
+        }
+    }
+}
 
 /// One posting list a round's fetch pass appended to the workspace's fetch
-/// buffer: ids `begin..end` cover origin `origin` forward (`fwd`) and/or
-/// the list's concept in reverse (`rev`, SDS only).
-#[derive(Debug, Clone, Copy, Default)]
+/// buffer: ids `begin..end` cover forward the origins in span words
+/// `words` (the nonzero words of the fresh origin set) and/or the list's
+/// concept in reverse (`rev`, SDS only).
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Span {
-    origin: u32,
     begin: usize,
     end: usize,
-    fwd: bool,
+    words: std::ops::Range<usize>,
     rev: bool,
 }
 
@@ -358,18 +470,20 @@ pub(crate) struct Span {
 const FETCH_BLOCK: usize = 16 * 1024;
 
 /// How the traversal frontier advances — the one thing the unit-weight
-/// and the weighted search disagree on. A policy owns the pending states,
-/// the cost of a step, the rule that admits a pushed state, and the order
-/// rounds come in; the bounds, the examination and the termination test
-/// of Algorithm 2 are the loop's and see only the round's distance.
+/// and the weighted search disagree on. A policy owns the pending
+/// [`Round`]s, the cost of a step, the rule that admits a pushed
+/// origin-state, and the order rounds come in; the bounds, the
+/// examination and the termination test of Algorithm 2 are the loop's and
+/// see only the round's distance.
 ///
-/// Contract: every admitted state is handed out by exactly one
+/// Contract: every admitted origin-state is handed out by exactly one
 /// [`take_round`](Self::take_round), rounds come in strictly increasing
-/// distance, and a state handed out at distance `l` was pushed with
-/// `dist == l` (so after round `l` every uncovered term is at distance
-/// `≥ l + 1`, which is all Equations 6/8 need).
+/// distance, a round holds at most one entry per concept, and an
+/// origin-state handed out at distance `l` was pushed with `dist == l`
+/// (so after round `l` every uncovered term is at distance `≥ l + 1`,
+/// which is all Equations 6/8 need).
 pub(crate) trait Frontier<'a> {
-    /// Whether [`DenseTables`] must size the per-state tentative-distance
+    /// Whether the dense tables must size the per-state tentative-distance
     /// table for this policy.
     const TENTATIVE: bool;
 
@@ -377,18 +491,26 @@ pub(crate) trait Frontier<'a> {
     fn drc(&self, ontology: &'a Ontology) -> Drc<'a>;
 
     /// Detaches the policy's buffers from `ws` and seeds distance 0 with
-    /// one ascending state per query concept.
+    /// every query concept, ascending from itself.
     fn seed(&mut self, ws: &mut KndsWorkspace, query: &[ConceptId], dedup: bool);
 
-    /// Moves the states pending at distance `dist` out for processing.
-    fn take_round(&mut self, dist: u32) -> Vec<State>;
+    /// Moves the round pending at distance `dist` out for processing,
+    /// with every origin superseded since its push cleared; its
+    /// [`pending`](Round::pending) count is the origin-states it visits.
+    fn take_round(&mut self, dense: &mut DenseTables, dist: u32) -> Round;
 
-    /// Whether a state handed out at `dist` was superseded by a cheaper
-    /// path since it was pushed and must be skipped. Never, by default:
-    /// with unit steps the first push of a state is its cheapest.
+    /// Moves the origins of a handed-out entry of `node` into its `up` and
+    /// `down` words, as the fetch reaches it, and returns the concept's
+    /// origin row. Nothing to move by default: the round carries them.
     #[inline]
-    fn is_stale(&self, _dense: &DenseTables, _state: State, _dist: u32) -> bool {
-        false
+    fn gather(
+        &self,
+        dense: &mut DenseTables,
+        node: ConceptId,
+        _up: &mut [u64],
+        _down: &mut [u64],
+    ) -> Option<usize> {
+        dense.origin_row(node)
     }
 
     /// Cost of ascending `child → parent` (1 by default, the paper's
@@ -404,13 +526,22 @@ pub(crate) trait Frontier<'a> {
         1
     }
 
-    /// Offers `state` at tentative distance `dist`; visit deduplication
-    /// may reject it.
-    fn admit(&mut self, dense: &mut DenseTables, dedup: bool, state: State, dist: u32);
+    /// Offers the origins `bits` (`⌈nq/64⌉` words) at `node`, ascending or
+    /// `desc`ending, at tentative distance `dist`; visit deduplication may
+    /// reject some or all of them.
+    fn admit(
+        &mut self,
+        dense: &mut DenseTables,
+        dedup: bool,
+        node: ConceptId,
+        desc: bool,
+        bits: &[u64],
+        dist: u32,
+    );
 
-    /// Hands the drained round's buffer back and returns how many states
-    /// are pending (the quantity the queue watermark limits).
-    fn finish_round(&mut self, drained: Vec<State>, dist: u32) -> usize;
+    /// Hands the drained round's buffers back and returns how many
+    /// origin-states are pending (the quantity the queue watermark limits).
+    fn finish_round(&mut self, dense: &mut DenseTables, drained: Round, dist: u32) -> usize;
 
     /// The next distance with pending states, `None` once the reachable
     /// ontology is exhausted.
@@ -420,15 +551,30 @@ pub(crate) trait Frontier<'a> {
     fn restore(&mut self, ws: &mut KndsWorkspace);
 }
 
-/// Unit edges: breadth-first levels. Level `l + 1` is built in `next`
-/// while level `l` is processed; the two buffers swap-and-clear between
-/// levels instead of allocating a fresh `Vec` per level. Every step costs
-/// 1, so the first push of a state is its minimal distance and dedup is
-/// one visited bit per state, set at push time.
+/// Unit edges: breadth-first levels. Level `l + 1` pends in the dense
+/// tables' origin rows while level `l` is processed; as level `l`
+/// finishes its concepts are swept, in ascending order, into the one
+/// retained [`Round`] buffer, and each entry's origins move in as the
+/// fetch reaches it. Every step costs 1, so the first push of an
+/// origin-state is its minimal distance and dedup is one seen bit per
+/// origin-state, applied word-wise at push time.
 #[derive(Debug, Default)]
 pub(crate) struct Levels {
-    current: Vec<State>,
-    next: Vec<State>,
+    /// The level to hand out next.
+    current: Round,
+    /// Origin-states pushed into the level after `current`.
+    pending: usize,
+}
+
+impl Levels {
+    /// Sweeps the pending level into `round`, as the next to hand out.
+    fn gather_level(&mut self, dense: &mut DenseTables, mut round: Round) {
+        round.clear();
+        dense.take_pending_concepts(&mut round.nodes);
+        round.words.resize(2 * dense.stride() * round.nodes.len(), 0);
+        round.states = std::mem::take(&mut self.pending);
+        self.current = round;
+    }
 }
 
 impl<'a> Frontier<'a> for Levels {
@@ -439,51 +585,58 @@ impl<'a> Frontier<'a> for Levels {
     }
 
     fn seed(&mut self, ws: &mut KndsWorkspace, query: &[ConceptId], dedup: bool) {
-        self.current = std::mem::take(&mut ws.frontier);
-        self.next = std::mem::take(&mut ws.next_frontier);
-        self.current.clear();
-        self.next.clear();
-        self.current
-            .extend(query.iter().enumerate().map(|(i, &c)| (packing::narrow_u32(i), c, false)));
-        if dedup {
-            for &(origin, node, desc) in &self.current {
-                ws.dense.mark_state(origin, node, desc);
-            }
+        self.pending = 0;
+        for (i, &c) in query.iter().enumerate() {
+            self.pending += ws.dense.push_next(c, false, i >> 6, 1 << (i & 63), dedup) as usize;
         }
+        self.gather_level(&mut ws.dense, std::mem::take(&mut ws.frontier));
     }
 
     #[inline]
-    fn take_round(&mut self, _dist: u32) -> Vec<State> {
+    fn take_round(&mut self, _dense: &mut DenseTables, _dist: u32) -> Round {
         std::mem::take(&mut self.current)
     }
 
     #[inline]
-    fn admit(&mut self, dense: &mut DenseTables, dedup: bool, state: State, _dist: u32) {
-        let (origin, node, desc) = state;
-        if !dedup || dense.mark_state(origin, node, desc) {
-            self.next.push(state);
-        }
+    fn gather(
+        &self,
+        dense: &mut DenseTables,
+        node: ConceptId,
+        up: &mut [u64],
+        down: &mut [u64],
+    ) -> Option<usize> {
+        dense.take_pending(node, up, down)
     }
 
     #[inline]
-    fn finish_round(&mut self, drained: Vec<State>, _dist: u32) -> usize {
-        self.current = drained;
-        self.next.len()
+    fn admit(
+        &mut self,
+        dense: &mut DenseTables,
+        dedup: bool,
+        node: ConceptId,
+        desc: bool,
+        bits: &[u64],
+        _dist: u32,
+    ) {
+        for (w, &b) in bits.iter().enumerate() {
+            if b != 0 {
+                self.pending += dense.push_next(node, desc, w, b, dedup) as usize;
+            }
+        }
+    }
+
+    fn finish_round(&mut self, dense: &mut DenseTables, drained: Round, _dist: u32) -> usize {
+        self.gather_level(dense, drained);
+        self.current.pending()
     }
 
     #[inline]
     fn advance(&mut self, dist: u32) -> Option<u32> {
-        if self.next.is_empty() {
-            return None;
-        }
-        std::mem::swap(&mut self.current, &mut self.next);
-        self.next.clear();
-        Some(dist + 1)
+        (!self.current.is_empty()).then_some(dist + 1)
     }
 
     fn restore(&mut self, ws: &mut KndsWorkspace) {
         ws.frontier = std::mem::take(&mut self.current);
-        ws.next_frontier = std::mem::take(&mut self.next);
     }
 }
 
@@ -518,21 +671,18 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
         loop {
             #[cfg(feature = "counters")]
             crate::counters::bump_rounds();
-            let current = self.frontier.take_round(dist);
-            self.trace(|| TraceEvent::LevelStart { level: dist, frontier: current.len() });
+            let mut current = self.frontier.take_round(&mut self.ws.dense, dist);
+            self.metrics.nodes_visited += current.pending();
+            self.trace(|| TraceEvent::LevelStart { level: dist, frontier: current.pending() });
             // --- coverage + expansion ----------------------------------------
             // Fetch the round's posting lists (the index bucket), then apply
             // them and expand (the traversal bucket): the clock is read per
             // round, not per posting list.
-            let fetched = self.fetch_round(&current, dist);
+            let fetched = self.fetch_round(&mut current, dist);
             self.apply_fetched(dist);
-            let mut visited = std::mem::take(&mut self.ws.round);
-            for &state in &visited {
-                self.expand(state, dist);
-            }
-            visited.clear();
-            self.ws.round = visited;
-            let forced = self.frontier.finish_round(current, dist) > self.config.queue_cap;
+            self.expand_round(&mut current, dist);
+            let pending = self.frontier.finish_round(&mut self.ws.dense, current, dist);
+            let forced = pending > self.config.queue_cap;
             if forced {
                 self.metrics.forced_rounds += 1;
             }
@@ -612,15 +762,15 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
     /// applying each full block on the way (timed as `traversal`); the
     /// last block is left for the caller to apply. Returns the instant it
     /// was fetched.
-    fn fetch_round(&mut self, current: &[State], dist: u32) -> Instant {
-        let mut rest = current;
-        // cplx: bound nq*c — every turn consumes at least one state of the round
+    fn fetch_round(&mut self, round: &mut Round, dist: u32) -> Instant {
+        let mut from = 0;
+        // cplx: bound nq*c — every turn consumes at least one entry of the round
         loop {
             let start = Instant::now();
-            rest = self.fetch_block(rest, dist);
+            from = self.fetch_block(round, from);
             let fetched = Instant::now();
             self.metrics.io += fetched - start;
-            if rest.is_empty() {
+            if from >= round.nodes.len() {
                 return fetched;
             }
             self.apply_fetched(dist);
@@ -628,43 +778,57 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
         }
     }
 
-    /// Fetches for `states` until the fetch buffer holds a full block;
-    /// returns the states not yet fetched for. Skips stale states, counts
-    /// the rest as visited and keeps them in the workspace's round list
-    /// for expansion, decides each one's coverage — forward once per
-    /// `(origin, node)`, reverse (SDS) once per `node`; rounds come in
-    /// increasing distance, so the first application carries the minimal
-    /// distance under either policy — and appends every posting list with
-    /// fresh coverage to the fetch buffer, one [`Span`] each.
-    fn fetch_block<'s>(&mut self, states: &'s [State], dist: u32) -> &'s [State] {
-        for (i, &state) in states.iter().enumerate() {
-            if self.frontier.is_stale(&self.ws.dense, state, dist) {
+    /// Fetches for the round's entries from `from` on until the fetch
+    /// buffer holds a full block; returns the first entry not yet fetched
+    /// for. Gathers each entry's origins (see [`Frontier::gather`]) and
+    /// decides the entry's coverage — forward for its origins whose
+    /// `(origin, node)` pair is fresh (`(up | down) & !pair_seen`),
+    /// reverse (SDS) on the node's first touch; rounds come in increasing
+    /// distance, so the first application carries the minimal distance
+    /// under either policy — then reads the node's posting list once if
+    /// either is due, as one [`Span`] carrying the forward origin words.
+    fn fetch_block(&mut self, round: &mut Round, from: usize) -> usize {
+        let stride = self.ws.dense.stride();
+        let origin_sets = round.words.chunks_exact_mut(2 * stride);
+        for (i, (&node, origins)) in round.nodes.iter().zip(origin_sets).enumerate().skip(from) {
+            let (up, down) = origins.split_at_mut(stride);
+            let row = self.frontier.gather(&mut self.ws.dense, node, up, down);
+            if origins.iter().all(|&w| w == 0) {
+                // Every origin was superseded (weighted) or merged away.
                 continue;
             }
-            self.metrics.nodes_visited += 1;
-            // bound: sized — one entry per state of the round, into capacity the workspace retains (cplx: cap nq*c — one per (origin, concept, direction) state)
-            self.ws.round.push(state);
-            let (origin, node, _) = state;
             // No live posting here: the posting list and the SDS reverse
             // coverage are both empty.
             if !self.live.live_here(node) {
                 continue;
             }
-            let fwd = self.ws.dense.mark_pair(origin, node);
+            let (up, down) = origins.split_at(stride);
+            let from = self.ws.span_words.len();
+            for (w, (&u, &d)) in up.iter().zip(down).enumerate() {
+                let Some(row) = row.filter(|_| u | d != 0) else {
+                    continue;
+                };
+                let new = self.ws.dense.fresh_pairs(row, w, u | d);
+                if new != 0 {
+                    // bound: sized — at most one origin word per entry word of the round, into capacity the workspace retains (cplx: cap nq*c — one per fresh (origin, concept) pair)
+                    self.ws.span_words.push((packing::narrow_u32(w), new));
+                }
+            }
+            let words = from..self.ws.span_words.len();
             let rev = self.kind == QueryKind::Sds && self.ws.dense.touch_first(node);
-            if !fwd && !rev {
+            if words.is_empty() && !rev {
                 continue;
             }
             let begin = self.ws.postings_buf.len();
             self.source.postings(node, &mut self.ws.postings_buf);
             let end = self.ws.postings_buf.len();
-            // bound: sized — at most one entry per state of the round, into capacity the workspace retains (cplx: cap nq*c — one per fresh (origin, concept) pair)
-            self.ws.spans.push(Span { origin, begin, end, fwd, rev });
+            // bound: sized — at most one entry per concept of the round, into capacity the workspace retains (cplx: cap nq*c — one per fresh (origin, concept) pair)
+            self.ws.spans.push(Span { begin, end, words, rev });
             if end >= FETCH_BLOCK {
-                return states.get(i + 1..).unwrap_or_default();
+                return i + 1;
             }
         }
-        &[]
+        round.nodes.len()
     }
 
     /// The apply pass: runs the fetched posting lists against the
@@ -678,58 +842,96 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
         // table without aliasing the workspace borrow.
         let mut postings = std::mem::take(&mut self.ws.postings_buf);
         let mut spans = std::mem::take(&mut self.ws.spans);
-        for &Span { origin, begin, end, fwd, rev } in &spans {
-            for &d in postings.get(begin..end).unwrap_or_default() {
-                let slot = match self.ws.dense.slot_of(d) {
-                    Some(slot) => slot,
-                    None => {
-                        let len = if self.kind == QueryKind::Sds {
-                            packing::narrow_u32(self.source.doc_len(d))
-                        } else {
-                            0
-                        };
-                        self.ws.dense.insert_candidate(d, len)
-                    }
-                };
-                self.ws.dense.apply_to_candidate(slot, origin, level, fwd, rev);
+        let mut span_words = std::mem::take(&mut self.ws.span_words);
+        for Span { begin, end, words, rev } in &spans {
+            let hits = postings.get(*begin..*end).unwrap_or_default();
+            match span_words.get(words.clone()).unwrap_or_default() {
+                // One origin word, as every RDS span: the hit loop below
+                // specializes to a single word test.
+                &[one] => self.apply_hits(hits, &[one], level, *rev),
+                fwd => self.apply_hits(hits, fwd, level, *rev),
             }
         }
         postings.clear();
         spans.clear();
+        span_words.clear();
         self.ws.postings_buf = postings;
         self.ws.spans = spans;
+        self.ws.span_words = span_words;
     }
 
-    /// Pushes the valid-path neighbors of a state, each at `dist` plus the
-    /// policy's step cost: once a traversal has descended it may not
-    /// ascend again (the "{G,F} not pushed" rule of Example 4). A child
-    /// with nothing live at or below it is not pushed: every path through
-    /// it descends, so it reaches no document. Ascents are never pruned,
-    /// so every ∧-path to a live concept survives at its length, and
-    /// first-touch levels, partial distances and bounds do not change.
-    fn expand(&mut self, (origin, node, descending): State, dist: u32) {
-        if !descending {
+    /// Applies one posting list's hits: forward coverage of the origin
+    /// words `fwd`, reverse coverage if `rev`.
+    #[inline(always)]
+    fn apply_hits(&mut self, hits: &[DocId], fwd: &[(u32, u64)], level: u32, rev: bool) {
+        for &d in hits {
+            let slot = match self.ws.dense.slot_of(d) {
+                Some(slot) => slot,
+                None => {
+                    let len = if self.kind == QueryKind::Sds {
+                        packing::narrow_u32(self.source.doc_len(d))
+                    } else {
+                        0
+                    };
+                    self.ws.dense.insert_candidate(d, len)
+                }
+            };
+            self.ws.dense.apply_to_candidate(slot, fwd, level, rev);
+        }
+    }
+
+    /// Expands every entry of the round (see [`Search::expand`]).
+    fn expand_round(&mut self, round: &mut Round, dist: u32) {
+        let stride = self.ws.dense.stride();
+        // cplx: bound nq*c — one turn per entry, at most one entry per concept of the round
+        for i in 0..round.nodes.len() {
+            let node = round.nodes.get(i).copied();
+            if let Some((node, (up, down))) = node.zip(round.origins_mut(i, stride)) {
+                self.expand(node, up, down, dist);
+            }
+        }
+    }
+
+    /// Pushes the valid-path neighbors of an entry, each at `dist` plus
+    /// the policy's step cost: its `up` origins to the parents (still
+    /// ascending), all its origins — `up | down`, one OR, left in `down` —
+    /// to the children (now descending); once a traversal has descended it
+    /// may not ascend again (the "{G,F} not pushed" rule of Example 4). A
+    /// child with nothing live at or below it is not pushed: every path
+    /// through it descends, so it reaches no document. Ascents are never
+    /// pruned, so every ∧-path to a live concept survives at its length,
+    /// and first-touch levels, partial distances and bounds do not change.
+    fn expand(&mut self, node: ConceptId, up: &[u64], down: &mut [u64], dist: u32) {
+        if up.iter().any(|&w| w != 0) {
             for &p in self.ont.parents(node) {
                 let Some(w) = self.frontier.parent_step(self.ont, p, node) else {
                     debug_assert!(false, "parent adjacency is symmetric");
                     continue;
                 };
-                self.push_state((origin, p, false), dist + w);
+                self.push_state(p, false, up, dist + w);
             }
+        }
+        let mut any = false;
+        for (d, &u) in down.iter_mut().zip(up) {
+            *d |= u;
+            any |= *d != 0;
+        }
+        if !any {
+            return;
         }
         for (pos, &c) in self.ont.children(node).iter().enumerate() {
             if !self.live.live_below(c) {
                 continue;
             }
             let w = self.frontier.child_step(node, pos);
-            self.push_state((origin, c, true), dist + w);
+            self.push_state(c, true, down, dist + w);
         }
     }
 
     #[inline]
-    fn push_state(&mut self, state: State, dist: u32) {
+    fn push_state(&mut self, node: ConceptId, desc: bool, bits: &[u64], dist: u32) {
         let dedup = self.config.dedup_visits;
-        self.frontier.admit(&mut self.ws.dense, dedup, state, dist);
+        self.frontier.admit(&mut self.ws.dense, dedup, node, desc, bits, dist);
     }
 
     /// One linear pass over the unexamined rows, then examination in

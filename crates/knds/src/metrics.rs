@@ -42,8 +42,8 @@ pub struct QueryMetrics {
     /// (Section 5.3, optimization 4).
     pub progressive_results: usize,
     /// 1 if this query ran on a previously warmed (reused) workspace,
-    /// 0 on a cold one. Sums to a reuse count under [`accumulate`]
-    /// (Self::accumulate).
+    /// 0 on a cold one. Sums to a reuse count under
+    /// [`accumulate`](Self::accumulate).
     pub workspace_reused: usize,
     /// Retained workspace footprint (bytes of buffer capacity) after the
     /// query returned it clean. Steady-state tests assert this stops

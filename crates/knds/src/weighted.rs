@@ -19,7 +19,10 @@
 //!
 //! Push-time state deduplication (safe with unit steps) is replaced by the
 //! classic lazy-deletion rule: a state re-pushed with a smaller tentative
-//! distance supersedes the old entry, and stale pops are skipped.
+//! distance supersedes the old one, and stale origins are dropped when
+//! their bucket drains. A bucket holds the same per-concept entries with
+//! origin bitsets as a BFS level, merged within the bucket, and relaxes
+//! and filters them origin by origin.
 //!
 //! Like the unit-weight engine, all per-query state (candidate table,
 //! Dijkstra buckets, coverage maps, DRC scratch) lives in a borrowed
@@ -27,7 +30,7 @@
 //! queries.
 
 use crate::config::KndsConfig;
-use crate::engine::{Frontier, Hooks, Knds, QueryKind, QueryResult, State};
+use crate::engine::{Frontier, Hooks, Knds, QueryKind, QueryResult, Round};
 use crate::workspace::{DenseTables, KndsWorkspace};
 use cbr_dradix::Drc;
 use cbr_index::{packing, IndexSource};
@@ -101,15 +104,28 @@ impl<'a, S: IndexSource> WeightedKnds<'a, S> {
     }
 }
 
-/// Weighted edges: distance-indexed Dijkstra buckets. Buckets grow on
-/// demand; both the outer `Vec` and every inner `Vec` are retained by the
-/// workspace across queries. A state may be pushed more than once (a
-/// cheaper path found later), so dedup is a per-state best tentative
-/// distance — 8 stamped bytes where [`Levels`](crate::engine) pays one
-/// bit — and superseded entries are skipped when their bucket drains.
+/// Weighted edges: distance-indexed Dijkstra buckets, each a [`Round`].
+/// Buckets grow on demand; both the outer `Vec` and every bucket are
+/// retained by the workspace across queries. An origin-state may be
+/// pushed more than once (a cheaper path found later), so dedup is a
+/// per-state best tentative distance — 8 stamped bytes where
+/// [`Levels`](crate::engine) pays one bit — and superseded origins are
+/// cleared when their bucket drains.
 struct Buckets<'a> {
     weights: &'a EdgeWeights,
-    buckets: Vec<Vec<State>>,
+    buckets: Vec<Round>,
+}
+
+/// The origin indexes set in word `w` of an origin set.
+fn origins_of(w: usize, mut bits: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        if bits == 0 {
+            return None;
+        }
+        let o = bits.trailing_zeros();
+        bits &= bits - 1;
+        Some(packing::narrow_u32(w * 64) + o)
+    })
 }
 
 impl<'a> Frontier<'a> for Buckets<'a> {
@@ -122,28 +138,55 @@ impl<'a> Frontier<'a> for Buckets<'a> {
     fn seed(&mut self, ws: &mut KndsWorkspace, query: &[ConceptId], _dedup: bool) {
         self.buckets = std::mem::take(&mut ws.buckets);
         if self.buckets.is_empty() {
-            self.buckets.push(Vec::new());
+            self.buckets.push(Round::default());
         }
+        let stride = ws.dense.stride();
         if let Some(seed) = self.buckets.first_mut() {
             for (i, &c) in query.iter().enumerate() {
-                let origin = packing::narrow_u32(i);
-                ws.dense.improve_best(origin, c, false, 0);
-                // bound: sized — one seed entry per query concept
-                seed.push((origin, c, false));
+                ws.dense.improve_best(packing::narrow_u32(i), c, false, 0);
+                if let Some(slot) = ws.dense.entry_slot(c) {
+                    seed.or_word(slot, c, stride, false, i >> 6, 1 << (i & 63));
+                }
             }
         }
     }
 
-    #[inline]
-    fn take_round(&mut self, dist: u32) -> Vec<State> {
-        self.buckets.get_mut(dist as usize).map(std::mem::take).unwrap_or_default()
-    }
-
-    /// Lazy deletion: an entry whose state has since been relaxed below
-    /// this bucket's distance is stale.
-    #[inline]
-    fn is_stale(&self, dense: &DenseTables, (origin, node, desc): State, dist: u32) -> bool {
-        dense.best_dist(origin, node, desc).is_some_and(|best| best < dist)
+    /// Drains bucket `dist`: merges the entries a concept got in it after
+    /// its slot moved to another bucket, then lazy deletion — an origin
+    /// whose state has since been relaxed below this bucket's distance is
+    /// stale and cleared — and counts the origin-states left.
+    fn take_round(&mut self, dense: &mut DenseTables, dist: u32) -> Round {
+        let mut round = self.buckets.get_mut(dist as usize).map(std::mem::take).unwrap_or_default();
+        let stride = dense.stride();
+        // cplx: bound nq*c — one turn per entry, at most nq·c entries a bucket
+        for i in 0..round.nodes.len() {
+            let Some(node) = round.nodes.get(i).copied() else { break };
+            let Some(slot) = dense.entry_slot(node) else { continue };
+            let first = *slot as usize;
+            if first < i && round.nodes.get(first) == Some(&node) {
+                round.merge_entry(i, first, stride);
+            } else {
+                *slot = packing::narrow_u32(i);
+            }
+        }
+        let mut states = 0;
+        // cplx: bound nq*c — one turn per entry, at most nq·c entries a bucket
+        for i in 0..round.nodes.len() {
+            let Some(node) = round.nodes.get(i).copied() else { break };
+            let Some((up, down)) = round.origins_mut(i, stride) else { continue };
+            for (desc, half) in [(false, up), (true, down)] {
+                for (w, word) in half.iter_mut().enumerate() {
+                    for o in origins_of(w, *word) {
+                        if dense.best_dist(o, node, desc).is_some_and(|best| best < dist) {
+                            *word &= !(1u64 << (o & 63));
+                        }
+                    }
+                    states += word.count_ones() as usize;
+                }
+            }
+        }
+        round.states = states;
+        round
     }
 
     #[inline]
@@ -156,31 +199,50 @@ impl<'a> Frontier<'a> for Buckets<'a> {
         self.weights.weight_at(node, pos)
     }
 
+    /// Dijkstra relaxation, origin by origin: with dedup only the origins
+    /// whose tentative distance `dist` strictly improves are kept.
     // Bucket growth is retained by the workspace across queries.
     // flow: workspace-fed
     #[inline]
-    fn admit(&mut self, dense: &mut DenseTables, dedup: bool, state: State, dist: u32) {
-        // Dijkstra relaxation: only keep strictly improving pushes.
-        let (origin, node, desc) = state;
-        if dedup && !dense.improve_best(origin, node, desc, dist) {
-            return;
-        }
+    fn admit(
+        &mut self,
+        dense: &mut DenseTables,
+        dedup: bool,
+        node: ConceptId,
+        desc: bool,
+        bits: &[u64],
+        dist: u32,
+    ) {
         if self.buckets.len() <= dist as usize {
-            self.buckets.resize(dist as usize + 1, Vec::new());
+            self.buckets.resize_with(dist as usize + 1, Round::default);
         }
-        if let Some(bucket) = self.buckets.get_mut(dist as usize) {
-            bucket.push(state);
+        let Some(bucket) = self.buckets.get_mut(dist as usize) else { return };
+        let stride = dense.stride();
+        for (w, &b) in bits.iter().enumerate() {
+            let mut kept = b;
+            if dedup {
+                for o in origins_of(w, b) {
+                    if !dense.improve_best(o, node, desc, dist) {
+                        kept &= !(1u64 << (o & 63));
+                    }
+                }
+            }
+            if kept != 0 {
+                if let Some(slot) = dense.entry_slot(node) {
+                    bucket.or_word(slot, node, stride, desc, w, kept);
+                }
+            }
         }
     }
 
     /// Hands the drained bucket's capacity back (expansion only ever
     /// pushes past `dist`, so the slot is final for this query).
-    fn finish_round(&mut self, mut drained: Vec<State>, dist: u32) -> usize {
+    fn finish_round(&mut self, _dense: &mut DenseTables, mut drained: Round, dist: u32) -> usize {
         drained.clear();
         if let Some(slot) = self.buckets.get_mut(dist as usize) {
             *slot = drained;
         }
-        self.buckets.iter().map(|b| b.len()).sum()
+        self.buckets.iter().map(Round::pending).sum()
     }
 
     /// The next non-empty bucket.

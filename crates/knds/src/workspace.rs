@@ -14,9 +14,10 @@
 //! # Dense epoch-stamped tables
 //!
 //! The per-state lookups of Algorithm 2 (BFS dedup, coverage-applied
-//! pairs, the candidate map, Dijkstra tentative distances) live in
-//! [`DenseTables`]: flat arrays sized by `|C|` and `|D|`, indexed by
-//! arithmetic on `(origin, concept)` or by `DocId`, with **epoch stamps**
+//! pairs, the candidate map, Dijkstra tentative distances) live in the
+//! crate-private `DenseTables`: flat arrays sized by `|C|` and `|D|`,
+//! indexed by concept (a concept-major row of origin words), by
+//! `(origin, concept)` or by `DocId`, with **epoch stamps**
 //! instead of per-query clearing. Every entry carries the epoch of the
 //! query that last wrote it; a stamp that does not match the current
 //! epoch reads as empty. Opening a query bumps one counter — O(1)
@@ -34,7 +35,7 @@
 //! pooled workspace can never leak one query's candidates into another's
 //! results.
 
-use crate::engine::{Candidate, QueryResult, Span, State};
+use crate::engine::{Candidate, QueryResult, Round, Span};
 use crate::util::OrdF64;
 use cbr_corpus::DocId;
 use cbr_dradix::DagScratch;
@@ -61,16 +62,15 @@ pub struct KndsWorkspace {
     pub(crate) postings_buf: Vec<DocId>,
     /// One [`Span`] per list in `postings_buf`.
     pub(crate) spans: Vec<Span>,
-    /// The round's non-stale states, kept by the fetch pass for expansion.
-    pub(crate) round: Vec<State>,
+    /// The origins each span covers forward: its nonzero origin words,
+    /// as `(w, bits)`.
+    pub(crate) span_words: Vec<(u32, u64)>,
     /// Forward-index fetch buffer.
     pub(crate) concepts_buf: Vec<ConceptId>,
-    /// Current BFS level (double-buffered with `next_frontier`).
-    pub(crate) frontier: Vec<State>,
-    /// Next BFS level (swap-and-clear, never reallocated per level).
-    pub(crate) next_frontier: Vec<State>,
+    /// The BFS level being processed (the next one pends in `dense`).
+    pub(crate) frontier: Round,
     /// Weighted: distance-indexed Dijkstra buckets.
-    pub(crate) buckets: Vec<Vec<State>>,
+    pub(crate) buckets: Vec<Round>,
     /// Examination order buffer: the round's `(lower bound, doc)` min-heap.
     pub(crate) order: Vec<Reverse<(OrdF64, DocId)>>,
     /// The DRC D-Radix build scratch (node/label arenas et al.).
@@ -172,10 +172,9 @@ impl KndsWorkspace {
         self.dense.clear();
         self.postings_buf.clear();
         self.spans.clear();
-        self.round.clear();
+        self.span_words.clear();
         self.concepts_buf.clear();
         self.frontier.clear();
-        self.next_frontier.clear();
         for b in &mut self.buckets {
             b.clear();
         }
@@ -195,11 +194,11 @@ impl KndsWorkspace {
             + self.dense.footprint_bytes()
             + self.postings_buf.capacity() * size_of::<DocId>()
             + self.spans.capacity() * size_of::<Span>()
-            + self.round.capacity() * size_of::<State>()
+            + self.span_words.capacity() * size_of::<(u32, u64)>()
             + self.concepts_buf.capacity() * size_of::<ConceptId>()
-            + (self.frontier.capacity() + self.next_frontier.capacity()) * size_of::<State>()
-            + self.buckets.capacity() * size_of::<Vec<State>>()
-            + self.buckets.iter().map(|b| b.capacity() * size_of::<State>()).sum::<usize>()
+            + self.frontier.footprint_bytes()
+            + self.buckets.capacity() * size_of::<Round>()
+            + self.buckets.iter().map(Round::footprint_bytes).sum::<usize>()
             + self.order.capacity() * size_of::<Reverse<(OrdF64, DocId)>>()
             + self.dag.footprint_bytes()
     }
@@ -209,40 +208,58 @@ impl KndsWorkspace {
 ///
 /// Layouts (all indexes are plain arithmetic, no hashing):
 ///
+/// * **origin row** `node` → `row_stride` [`OriginWords`] in
+///   `origin_rows`, one per 64 query concepts (origins): which origins have
+///   reached the concept ascending and descending (the BFS visited set),
+///   which have had its posting list applied (coverage), and which are
+///   pending at it next round (the unit-weight frontier). `row_stride` is
+///   the widest query's `⌈nq/64⌉` so far; a narrower query uses the first
+///   `stride` of each row;
+/// * **next-round mask** — one bit per concept and origin word in
+///   `next_mask`: the concepts with origins pending next round, swept in
+///   ascending concept order when the round begins;
 /// * **packed state** `(origin, node, descending)` →
-///   `(origin · |C| + node) · 2 + descending` — one bit per state in
-///   `state_bits` (BFS dedup) and one `u32` per state in `best`
-///   (weighted tentative distances);
-/// * **pair** `(origin, node)` → `origin · |C| + node` — one bit per pair
-///   in `pair_bits` (coverage applied);
+///   `(origin · |C| + node) · 2 + descending` — one `u32` per state in
+///   `best` (weighted tentative distances);
 /// * **concept** `node` → one stamp in `touch_stamps` (SDS global first
 ///   touch);
 /// * **document** `doc` → one bit in `doc_bits` (progressive emission /
 ///   TA scan marks) and one packed `stamp << 32 | row` entry in `slots`
 ///   pointing into the dense candidate rows.
 ///
-/// Bitsets stamp per 64-bit word, with the stamp *beside* the word (one
-/// [`StampedWord`] per 64 entries) so a test-and-set touches a single
-/// cache line; value arrays stamp per entry. A stamp equal to the current
-/// epoch means live; any other value reads as empty, which is what makes
-/// clearing O(1).
+/// Origin words and bitset words carry their stamp *beside* them, so a
+/// test-and-set touches a single cache line: one origin word serves a
+/// push's admission and its next-round pending bits, and later the fetch's
+/// coverage test, in one 48-byte record. Value arrays stamp per entry. A
+/// stamp equal to the current epoch means live; any other value reads as
+/// empty, which is what makes clearing O(1).
 ///
 /// Candidates are *rows*, not map entries: `slots[doc]` points at
-/// parallel `cand`/`cand_docs` vectors, and each row owns `cover_stride`
-/// words of the shared `cover_words` arena for its per-query-concept
-/// coverage bits — no per-candidate heap allocation anywhere.
+/// parallel `cand`/`cand_docs` vectors, and each row owns `stride` words
+/// of the shared `cover_words` arena for its per-query-concept coverage
+/// bits — no per-candidate heap allocation anywhere.
 #[derive(Debug, Default)]
 pub(crate) struct DenseTables {
     /// Current query generation; stamps equal to this are live.
     epoch: u32,
-    /// `|C|` used for state/pair indexing this query.
+    /// `|C|` used for state indexing this query.
     concepts: usize,
-    /// Words per candidate coverage row this query (`⌈nq / 64⌉`).
-    cover_stride: usize,
-    /// BFS state visited bits, stamped per word.
-    state_bits: Vec<StampedWord>,
-    /// `(origin, node)` coverage-applied bits, stamped per word.
-    pair_bits: Vec<StampedWord>,
+    /// Words per origin set this query (`⌈nq / 64⌉`): a candidate's
+    /// coverage row, a frontier entry's half, a span's forward origins.
+    stride: usize,
+    /// Concept → the first word of its origin row this query, valid when
+    /// that word names the concept back: every word of a row names its
+    /// concept, so an index left over from an earlier query finds a word
+    /// of another concept's row, or none. Rows are handed out in
+    /// first-touch order, so a query's rows sit together, and truncating
+    /// the arena empties them all.
+    row_of: Vec<u32>,
+    /// Origin rows, `stride` words each, truncated between queries.
+    origin_rows: Vec<OriginWords>,
+    /// Unit weights: the concepts with origins pending next level, one bit
+    /// each — swept in ascending concept order, so a level's posting
+    /// lists, adjacency and origin rows are read in index order.
+    pending: Vec<u64>,
     /// Per-document mark bits (emitted / TA-seen), stamped per word.
     doc_bits: Vec<StampedWord>,
     /// SDS: per-concept first-touch stamps (a pure set; the touch level
@@ -260,8 +277,47 @@ pub(crate) struct DenseTables {
     /// finalize without touching the `|D|`-sized slot map).
     pub(crate) cand_docs: Vec<DocId>,
     /// Shared coverage-bit arena: row `r` owns words
-    /// `[r · cover_stride, (r + 1) · cover_stride)`.
+    /// `[r · stride, (r + 1) · stride)`.
     cover_words: Vec<u64>,
+}
+
+/// One concept's origins `64w..64w + 63` (bit `o` is origin `64w + o`):
+/// the traversal's per-concept state for one word of the query's origin
+/// sets, stamped by the query that last wrote it.
+#[derive(Debug, Default, Clone, Copy)]
+struct OriginWords {
+    /// The concept whose row this is.
+    concept: u32,
+    /// Weighted: the concept's entry slot (see `Round::or_word`); kept
+    /// in the row's first word only.
+    slot: u32,
+    /// Origins at the concept ascending.
+    up: Direction,
+    /// Origins at the concept descending.
+    down: Direction,
+    /// Origins whose forward coverage the concept's posting list applied.
+    pair: u64,
+}
+
+/// The origins at a concept in one direction.
+#[derive(Debug, Default, Clone, Copy)]
+struct Direction {
+    /// Every origin that has reached it so far (the visited set).
+    seen: u64,
+    /// Unit weights: the origins pending at it next round.
+    next: u64,
+}
+
+/// The bits set in `w`. Origin words are sparse — one bit is the common
+/// case, and the only one RDS sees — so that case skips the population
+/// count the baseline target has no instruction for.
+#[inline]
+pub(crate) fn popcount(w: u64) -> u32 {
+    if w & w.wrapping_sub(1) == 0 {
+        u32::from(w != 0)
+    } else {
+        w.count_ones()
+    }
 }
 
 /// One stamped bitset word: 64 membership bits and the epoch that wrote
@@ -317,6 +373,12 @@ impl DenseTables {
         ((origin as usize * self.concepts + node.index()) << 1) | descending as usize
     }
 
+    /// Words per origin set this query (`⌈nq / 64⌉`).
+    #[inline]
+    pub(crate) fn stride(&self) -> usize {
+        self.stride
+    }
+
     /// Opens a new query epoch and grows the tables to the query's
     /// geometry (`origins` query concepts over `concepts` ontology ids
     /// and `docs` documents). Growth happens here — at workspace
@@ -333,10 +395,15 @@ impl DenseTables {
         needs_best: bool,
     ) -> bool {
         self.concepts = concepts;
-        self.cover_stride = origins.div_ceil(64).max(1);
+        self.stride = origins.div_ceil(64).max(1);
+        if self.row_of.len() < concepts {
+            self.row_of.resize(concepts, 0);
+        }
+        if self.pending.len() < concepts.div_ceil(64) {
+            self.pending.resize(concepts.div_ceil(64), 0);
+        }
+        self.clear();
         let states = origins * concepts * 2;
-        grow_words(&mut self.state_bits, states);
-        grow_words(&mut self.pair_bits, origins * concepts);
         grow_words(&mut self.doc_bits, docs);
         if needs_touch && self.touch_stamps.len() < concepts {
             self.touch_stamps.resize(concepts, 0);
@@ -348,21 +415,12 @@ impl DenseTables {
         if self.slots.len() < docs {
             self.slots.resize(docs, 0);
         }
-        self.cand.clear();
-        self.cand_docs.clear();
-        self.cover_words.clear();
 
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // The counter wrapped: stamps written ~4 billion queries ago
             // would now alias a live epoch. Reset them all once and
             // restart the epoch sequence above the dead stamp value.
-            for e in &mut self.state_bits {
-                e.stamp = 0;
-            }
-            for e in &mut self.pair_bits {
-                e.stamp = 0;
-            }
             for e in &mut self.doc_bits {
                 e.stamp = 0;
             }
@@ -394,40 +452,132 @@ impl DenseTables {
         }
     }
 
-    /// Truncates the per-query candidate rows (capacity retained). The
-    /// stamped arrays need no touch: the next epoch bump invalidates them.
+    /// Truncates the per-query origin and candidate rows (capacity
+    /// retained) and empties the pending level, which a search that stops
+    /// early leaves behind. The stamped arrays need no touch: the next
+    /// epoch bump invalidates them.
     pub(crate) fn clear(&mut self) {
+        self.origin_rows.clear();
+        self.pending.iter_mut().for_each(|m| *m = 0);
         self.cand.clear();
         self.cand_docs.clear();
         self.cover_words.clear();
     }
 
-    /// Marks BFS state `(origin, node, descending)` visited; `true` if it
-    /// was not yet visited this query.
+    /// The first word of `node`'s origin row this query, if it has one.
     #[inline]
-    pub(crate) fn mark_state(&mut self, origin: u32, node: ConceptId, descending: bool) -> bool {
-        let idx = self.state_index(origin, node, descending);
-        match set_bit(&mut self.state_bits, self.epoch, idx) {
-            Some(fresh) => fresh,
-            None => {
-                debug_assert!(false, "state table smaller than the query geometry");
-                false
+    fn row_start(&self, node: ConceptId) -> Option<usize> {
+        let at = *self.row_of.get(node.index())? as usize;
+        let first = self.origin_rows.get(at)?;
+        (first.concept == node.0).then_some(at)
+    }
+
+    /// The first word of `node`'s origin row, the row handed out (empty)
+    /// on the concept's first touch this query. `None` only beyond the
+    /// sized geometry.
+    #[inline]
+    pub(crate) fn origin_row(&mut self, node: ConceptId) -> Option<usize> {
+        if let Some(at) = self.row_start(node) {
+            return Some(at);
+        }
+        let at = self.origin_rows.len();
+        let row = self.row_of.get_mut(node.index());
+        debug_assert!(row.is_some(), "node beyond the sized concept bound");
+        *row? = packing::narrow_u32(at);
+        let empty = OriginWords { concept: node.0, ..OriginWords::default() };
+        self.origin_rows.resize(at + self.stride, empty);
+        Some(at)
+    }
+
+    /// Unit-weight admission of origin word `w` of a push to `node`: with
+    /// `dedup` the origins of `bits` not yet seen there in this direction
+    /// (`new = bits & !seen; seen |= new`), else those not yet pending,
+    /// join the concept's origins pending next level. Returns how many
+    /// joined.
+    #[inline]
+    pub(crate) fn push_next(
+        &mut self,
+        node: ConceptId,
+        desc: bool,
+        w: usize,
+        bits: u64,
+        dedup: bool,
+    ) -> u32 {
+        let Some(at) = self.origin_row(node) else {
+            return 0;
+        };
+        let Some(words) = self.origin_rows.get_mut(at + w) else {
+            debug_assert!(false, "origin word {w} beyond the row");
+            return 0;
+        };
+        let dir = if desc { &mut words.down } else { &mut words.up };
+        let new = bits & !if dedup { dir.seen } else { dir.next };
+        if new == 0 {
+            return 0;
+        }
+        dir.seen |= new;
+        dir.next |= new;
+        if let Some(m) = self.pending.get_mut(node.index() >> 6) {
+            *m |= 1 << (node.index() & 63);
+        }
+        popcount(new)
+    }
+
+    /// Unit weights: appends the concepts with pending origins to `nodes`,
+    /// in ascending order, and clears their pending bits (the origins stay
+    /// in the rows until [`take_pending`](Self::take_pending)).
+    pub(crate) fn take_pending_concepts(&mut self, nodes: &mut Vec<ConceptId>) {
+        for (m, word) in self.pending.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            // cplx: bound c — one turn per pending concept of these 64, at most c over the sweep
+            while bits != 0 {
+                let node = packing::narrow_u32(m * 64) + bits.trailing_zeros();
+                bits &= bits - 1;
+                // bound: sized — one entry per concept the level reaches, into capacity the workspace retains (cplx: cap c — one per pending concept)
+                nodes.push(ConceptId(node));
             }
         }
     }
 
-    /// Marks `(origin, node)` coverage-applied; `true` if newly applied.
+    /// Unit weights: moves `node`'s pending origins into its entry's `up`
+    /// and `down` words as its level is fetched; returns the concept's
+    /// origin row.
     #[inline]
-    pub(crate) fn mark_pair(&mut self, origin: u32, node: ConceptId) -> bool {
-        debug_assert!(node.index() < self.concepts, "node beyond the sized concept bound");
-        let idx = origin as usize * self.concepts + node.index();
-        match set_bit(&mut self.pair_bits, self.epoch, idx) {
-            Some(fresh) => fresh,
-            None => {
-                debug_assert!(false, "pair table smaller than the query geometry");
-                false
-            }
+    pub(crate) fn take_pending(
+        &mut self,
+        node: ConceptId,
+        up: &mut [u64],
+        down: &mut [u64],
+    ) -> Option<usize> {
+        let at = self.row_start(node);
+        debug_assert!(at.is_some(), "pending concept {node:?} without an origin row");
+        let row = self.origin_rows.get_mut(at?..at? + self.stride).unwrap_or_default();
+        for ((words, up), down) in row.iter_mut().zip(up).zip(down) {
+            *up = std::mem::take(&mut words.up.next);
+            *down = std::mem::take(&mut words.down.next);
         }
+        at
+    }
+
+    /// The origins of `bits` (origin word `w`) whose coverage the posting
+    /// list of the concept owning origin row `row` has not applied yet
+    /// this query, marked applied.
+    #[inline]
+    pub(crate) fn fresh_pairs(&mut self, row: usize, w: usize, bits: u64) -> u64 {
+        let Some(words) = self.origin_rows.get_mut(row + w) else {
+            debug_assert!(false, "origin word {w} beyond the row");
+            return 0;
+        };
+        let new = bits & !words.pair;
+        words.pair |= new;
+        new
+    }
+
+    /// Weighted: the entry slot of `node` (see `Round::or_word`).
+    #[inline]
+    pub(crate) fn entry_slot(&mut self, node: ConceptId) -> Option<&mut u32> {
+        let at = self.origin_row(node)?;
+        self.origin_rows.get_mut(at).map(|words| &mut words.slot)
     }
 
     /// SDS: records the global first touch of `node`; `true` exactly once
@@ -503,7 +653,7 @@ impl DenseTables {
         self.cand_docs.push(doc);
         // The arena was truncated at query begin, so the row's words are
         // freshly zeroed here (capacity, not contents, is retained).
-        self.cover_words.resize(self.cover_words.len() + self.cover_stride, 0);
+        self.cover_words.resize(self.cover_words.len() + self.stride, 0);
         let i = doc.index();
         debug_assert!(i < self.slots.len(), "doc beyond the sized document bound");
         if let Some(e) = self.slots.get_mut(i) {
@@ -514,15 +664,15 @@ impl DenseTables {
 
     /// Applies one posting hit to the row at `slot` in a single row
     /// access: skips examined rows (already in `Sd`, Algorithm 2 line
-    /// 11), forward-covers `origin` at `level` if `fwd`, reverse-covers
-    /// (SDS) if `rev`.
+    /// 11), forward-covers at `level` every origin of `fwd` — its nonzero
+    /// origin words, as `(w, bits)` — the row has not covered yet,
+    /// reverse-covers (SDS) if `rev`.
     #[inline]
     pub(crate) fn apply_to_candidate(
         &mut self,
         slot: usize,
-        origin: u32,
+        fwd: &[(u32, u64)],
         level: u32,
-        fwd: bool,
         rev: bool,
     ) {
         let Some(c) = self.cand.get_mut(slot) else {
@@ -532,17 +682,21 @@ impl DenseTables {
         if c.examined {
             return;
         }
-        if fwd {
-            let w = slot * self.cover_stride + (origin as usize >> 6);
-            let mask = 1u64 << (origin & 63);
-            if let Some(word) = self.cover_words.get_mut(w) {
-                if *word & mask == 0 {
-                    *word |= mask;
-                    c.covered += 1;
-                    c.partial += level as u64;
-                }
-            } else {
+        for &(w, bits) in fwd {
+            let Some(word) = self.cover_words.get_mut(slot * self.stride + w as usize) else {
                 debug_assert!(false, "coverage row beyond the arena");
+                continue;
+            };
+            let mut new = bits & !*word;
+            if new == 0 {
+                continue;
+            }
+            *word |= new;
+            // cplx: bound nq — one turn per origin newly covered (one for nearly every RDS hit)
+            while new != 0 {
+                new &= new - 1;
+                c.covered += 1;
+                c.partial += u64::from(level);
             }
         }
         if rev {
@@ -586,8 +740,10 @@ impl DenseTables {
     /// footprint.
     pub(crate) fn footprint_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.state_bits.capacity() + self.pair_bits.capacity() + self.doc_bits.capacity())
-            * size_of::<StampedWord>()
+        self.row_of.capacity() * size_of::<u32>()
+            + self.origin_rows.capacity() * size_of::<OriginWords>()
+            + self.pending.capacity() * size_of::<u64>()
+            + self.doc_bits.capacity() * size_of::<StampedWord>()
             + (self.touch_stamps.capacity() + self.best.capacity() + self.best_stamps.capacity())
                 * size_of::<u32>()
             + self.slots.capacity() * size_of::<u64>()
@@ -612,36 +768,69 @@ mod tests {
         assert!(ws.begin(), "second borrow is warm");
     }
 
+    /// A round mid-flight: every origin row, frontier entry, span word
+    /// and pending next-round origin a query can hold when it panics.
+    fn dirty_round(ws: &mut KndsWorkspace, origins: usize) {
+        ws.dense.begin_query(origins, 8, 4, false, false);
+        ws.dense.insert_candidate(DocId(0), 0);
+        let stride = ws.dense.stride();
+        for i in 0..origins {
+            let c = ConceptId((i % 8) as u32);
+            ws.dense.push_next(c, i % 2 == 1, i >> 6, 1 << (i & 63), true);
+            let row = ws.dense.origin_row(c).unwrap();
+            ws.dense.fresh_pairs(row, i >> 6, 1 << (i & 63));
+            let mut slot = u32::MAX;
+            ws.frontier.or_word(&mut slot, c, stride, false, i >> 6, 1 << (i & 63));
+        }
+        ws.buckets.push(Round::default());
+        if let (Some(slot), Some(bucket)) =
+            (ws.dense.entry_slot(ConceptId(2)), ws.buckets.get_mut(0))
+        {
+            bucket.or_word(slot, ConceptId(2), stride, true, 0, 0b101);
+        }
+        ws.postings_buf.extend([DocId(0), DocId(2)]);
+        ws.spans.push(Span::default());
+        ws.span_words.extend([(0, 1), (1, 0b11)]);
+    }
+
     #[test]
     fn dirty_workspace_is_cleared_on_next_begin() {
         let mut ws = KndsWorkspace::new();
         ws.begin();
         ws.query.push(ConceptId(3));
-        ws.dense.begin_query(1, 8, 4, false, false);
-        ws.dense.insert_candidate(DocId(0), 0);
-        // A round fetched but not yet applied or expanded.
-        ws.postings_buf.extend([DocId(0), DocId(2)]);
-        ws.spans.push(Span::default());
-        ws.round.push((0, ConceptId(1), false));
+        dirty_round(&mut ws, 70);
+        assert!(!ws.dense.origin_rows.is_empty());
         // No finish(): simulates a panic mid-query.
         ws.begin();
         assert!(ws.query.is_empty(), "stale query leaked");
         assert!(ws.dense.cand.is_empty(), "stale candidates leaked");
+        assert!(ws.dense.origin_rows.is_empty(), "stale origin rows leaked");
         assert!(ws.postings_buf.is_empty(), "stale fetched postings leaked");
         assert!(ws.spans.is_empty(), "stale posting spans leaked");
-        assert!(ws.round.is_empty(), "stale round states leaked");
+        assert!(ws.span_words.is_empty(), "stale span origin words leaked");
+        for (name, round) in [("current", &ws.frontier), ("bucket", &ws.buckets[0])] {
+            assert!(round.is_empty(), "stale {name} entries leaked");
+            assert_eq!(round.pending(), 0, "stale {name} origin-states leaked");
+            assert!(round.footprint_bytes() > 0, "{name} capacity was freed");
+        }
+        let mut stale = Vec::new();
+        ws.dense.take_pending_concepts(&mut stale);
+        assert!(stale.is_empty(), "stale pending level leaked");
+        // The next query sees no origin of the dirty one seen or pending.
+        ws.dense.begin_query(70, 8, 4, false, false);
+        for c in 0..8 {
+            assert_eq!(ws.dense.push_next(ConceptId(c), true, 0, 0b11, true), 2, "stale c{c}");
+        }
+        let mut pending = Vec::new();
+        ws.dense.take_pending_concepts(&mut pending);
+        assert_eq!(pending, (0..8).map(ConceptId).collect::<Vec<_>>(), "stale pending concepts");
     }
 
     #[test]
     fn clearing_keeps_capacity() {
         let mut ws = KndsWorkspace::new();
         ws.begin();
-        ws.postings_buf.extend((0..100).map(DocId));
-        ws.spans.extend([Span::default(); 8]);
-        ws.round.extend([(0, ConceptId(0), false); 8]);
-        ws.buckets.push(vec![(0, ConceptId(0), false); 16]);
-        ws.dense.begin_query(2, 64, 32, true, true);
-        ws.dense.insert_candidate(DocId(5), 3);
+        dirty_round(&mut ws, 130);
         let footprint = ws.footprint_bytes();
         ws.finish();
         assert_eq!(ws.footprint_bytes(), footprint, "finish must keep capacity");
@@ -651,9 +840,12 @@ mod tests {
     fn epoch_bump_empties_every_table_without_clearing() {
         let mut d = DenseTables::default();
         d.begin_query(2, 16, 8, true, true);
-        assert!(d.mark_state(1, ConceptId(3), true), "first visit");
-        assert!(!d.mark_state(1, ConceptId(3), true), "dup visit");
-        assert!(d.mark_pair(0, ConceptId(7)));
+        assert_eq!(d.push_next(ConceptId(3), true, 0, 0b10, true), 1, "first visit");
+        assert_eq!(d.push_next(ConceptId(3), true, 0, 0b10, true), 0, "dup visit");
+        assert_eq!(d.push_next(ConceptId(3), false, 0, 0b11, true), 2, "directions are separate");
+        let row = d.origin_row(ConceptId(7)).unwrap();
+        assert_eq!(d.fresh_pairs(row, 0, 0b01), 0b01);
+        assert_eq!(d.fresh_pairs(row, 0, 0b11), 0b10, "origin 0 already applied");
         assert!(d.touch_first(ConceptId(9)));
         assert!(d.improve_best(1, ConceptId(2), false, 5));
         assert!(!d.improve_best(1, ConceptId(2), false, 5), "equal is not an improvement");
@@ -663,19 +855,20 @@ mod tests {
         assert!(d.doc_marked(DocId(6)));
         let slot = d.insert_candidate(DocId(4), 2);
         assert_eq!(d.slot_of(DocId(4)), Some(slot));
-        d.apply_to_candidate(slot, 0, 1, true, false);
+        d.apply_to_candidate(slot, &[(0, 0b01)], 1, false);
         assert_eq!(d.candidate(slot).map(|c| (c.covered, c.partial)), Some((1, 1)));
-        d.apply_to_candidate(slot, 0, 2, true, false);
+        d.apply_to_candidate(slot, &[(0, 0b11)], 2, false);
         assert_eq!(
             d.candidate(slot).map(|c| (c.covered, c.partial)),
-            Some((1, 1)),
-            "origin already covered"
+            Some((2, 3)),
+            "origin 0 already covered, origin 1 covered at level 2"
         );
 
         // Next query: everything reads empty again, at O(1) cost.
         d.begin_query(2, 16, 8, true, true);
-        assert!(d.mark_state(1, ConceptId(3), true), "stale visit leaked");
-        assert!(d.mark_pair(0, ConceptId(7)), "stale pair leaked");
+        assert_eq!(d.push_next(ConceptId(3), true, 0, 0b10, true), 1, "stale visit leaked");
+        let row = d.origin_row(ConceptId(7)).unwrap();
+        assert_eq!(d.fresh_pairs(row, 0, 0b01), 0b01, "stale pair leaked");
         assert!(d.touch_first(ConceptId(9)), "stale touch leaked");
         assert_eq!(d.best_dist(1, ConceptId(2), false), None, "stale distance leaked");
         assert!(!d.doc_marked(DocId(6)), "stale doc mark leaked");
@@ -684,18 +877,44 @@ mod tests {
     }
 
     #[test]
+    fn wide_queries_use_every_origin_word() {
+        let mut d = DenseTables::default();
+        d.begin_query(130, 4, 2, false, false);
+        assert_eq!(d.stride(), 3);
+        let slot = d.insert_candidate(DocId(1), 0);
+        d.apply_to_candidate(slot, &[(0, 1), (1, 1 << 63), (2, 0b11)], 4, false);
+        assert_eq!(d.candidate(slot).map(|c| (c.covered, c.partial)), Some((4, 16)));
+        assert_eq!(d.push_next(ConceptId(3), false, 2, 0b10, true), 1, "origin 129");
+        assert_eq!(d.push_next(ConceptId(3), false, 2, 0b10, true), 0, "origin 129 seen");
+        assert_eq!(d.push_next(ConceptId(3), false, 0, 0b10, true), 1, "origin 1 is not 129");
+        assert_eq!(d.push_next(ConceptId(1), true, 1, 0b1, true), 1, "origin 64");
+        // The pending concepts come out ascending, their origins per
+        // concept, every word of them.
+        let mut pending = Vec::new();
+        d.take_pending_concepts(&mut pending);
+        assert_eq!(pending, [ConceptId(1), ConceptId(3)]);
+        let (mut up, mut down) = ([0; 3], [0; 3]);
+        assert_eq!(d.take_pending(ConceptId(1), &mut up, &mut down), d.origin_row(ConceptId(1)));
+        assert_eq!((up, down), ([0, 0, 0], [0, 1, 0]));
+        d.take_pending(ConceptId(3), &mut up, &mut down);
+        assert_eq!((up, down), ([0b10, 0, 0b10], [0, 0, 0]));
+        d.take_pending(ConceptId(3), &mut up, &mut down);
+        assert_eq!((up, down), ([0; 3], [0; 3]), "taking the origins empties them");
+    }
+
+    #[test]
     fn epoch_wrap_resets_stamps_instead_of_aliasing() {
         let mut d = DenseTables::default();
         assert!(!d.begin_query(1, 8, 4, true, true));
-        d.mark_state(0, ConceptId(1), false);
-        d.mark_pair(0, ConceptId(2));
+        d.push_next(ConceptId(1), false, 0, 1, true);
+        d.improve_best(0, ConceptId(2), false, 3);
         d.mark_doc(DocId(3));
         // Prime the counter at the wrap boundary, as the workspace hook
         // does, then open the wrapping query.
         d.epoch = u32::MAX;
         assert!(d.begin_query(1, 8, 4, true, true), "wrap must be reported");
-        assert!(d.mark_state(0, ConceptId(1), false), "pre-wrap visit aliased the new epoch");
-        assert!(d.mark_pair(0, ConceptId(2)), "pre-wrap pair aliased the new epoch");
+        assert_eq!(d.push_next(ConceptId(1), false, 0, 1, true), 1, "pre-wrap visit aliased");
+        assert_eq!(d.best_dist(0, ConceptId(2), false), None, "pre-wrap distance aliased");
         assert!(d.mark_doc(DocId(3)), "pre-wrap doc mark aliased the new epoch");
         assert!(!d.begin_query(1, 8, 4, true, true), "post-wrap queries are ordinary");
     }
@@ -704,17 +923,39 @@ mod tests {
     fn geometry_can_grow_between_queries() {
         let mut d = DenseTables::default();
         d.begin_query(1, 4, 2, false, false);
-        d.mark_state(0, ConceptId(3), true);
+        d.push_next(ConceptId(3), true, 0, 1, true);
         let small = d.footprint_bytes();
         // A wider query over a grown index re-sizes at begin and the old
-        // stamps stay dead under the new indexing.
-        d.begin_query(3, 64, 50, true, true);
+        // rows stay dead under the new indexing.
+        d.begin_query(65, 64, 50, true, true);
         assert!(d.footprint_bytes() > small, "tables grew with the geometry");
         for c in 0..64u32 {
-            for o in 0..3u32 {
-                assert!(d.mark_state(o, ConceptId(c), false), "stale state under new geometry");
+            for (w, bits) in [(0, 1), (0, 2), (1, 1)] {
+                let fresh = d.push_next(ConceptId(c), false, w, bits, true);
+                assert_eq!(fresh, 1, "stale state under new geometry");
             }
         }
+        // A narrower query reads every row empty.
+        d.begin_query(1, 64, 50, false, false);
+        for c in 0..64u32 {
+            assert_eq!(d.push_next(ConceptId(c), false, 0, 1, true), 1, "wide-query state leaked");
+        }
+    }
+
+    #[test]
+    fn a_stale_row_index_never_aliases_another_concepts_words() {
+        let mut d = DenseTables::default();
+        d.begin_query(130, 8, 1, false, false);
+        d.push_next(ConceptId(1), false, 0, 1, true);
+        d.push_next(ConceptId(0), false, 0, 1, true);
+        // Narrower rows: concept 0's old row index now lands inside the
+        // rows concepts 1 and 2 get, so it must not read as concept 0's.
+        d.begin_query(100, 8, 1, false, false);
+        d.push_next(ConceptId(1), false, 0, 1, true);
+        assert_eq!(d.push_next(ConceptId(2), false, 1, 1, true), 1);
+        assert_eq!(d.push_next(ConceptId(0), false, 0, 1, true), 1, "concept 0 has no row yet");
+        assert_eq!(d.push_next(ConceptId(0), false, 1, 1, true), 1, "concept 0 owns its words");
+        assert_eq!(d.push_next(ConceptId(2), false, 1, 1, true), 0, "concept 2 keeps its origin");
     }
 
     #[test]
@@ -724,7 +965,7 @@ mod tests {
         let reserved = ws.footprint_bytes();
         assert!(reserved > 0);
         // A query inside the reserved bounds grows nothing doc/concept
-        // sized (state/pair tables still size by nq at begin).
+        // sized (origin rows still size by nq at begin).
         ws.dense.begin_query(0, 0, 400, true, false);
         assert_eq!(ws.footprint_bytes(), reserved, "reserved tables re-grew");
     }

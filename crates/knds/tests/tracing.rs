@@ -162,3 +162,27 @@ fn weighted_queries_on_the_shared_workspace_do_not_disturb_the_trace() {
         assert_eq!(events, expect, "{kind:?} k {k}: trace changed");
     }
 }
+
+/// `LevelStart.frontier` counts origin-states — what the queue watermark
+/// counts — and with visit dedup every one of them is visited exactly
+/// once, so the frontiers sum to `nodes_visited`, for RDS and SDS.
+#[test]
+fn level_frontiers_sum_to_the_visited_states() {
+    let (fig, source) = setup();
+    let knds = Knds::new(&fig.ontology, &source, KndsConfig::default().with_error_threshold(0.0));
+    let queries = [fig.example_query(), fig.example_document(), vec![fig.concept("C")]];
+    for q in &queries {
+        for (kind, k) in [(QueryKind::Rds, 2), (QueryKind::Sds, 2), (QueryKind::Rds, 100)] {
+            let (events, r) = traced(&knds, &mut KndsWorkspace::new(), kind, q, k);
+            let frontiers: usize = events
+                .iter()
+                .filter_map(|e| match e {
+                    TraceEvent::LevelStart { frontier, .. } => Some(*frontier),
+                    _ => None,
+                })
+                .sum();
+            assert!(frontiers > 0, "{kind:?} k {k}: no level started");
+            assert_eq!(frontiers, r.metrics.nodes_visited, "{kind:?} k {k} over {q:?}");
+        }
+    }
+}

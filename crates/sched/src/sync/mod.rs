@@ -2,9 +2,10 @@
 //! `std::sync` / `parking_lot` / `crossbeam`.
 //!
 //! * Default build: thin zero-cost wrappers over the real primitives
-//!   ([`real`]).
+//!   (the private `real` module).
 //! * With the `model` feature: instrumented versions whose every visible
-//!   operation is a scheduler-controlled sync point ([`model`]). On
+//!   operation is a scheduler-controlled sync point (the private `model`
+//!   module). On
 //!   threads that are not part of an active model execution the
 //!   instrumented primitives pass straight through to the real ones, so
 //!   feature-unified workspace builds behave identically outside
@@ -17,7 +18,7 @@
 //! `available_parallelism`.
 //!
 //! [`Published`]/[`Cached`] — the epoch-published snapshot cell — are
-//! built *on top of* the facade primitives in [`published`] and therefore
+//! built *on top of* the facade primitives in the private `published` module and therefore
 //! compile once for both variants: the real build gets a plain
 //! atomic-epoch cell, the model build gets every publish/load as a
 //! scheduler-visible sync point for free.

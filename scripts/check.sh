@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Canonical verification for the workspace: formatting, lints, the
+# Canonical verification for the workspace: formatting, lints, rustdoc, the
 # self-hosted audit — one honest `cbr-audit all` pass over the real tree
 # (lint A01-A09, flow F01-F05, race R01-R05, bound B01-B05, cplx C01-C05
 # and the structural invariants, one parse, one audit.allow) whose JSON
@@ -20,6 +20,9 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc: every intra-doc link resolves and no public doc links a private
+# item — a broken link is a doc that silently stopped saying where to look.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # Honest tree: all six gates must run clean against audit.allow, and the
 # proofs must be non-vacuous. Grepping the one report keeps them honest
 # even if the exit code logic regresses: the call graph resolves enough

@@ -3,7 +3,8 @@
 //! One generator draws a case: an ontology, a bulk corpus, an edit script
 //! (append; delete, dead and past-the-end ids included; `compact`;
 //! `maybe_compact`), concept sets that serve as RDS queries and as SDS
-//! query documents, `k` (sometimes above the live collection), `εθ`,
+//! query documents (one case in four 65-200 concepts wide, over an
+//! ontology of at least 400), `k` (sometimes above the live collection), `εθ`,
 //! `queue_cap` and `dedup_visits`. A shadow of the collection — concept
 //! sets plus dead bits — follows the script, and `cbr_dradix::brute` over
 //! its live documents is the one answer. Every path must match it:
@@ -71,7 +72,11 @@ struct Cases;
 impl Strategy for Cases {
     type Value = Case;
     fn sample(&self, rng: &mut TestRng) -> Case {
-        let shape = GeneratorConfig::small(60 + rng.below(140) as usize).with_seed(rng.next_u64());
+        // One case in four is wide: 65-200 query concepts, so the origin
+        // sets of the traversal span two to four 64-bit words.
+        let wide = rng.below(4) == 0;
+        let concepts = if wide { 400 + rng.below(200) } else { 60 + rng.below(140) };
+        let shape = GeneratorConfig::small(concepts as usize).with_seed(rng.next_u64());
         let ontology = OntologyGenerator::new(shape.clone()).generate();
         let n = ontology.len() as u64;
         let set = |rng: &mut TestRng, max: u64| -> Vec<ConceptId> {
@@ -92,6 +97,11 @@ impl Strategy for Cases {
                 let mut q = set(rng, 5);
                 q.push(ConceptId(rng.below(n) as u32));
                 normalize_concepts(&mut q);
+                let width = if wide { 65 + rng.below(136) as usize } else { 0 };
+                while q.len() < width {
+                    q.push(ConceptId(rng.below(n) as u32));
+                    normalize_concepts(&mut q);
+                }
                 q
             })
             .collect();
