@@ -49,10 +49,7 @@ pub const IDENT_ENV: &[(&str, &str)] = &[
     // BFS / Dijkstra state pools: one state per (origin, concept) pair.
     ("frontier", "nq*c"),
     ("current", "nq*c"),
-    ("state_bits", "nq*c"),
-    ("pair_bits", "nq*c"),
     ("best", "nq*c"),
-    ("best_stamps", "nq*c"),
     // Query-profile-sized structures.
     ("query", "nq"),
     ("q", "nq"),

@@ -62,7 +62,7 @@ use crate::config::KndsConfig;
 use crate::metrics::QueryMetrics;
 use crate::trace::{TraceEvent, TraceSink};
 use crate::util::{OrdF64, TopK};
-use crate::workspace::{popcount, DenseTables, KndsWorkspace};
+use crate::workspace::{DenseTables, KndsWorkspace};
 use cbr_corpus::DocId;
 use cbr_dradix::Drc;
 use cbr_index::{packing, IndexSource, LiveMask};
@@ -358,14 +358,13 @@ impl<'a, S: IndexSource> Knds<'a, S> {
 /// PVLDB 2014).
 #[derive(Debug, Default)]
 pub(crate) struct Round {
-    /// The entries' concepts: ascending in a BFS level, in push order in
-    /// a Dijkstra bucket.
-    pub(crate) nodes: Vec<ConceptId>,
+    /// The entries' concepts, ascending.
+    nodes: Vec<ConceptId>,
     /// Entry `i`'s origins: `up` in words `[2is, 2is + s)`, `down` in
     /// `[2is + s, 2(i + 1)s)`, for the query's stride `s`.
     words: Vec<u64>,
     /// Origin-states in the round (see [`Round::pending`]).
-    pub(crate) states: usize,
+    states: usize,
 }
 
 impl Round {
@@ -394,39 +393,17 @@ impl Round {
         self.nodes.capacity() * size_of::<ConceptId>() + self.words.capacity() * size_of::<u64>()
     }
 
-    /// ORs `bits` — origin word `w` — into the `up` or `down` half of
-    /// `node`'s entry, creating the entry first if this round has none.
-    /// `slot` is the concept's entry slot: the entry the concept last got
-    /// in *some* round, so it is this round's entry exactly when this
-    /// round's entry at that index is `node`. Counts the origin-states the
-    /// OR adds.
+    /// Refills the round with the concepts whose origins pend in `dense`'s
+    /// origin rows, in ascending order, each with empty `up`/`down` words
+    /// the fetch gathers the origins into
+    /// ([`DenseTables::take_pending`]); `states` is the origin-states
+    /// pending there.
     // flow: workspace-fed
-    #[inline]
-    pub(crate) fn or_word(
-        &mut self,
-        slot: &mut u32,
-        node: ConceptId,
-        stride: usize,
-        desc: bool,
-        w: usize,
-        bits: u64,
-    ) {
-        let entry = if self.nodes.get(*slot as usize) == Some(&node) {
-            *slot as usize
-        } else {
-            *slot = packing::narrow_u32(self.nodes.len());
-            // bound: sized — one entry per concept a round reaches, into capacity the workspace retains
-            self.nodes.push(node);
-            self.words.resize(self.words.len() + 2 * stride, 0);
-            *slot as usize
-        };
-        let at = 2 * stride * entry + desc as usize * stride + w;
-        if let Some(word) = self.words.get_mut(at) {
-            self.states += popcount(bits & !*word) as usize;
-            *word |= bits;
-        } else {
-            debug_assert!(false, "origin word {w} beyond the entry");
-        }
+    pub(crate) fn sweep(&mut self, dense: &mut DenseTables, states: usize) {
+        self.clear();
+        dense.take_pending_concepts(&mut self.nodes);
+        self.words.resize(2 * dense.stride() * self.nodes.len(), 0);
+        self.states = states;
     }
 
     /// Entry `i`'s `up` and `down` words.
@@ -437,18 +414,6 @@ impl Round {
     ) -> Option<(&mut [u64], &mut [u64])> {
         let entry = self.words.get_mut(2 * stride * i..2 * stride * (i + 1))?;
         Some(entry.split_at_mut(stride))
-    }
-
-    /// ORs entry `i`'s origins into the earlier entry `into` and empties
-    /// entry `i` (two entries of one concept become one).
-    pub(crate) fn merge_entry(&mut self, i: usize, into: usize, stride: usize) {
-        debug_assert!(into < i, "entries merge into an earlier one");
-        let (head, tail) = self.words.split_at_mut(2 * stride * i);
-        let target = head.get_mut(2 * stride * into..2 * stride * (into + 1)).unwrap_or_default();
-        for (t, w) in target.iter_mut().zip(tail.iter_mut().take(2 * stride)) {
-            *t |= *w;
-            *w = 0;
-        }
     }
 }
 
@@ -498,20 +463,6 @@ pub(crate) trait Frontier<'a> {
     /// with every origin superseded since its push cleared; its
     /// [`pending`](Round::pending) count is the origin-states it visits.
     fn take_round(&mut self, dense: &mut DenseTables, dist: u32) -> Round;
-
-    /// Moves the origins of a handed-out entry of `node` into its `up` and
-    /// `down` words, as the fetch reaches it, and returns the concept's
-    /// origin row. Nothing to move by default: the round carries them.
-    #[inline]
-    fn gather(
-        &self,
-        dense: &mut DenseTables,
-        node: ConceptId,
-        _up: &mut [u64],
-        _down: &mut [u64],
-    ) -> Option<usize> {
-        dense.origin_row(node)
-    }
 
     /// Cost of ascending `child → parent` (1 by default, the paper's
     /// metric); `None` skips the edge.
@@ -569,10 +520,7 @@ pub(crate) struct Levels {
 impl Levels {
     /// Sweeps the pending level into `round`, as the next to hand out.
     fn gather_level(&mut self, dense: &mut DenseTables, mut round: Round) {
-        round.clear();
-        dense.take_pending_concepts(&mut round.nodes);
-        round.words.resize(2 * dense.stride() * round.nodes.len(), 0);
-        round.states = std::mem::take(&mut self.pending);
+        round.sweep(dense, std::mem::take(&mut self.pending));
         self.current = round;
     }
 }
@@ -595,17 +543,6 @@ impl<'a> Frontier<'a> for Levels {
     #[inline]
     fn take_round(&mut self, _dense: &mut DenseTables, _dist: u32) -> Round {
         std::mem::take(&mut self.current)
-    }
-
-    #[inline]
-    fn gather(
-        &self,
-        dense: &mut DenseTables,
-        node: ConceptId,
-        up: &mut [u64],
-        down: &mut [u64],
-    ) -> Option<usize> {
-        dense.take_pending(node, up, down)
     }
 
     #[inline]
@@ -780,7 +717,7 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
 
     /// Fetches for the round's entries from `from` on until the fetch
     /// buffer holds a full block; returns the first entry not yet fetched
-    /// for. Gathers each entry's origins (see [`Frontier::gather`]) and
+    /// for. Gathers each entry's origins from its origin row and
     /// decides the entry's coverage — forward for its origins whose
     /// `(origin, node)` pair is fresh (`(up | down) & !pair_seen`),
     /// reverse (SDS) on the node's first touch; rounds come in increasing
@@ -792,11 +729,8 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
         let origin_sets = round.words.chunks_exact_mut(2 * stride);
         for (i, (&node, origins)) in round.nodes.iter().zip(origin_sets).enumerate().skip(from) {
             let (up, down) = origins.split_at_mut(stride);
-            let row = self.frontier.gather(&mut self.ws.dense, node, up, down);
-            if origins.iter().all(|&w| w == 0) {
-                // Every origin was superseded (weighted) or merged away.
-                continue;
-            }
+            let row = self.ws.dense.take_pending(node, up, down);
+            debug_assert!(origins.iter().any(|&w| w != 0), "a concept pends with an origin");
             // No live posting here: the posting list and the SDS reverse
             // coverage are both empty.
             if !self.live.live_here(node) {

@@ -19,10 +19,12 @@
 //!
 //! Push-time state deduplication (safe with unit steps) is replaced by the
 //! classic lazy-deletion rule: a state re-pushed with a smaller tentative
-//! distance supersedes the old one, and stale origins are dropped when
-//! their bucket drains. A bucket holds the same per-concept entries with
-//! origin bitsets as a BFS level, merged within the bucket, and relaxes
-//! and filters them origin by origin.
+//! distance supersedes the old one, and the stale copy is dropped when its
+//! bucket drains. A round's pushes are relaxed origin by origin when its
+//! expansion ends, and a bucket holds the ones kept; draining it admits
+//! them into the same origin rows a BFS level pends in, so a bucket's
+//! round is built — one entry per concept, ascending — exactly as a
+//! level's is, and the rows' seen bits mark the states settled.
 //!
 //! Like the unit-weight engine, all per-query state (candidate table,
 //! Dijkstra buckets, coverage maps, DRC scratch) lives in a borrowed
@@ -100,20 +102,86 @@ impl<'a, S: IndexSource> WeightedKnds<'a, S> {
     /// The bucket policy over this engine's weights; `seed` attaches the
     /// workspace's retained buckets.
     fn buckets(&self) -> Buckets<'a> {
-        Buckets { weights: self.weights, buckets: Vec::new() }
+        Buckets {
+            weights: self.weights,
+            queues: Queues::default(),
+            round: Round::default(),
+            dedup: true,
+            queued: 0,
+        }
     }
 }
 
-/// Weighted edges: distance-indexed Dijkstra buckets, each a [`Round`].
+/// Weighted edges: distance-indexed Dijkstra buckets of [`Push`]es.
 /// Buckets grow on demand; both the outer `Vec` and every bucket are
 /// retained by the workspace across queries. An origin-state may be
 /// pushed more than once (a cheaper path found later), so dedup is a
 /// per-state best tentative distance — 8 stamped bytes where
-/// [`Levels`](crate::engine) pays one bit — and superseded origins are
-/// cleared when their bucket drains.
+/// [`Levels`](crate::engine) pays one bit. Buckets drain in increasing
+/// distance, so the first drain of an origin-state settles it at its
+/// minimal distance: the drain admits origins through the rows' seen bits
+/// as a level's pushes are admitted, which drops a superseded copy (its
+/// state settled at the smaller distance first) without reading the
+/// distance table again.
+///
+/// Levels can group a level's origins by concept as they are pushed,
+/// because only one level pends at a time and each concept's origin row
+/// holds it. Here several buckets pend at once, so a bucket keeps its
+/// pushes ungrouped, and grouping waits for the drain, when the bucket is
+/// the one pending round and the rows are free to hold it.
+///
+/// A round's pushes are relaxed when its expansion ends, origin by
+/// origin. The distance table is origin-major, so one origin's
+/// relaxations read one region of it. Relaxed as they came — concept by
+/// concept, each with its own origins — the same reads measured about a
+/// third more traversal time.
 struct Buckets<'a> {
     weights: &'a EdgeWeights,
-    buckets: Vec<Round>,
+    /// The buckets and the round's staged pushes (the workspace's).
+    queues: Queues,
+    /// The round handed out (the workspace's retained round buffer).
+    round: Round,
+    /// Whether visits are deduplicated (see [`Buckets::keep`]).
+    dedup: bool,
+    /// Origin-states pushed into the buckets not drained yet (what the
+    /// queue watermark limits).
+    queued: usize,
+}
+
+/// The weighted search's retained lists of [`Push`]es.
+#[derive(Debug, Default)]
+pub(crate) struct Queues {
+    /// Bucket `d`: the pushes kept at distance `d` and not drained yet.
+    pub(crate) buckets: Vec<Vec<Push>>,
+    /// The round's pushes, one list per origin, until the round ends.
+    pub(crate) staged: Vec<Vec<Push>>,
+}
+
+impl Queues {
+    /// Empties every list, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        for pushes in self.buckets.iter_mut().chain(&mut self.staged) {
+            pushes.clear();
+        }
+    }
+
+    /// Retained bytes (part of the workspace footprint).
+    pub(crate) fn footprint_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let lists = self.buckets.iter().chain(&self.staged);
+        (self.buckets.capacity() + self.staged.capacity()) * size_of::<Vec<Push>>()
+            + lists.map(|pushes| pushes.capacity() * size_of::<Push>()).sum::<usize>()
+    }
+}
+
+/// One origin-state offered at a tentative distance: `origin` at `node`,
+/// ascending or `desc`ending, at `dist`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Push {
+    pub(crate) node: ConceptId,
+    pub(crate) origin: u32,
+    pub(crate) dist: u32,
+    pub(crate) desc: bool,
 }
 
 /// The origin indexes set in word `w` of an origin set.
@@ -128,6 +196,48 @@ fn origins_of(w: usize, mut bits: u64) -> impl Iterator<Item = u32> {
     })
 }
 
+impl Buckets<'_> {
+    /// Whether origin-state `(o, node, desc)` is queued at `dist`: with
+    /// dedup iff `dist` strictly improves its tentative distance, without
+    /// iff it is not already queued there — so a bucket holds each
+    /// origin-state at most once, as a level does. (Without dedup, a state
+    /// queued at `d`, then at a smaller distance, then at `d` again is
+    /// queued twice at `d`; the drain collapses the two.)
+    #[inline]
+    fn keep(
+        &self,
+        dense: &mut DenseTables,
+        o: u32,
+        node: ConceptId,
+        desc: bool,
+        dist: u32,
+    ) -> bool {
+        if self.dedup {
+            dense.improve_best(o, node, desc, dist)
+        } else {
+            dense.pend_at(o, node, desc, dist)
+        }
+    }
+
+    /// Queues `push` in its bucket if the relaxation keeps it.
+    // Bucket growth is retained by the workspace across queries.
+    // flow: workspace-fed
+    fn queue(&mut self, dense: &mut DenseTables, push: Push) {
+        let Push { node, origin, dist, desc } = push;
+        if !self.keep(dense, origin, node, desc, dist) {
+            return;
+        }
+        if self.queues.buckets.len() <= dist as usize {
+            self.queues.buckets.resize_with(dist as usize + 1, Vec::new);
+        }
+        if let Some(bucket) = self.queues.buckets.get_mut(dist as usize) {
+            self.queued += 1;
+            // bound: sized — one push per kept origin-state, into capacity the workspace retains
+            bucket.push(push);
+        }
+    }
+}
+
 impl<'a> Frontier<'a> for Buckets<'a> {
     const TENTATIVE: bool = true;
 
@@ -135,57 +245,43 @@ impl<'a> Frontier<'a> for Buckets<'a> {
         Drc::with_weights(ontology, self.weights)
     }
 
-    fn seed(&mut self, ws: &mut KndsWorkspace, query: &[ConceptId], _dedup: bool) {
-        self.buckets = std::mem::take(&mut ws.buckets);
-        if self.buckets.is_empty() {
-            self.buckets.push(Round::default());
+    // Staging lists are retained by the workspace across queries.
+    // flow: workspace-fed
+    fn seed(&mut self, ws: &mut KndsWorkspace, query: &[ConceptId], dedup: bool) {
+        self.queues = std::mem::take(&mut ws.queues);
+        if self.queues.staged.len() < query.len() {
+            self.queues.staged.resize_with(query.len(), Vec::new);
         }
-        let stride = ws.dense.stride();
-        if let Some(seed) = self.buckets.first_mut() {
-            for (i, &c) in query.iter().enumerate() {
-                ws.dense.improve_best(packing::narrow_u32(i), c, false, 0);
-                if let Some(slot) = ws.dense.entry_slot(c) {
-                    seed.or_word(slot, c, stride, false, i >> 6, 1 << (i & 63));
-                }
-            }
+        self.round = std::mem::take(&mut ws.frontier);
+        self.dedup = dedup;
+        self.queued = 0;
+        for (origin, &node) in query.iter().enumerate() {
+            let origin = packing::narrow_u32(origin);
+            self.queue(&mut ws.dense, Push { node, origin, dist: 0, desc: false });
         }
     }
 
-    /// Drains bucket `dist`: merges the entries a concept got in it after
-    /// its slot moved to another bucket, then lazy deletion — an origin
-    /// whose state has since been relaxed below this bucket's distance is
-    /// stale and cleared — and counts the origin-states left.
+    /// Drains bucket `dist`: its pushes pend in the origin rows, where
+    /// duplicates collapse and — with dedup — an origin whose state has
+    /// since settled at a smaller distance (it was relaxed below this
+    /// bucket after the push) is stale and dropped; the rest are swept
+    /// into the round as a level is.
     fn take_round(&mut self, dense: &mut DenseTables, dist: u32) -> Round {
-        let mut round = self.buckets.get_mut(dist as usize).map(std::mem::take).unwrap_or_default();
-        let stride = dense.stride();
-        // cplx: bound nq*c — one turn per entry, at most nq·c entries a bucket
-        for i in 0..round.nodes.len() {
-            let Some(node) = round.nodes.get(i).copied() else { break };
-            let Some(slot) = dense.entry_slot(node) else { continue };
-            let first = *slot as usize;
-            if first < i && round.nodes.get(first) == Some(&node) {
-                round.merge_entry(i, first, stride);
-            } else {
-                *slot = packing::narrow_u32(i);
-            }
-        }
+        let mut pushes =
+            self.queues.buckets.get_mut(dist as usize).map(std::mem::take).unwrap_or_default();
         let mut states = 0;
-        // cplx: bound nq*c — one turn per entry, at most nq·c entries a bucket
-        for i in 0..round.nodes.len() {
-            let Some(node) = round.nodes.get(i).copied() else { break };
-            let Some((up, down)) = round.origins_mut(i, stride) else { continue };
-            for (desc, half) in [(false, up), (true, down)] {
-                for (w, word) in half.iter_mut().enumerate() {
-                    for o in origins_of(w, *word) {
-                        if dense.best_dist(o, node, desc).is_some_and(|best| best < dist) {
-                            *word &= !(1u64 << (o & 63));
-                        }
-                    }
-                    states += word.count_ones() as usize;
-                }
-            }
+        // cplx: bound nq*c — one turn per push, at most one per origin-state a bucket
+        for &Push { node, origin, desc, .. } in &pushes {
+            self.queued -= 1;
+            let (w, bit) = (origin as usize >> 6, 1 << (origin & 63));
+            states += dense.push_next(node, desc, w, bit, self.dedup) as usize;
         }
-        round.states = states;
+        pushes.clear();
+        if let Some(bucket) = self.queues.buckets.get_mut(dist as usize) {
+            *bucket = pushes;
+        }
+        let mut round = std::mem::take(&mut self.round);
+        round.sweep(dense, states);
         round
     }
 
@@ -199,55 +295,51 @@ impl<'a> Frontier<'a> for Buckets<'a> {
         self.weights.weight_at(node, pos)
     }
 
-    /// Dijkstra relaxation, origin by origin: with dedup only the origins
-    /// whose tentative distance `dist` strictly improves are kept.
-    // Bucket growth is retained by the workspace across queries.
+    /// Stages the offer, origin by origin, for relaxation at the round's
+    /// end.
     // flow: workspace-fed
     #[inline]
     fn admit(
         &mut self,
-        dense: &mut DenseTables,
-        dedup: bool,
+        _dense: &mut DenseTables,
+        _dedup: bool,
         node: ConceptId,
         desc: bool,
         bits: &[u64],
         dist: u32,
     ) {
-        if self.buckets.len() <= dist as usize {
-            self.buckets.resize_with(dist as usize + 1, Round::default);
-        }
-        let Some(bucket) = self.buckets.get_mut(dist as usize) else { return };
-        let stride = dense.stride();
         for (w, &b) in bits.iter().enumerate() {
-            let mut kept = b;
-            if dedup {
-                for o in origins_of(w, b) {
-                    if !dense.improve_best(o, node, desc, dist) {
-                        kept &= !(1u64 << (o & 63));
-                    }
-                }
-            }
-            if kept != 0 {
-                if let Some(slot) = dense.entry_slot(node) {
-                    bucket.or_word(slot, node, stride, desc, w, kept);
+            for origin in origins_of(w, b) {
+                if let Some(staged) = self.queues.staged.get_mut(origin as usize) {
+                    // bound: sized — one entry per origin a push offers, into capacity the workspace retains (cplx: cap nq*c — one per origin-state offered this round)
+                    staged.push(Push { node, origin, dist, desc });
                 }
             }
         }
     }
 
-    /// Hands the drained bucket's capacity back (expansion only ever
-    /// pushes past `dist`, so the slot is final for this query).
-    fn finish_round(&mut self, _dense: &mut DenseTables, mut drained: Round, dist: u32) -> usize {
-        drained.clear();
-        if let Some(slot) = self.buckets.get_mut(dist as usize) {
-            *slot = drained;
+    /// Relaxes the round's staged pushes, origin by origin and in push
+    /// order within an origin (see [`Buckets::keep`]), and keeps the
+    /// drained round's buffers for the next bucket (expansion only ever
+    /// pushes past `dist`, so bucket `dist` stays empty).
+    fn finish_round(&mut self, dense: &mut DenseTables, drained: Round, _dist: u32) -> usize {
+        self.round = drained;
+        let mut staged = std::mem::take(&mut self.queues.staged);
+        for pushes in &mut staged {
+            // cplx: bound nq*c — one turn per staged offer, at most one per origin-state and edge
+            for &push in pushes.iter() {
+                self.queue(dense, push);
+            }
+            pushes.clear();
         }
-        self.buckets.iter().map(Round::pending).sum()
+        self.queues.staged = staged;
+        self.queued
     }
 
     /// The next non-empty bucket.
     fn advance(&mut self, dist: u32) -> Option<u32> {
-        self.buckets
+        self.queues
+            .buckets
             .iter()
             .enumerate()
             .skip(dist as usize + 1)
@@ -256,7 +348,8 @@ impl<'a> Frontier<'a> for Buckets<'a> {
     }
 
     fn restore(&mut self, ws: &mut KndsWorkspace) {
-        ws.buckets = std::mem::take(&mut self.buckets);
+        ws.queues = std::mem::take(&mut self.queues);
+        ws.frontier = std::mem::take(&mut self.round);
     }
 }
 

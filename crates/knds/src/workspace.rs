@@ -22,9 +22,11 @@
 //! query that last wrote it; a stamp that does not match the current
 //! epoch reads as empty. Opening a query bumps one counter — O(1)
 //! regardless of how much the previous query touched — and the arrays are
-//! never memset between queries. When the 32-bit counter wraps (once per
-//! ~4 billion queries) the stamps are zeroed wholesale so no entry from
-//! the pre-wrap era can alias a live epoch; the event is surfaced as the
+//! never memset between queries. The origin rows are the exception: they
+//! carry no stamp, but live in an arena truncated at every query begin.
+//! When the 32-bit counter wraps (once per ~4 billion queries) the stamps
+//! are zeroed wholesale so no entry from the pre-wrap era can alias a
+//! live epoch; the event is surfaced as the
 //! [`epoch_rollover`](crate::QueryMetrics::epoch_rollover) metric and
 //! regression-tested via [`KndsWorkspace::force_epoch_wrap`].
 //!
@@ -37,6 +39,7 @@
 
 use crate::engine::{Candidate, QueryResult, Round, Span};
 use crate::util::OrdF64;
+use crate::weighted::Queues;
 use cbr_corpus::DocId;
 use cbr_dradix::DagScratch;
 use cbr_index::packing;
@@ -69,8 +72,8 @@ pub struct KndsWorkspace {
     pub(crate) concepts_buf: Vec<ConceptId>,
     /// The BFS level being processed (the next one pends in `dense`).
     pub(crate) frontier: Round,
-    /// Weighted: distance-indexed Dijkstra buckets.
-    pub(crate) buckets: Vec<Round>,
+    /// Weighted: the Dijkstra buckets and the round's staged pushes.
+    pub(crate) queues: Queues,
     /// Examination order buffer: the round's `(lower bound, doc)` min-heap.
     pub(crate) order: Vec<Reverse<(OrdF64, DocId)>>,
     /// The DRC D-Radix build scratch (node/label arenas et al.).
@@ -175,9 +178,7 @@ impl KndsWorkspace {
         self.span_words.clear();
         self.concepts_buf.clear();
         self.frontier.clear();
-        for b in &mut self.buckets {
-            b.clear();
-        }
+        self.queues.clear();
         self.order.clear();
         // The DAG scratch clears itself on the next build; the dense
         // stamp arrays are invalidated by the next epoch bump.
@@ -197,8 +198,7 @@ impl KndsWorkspace {
             + self.span_words.capacity() * size_of::<(u32, u64)>()
             + self.concepts_buf.capacity() * size_of::<ConceptId>()
             + self.frontier.footprint_bytes()
-            + self.buckets.capacity() * size_of::<Round>()
-            + self.buckets.iter().map(Round::footprint_bytes).sum::<usize>()
+            + self.queues.footprint_bytes()
             + self.order.capacity() * size_of::<Reverse<(OrdF64, DocId)>>()
             + self.dag.footprint_bytes()
     }
@@ -208,31 +208,33 @@ impl KndsWorkspace {
 ///
 /// Layouts (all indexes are plain arithmetic, no hashing):
 ///
-/// * **origin row** `node` → `row_stride` [`OriginWords`] in
-///   `origin_rows`, one per 64 query concepts (origins): which origins have
-///   reached the concept ascending and descending (the BFS visited set),
-///   which have had its posting list applied (coverage), and which are
-///   pending at it next round (the unit-weight frontier). `row_stride` is
-///   the widest query's `⌈nq/64⌉` so far; a narrower query uses the first
-///   `stride` of each row;
-/// * **next-round mask** — one bit per concept and origin word in
-///   `next_mask`: the concepts with origins pending next round, swept in
-///   ascending concept order when the round begins;
+/// * **origin row** `node` → `stride` [`OriginWords`] in `origin_rows`
+///   (found through `row_of`), one per 64 query concepts (origins): which
+///   origins have reached the concept ascending and descending (the BFS
+///   visited set; weighted, the settled one), which have had its posting
+///   list applied (coverage), and which are pending at it next round (the
+///   frontier);
+/// * **pending mask** — one bit per concept in `pending`: the concepts
+///   with origins pending next round, swept in ascending concept order
+///   when the round begins;
 /// * **packed state** `(origin, node, descending)` →
-///   `(origin · |C| + node) · 2 + descending` — one `u32` per state in
-///   `best` (weighted tentative distances);
+///   `(origin · |C| + node) · 2 + descending` — one stamped `u32` per
+///   state in `best` (weighted tentative distances);
 /// * **concept** `node` → one stamp in `touch_stamps` (SDS global first
 ///   touch);
 /// * **document** `doc` → one bit in `doc_bits` (progressive emission /
 ///   TA scan marks) and one packed `stamp << 32 | row` entry in `slots`
 ///   pointing into the dense candidate rows.
 ///
-/// Origin words and bitset words carry their stamp *beside* them, so a
-/// test-and-set touches a single cache line: one origin word serves a
-/// push's admission and its next-round pending bits, and later the fetch's
-/// coverage test, in one 48-byte record. Value arrays stamp per entry. A
-/// stamp equal to the current epoch means live; any other value reads as
-/// empty, which is what makes clearing O(1).
+/// Bitset words carry their stamp *beside* them, so a test-and-set
+/// touches a single cache line; value arrays stamp per entry. A stamp
+/// equal to the current epoch means live; any other value reads as empty,
+/// which is what makes clearing O(1). Origin rows carry no stamp: `clear`
+/// empties their arena at every query begin, and a `row_of` index left
+/// over from an earlier query is rejected because the word it finds names
+/// a different concept (or lies past the arena's end). One origin word
+/// serves a push's admission and its next-round pending bits, and later
+/// the fetch's coverage test, in one 48-byte record.
 ///
 /// Candidates are *rows*, not map entries: `slots[doc]` points at
 /// parallel `cand`/`cand_docs` vectors, and each row owns `stride` words
@@ -256,18 +258,17 @@ pub(crate) struct DenseTables {
     row_of: Vec<u32>,
     /// Origin rows, `stride` words each, truncated between queries.
     origin_rows: Vec<OriginWords>,
-    /// Unit weights: the concepts with origins pending next level, one bit
-    /// each — swept in ascending concept order, so a level's posting
-    /// lists, adjacency and origin rows are read in index order.
+    /// The concepts with origins pending next round, one bit each — swept
+    /// in ascending concept order, so a round's posting lists, adjacency
+    /// and origin rows are read in index order.
     pending: Vec<u64>,
     /// Per-document mark bits (emitted / TA-seen), stamped per word.
     doc_bits: Vec<StampedWord>,
     /// SDS: per-concept first-touch stamps (a pure set; the touch level
     /// itself is applied to candidates at mark time).
     touch_stamps: Vec<u32>,
-    /// Weighted: per-state best tentative distance + per-entry stamps.
-    best: Vec<u32>,
-    best_stamps: Vec<u32>,
+    /// Weighted: per-state best tentative distance, stamped per entry.
+    best: Vec<StampedDist>,
     /// Document → candidate row index, packed `stamp << 32 | slot` so one
     /// load answers the (random-access, cache-hostile) slot lookup.
     slots: Vec<u64>,
@@ -283,14 +284,12 @@ pub(crate) struct DenseTables {
 
 /// One concept's origins `64w..64w + 63` (bit `o` is origin `64w + o`):
 /// the traversal's per-concept state for one word of the query's origin
-/// sets, stamped by the query that last wrote it.
+/// sets. Not stamped: valid while it names the concept looked up (see
+/// [`DenseTables`]).
 #[derive(Debug, Default, Clone, Copy)]
 struct OriginWords {
     /// The concept whose row this is.
     concept: u32,
-    /// Weighted: the concept's entry slot (see `Round::or_word`); kept
-    /// in the row's first word only.
-    slot: u32,
     /// Origins at the concept ascending.
     up: Direction,
     /// Origins at the concept descending.
@@ -304,7 +303,7 @@ struct OriginWords {
 struct Direction {
     /// Every origin that has reached it so far (the visited set).
     seen: u64,
-    /// Unit weights: the origins pending at it next round.
+    /// The origins pending at it next round.
     next: u64,
 }
 
@@ -326,6 +325,15 @@ pub(crate) fn popcount(w: u64) -> u32 {
 #[derive(Debug, Default, Clone, Copy)]
 struct StampedWord {
     word: u64,
+    stamp: u32,
+}
+
+/// One weighted state's tentative distance and the epoch that wrote it,
+/// side by side: a relaxation is one cache miss into a table of
+/// `2 · nq · |C|` states, not two.
+#[derive(Debug, Default, Clone, Copy)]
+struct StampedDist {
+    dist: u32,
     stamp: u32,
 }
 
@@ -409,8 +417,7 @@ impl DenseTables {
             self.touch_stamps.resize(concepts, 0);
         }
         if needs_best && self.best.len() < states {
-            self.best.resize(states, 0);
-            self.best_stamps.resize(states, 0);
+            self.best.resize(states, StampedDist::default());
         }
         if self.slots.len() < docs {
             self.slots.resize(docs, 0);
@@ -427,8 +434,8 @@ impl DenseTables {
             for s in &mut self.touch_stamps {
                 *s = 0;
             }
-            for s in &mut self.best_stamps {
-                *s = 0;
+            for e in &mut self.best {
+                e.stamp = 0;
             }
             for s in &mut self.slots {
                 *s = 0;
@@ -443,6 +450,12 @@ impl DenseTables {
     /// [`KndsWorkspace::reserve`]).
     // flow: workspace-fed
     pub(crate) fn reserve(&mut self, concepts: usize, docs: usize) {
+        if self.row_of.len() < concepts {
+            self.row_of.resize(concepts, 0);
+        }
+        if self.pending.len() < concepts.div_ceil(64) {
+            self.pending.resize(concepts.div_ceil(64), 0);
+        }
         if self.touch_stamps.len() < concepts {
             self.touch_stamps.resize(concepts, 0);
         }
@@ -489,11 +502,11 @@ impl DenseTables {
         Some(at)
     }
 
-    /// Unit-weight admission of origin word `w` of a push to `node`: with
-    /// `dedup` the origins of `bits` not yet seen there in this direction
-    /// (`new = bits & !seen; seen |= new`), else those not yet pending,
-    /// join the concept's origins pending next level. Returns how many
-    /// joined.
+    /// Admits origin word `w` of a push to `node` into the next round:
+    /// with `dedup` the origins of `bits` not yet seen there in this
+    /// direction (`new = bits & !seen; seen |= new`), else those not yet
+    /// pending, join the concept's origins pending next round. Returns how
+    /// many joined.
     #[inline]
     pub(crate) fn push_next(
         &mut self,
@@ -523,9 +536,9 @@ impl DenseTables {
         popcount(new)
     }
 
-    /// Unit weights: appends the concepts with pending origins to `nodes`,
-    /// in ascending order, and clears their pending bits (the origins stay
-    /// in the rows until [`take_pending`](Self::take_pending)).
+    /// Appends the concepts with pending origins to `nodes`, in ascending
+    /// order, and clears their pending bits (the origins stay in the rows
+    /// until [`take_pending`](Self::take_pending)).
     pub(crate) fn take_pending_concepts(&mut self, nodes: &mut Vec<ConceptId>) {
         for (m, word) in self.pending.iter_mut().enumerate() {
             let mut bits = std::mem::take(word);
@@ -539,9 +552,8 @@ impl DenseTables {
         }
     }
 
-    /// Unit weights: moves `node`'s pending origins into its entry's `up`
-    /// and `down` words as its level is fetched; returns the concept's
-    /// origin row.
+    /// Moves `node`'s pending origins into its entry's `up` and `down`
+    /// words as its round is fetched; returns the concept's origin row.
     #[inline]
     pub(crate) fn take_pending(
         &mut self,
@@ -573,13 +585,6 @@ impl DenseTables {
         new
     }
 
-    /// Weighted: the entry slot of `node` (see `Round::or_word`).
-    #[inline]
-    pub(crate) fn entry_slot(&mut self, node: ConceptId) -> Option<&mut u32> {
-        let at = self.origin_row(node)?;
-        self.origin_rows.get_mut(at).map(|words| &mut words.slot)
-    }
-
     /// SDS: records the global first touch of `node`; `true` exactly once
     /// per query per concept.
     #[inline]
@@ -595,14 +600,19 @@ impl DenseTables {
         true
     }
 
-    /// Weighted: the live best tentative distance of a state, if any.
+    /// Weighted: the state's entry in the distance table, made live (as
+    /// `u32::MAX`, never pushed) on its first write this query.
     #[inline]
-    pub(crate) fn best_dist(&self, origin: u32, node: ConceptId, descending: bool) -> Option<u32> {
+    fn best_mut(&mut self, origin: u32, node: ConceptId, descending: bool) -> Option<&mut u32> {
         let idx = self.state_index(origin, node, descending);
-        match (self.best.get(idx), self.best_stamps.get(idx)) {
-            (Some(&v), Some(&s)) if s == self.epoch => Some(v),
-            _ => None,
+        let Some(e) = self.best.get_mut(idx) else {
+            debug_assert!(false, "best table smaller than the query geometry");
+            return None;
+        };
+        if e.stamp != self.epoch {
+            *e = StampedDist { dist: u32::MAX, stamp: self.epoch };
         }
+        Some(&mut e.dist)
     }
 
     /// Weighted relaxation: keeps `dist` iff it strictly improves (or
@@ -615,23 +625,34 @@ impl DenseTables {
         descending: bool,
         dist: u32,
     ) -> bool {
-        let idx = self.state_index(origin, node, descending);
-        let epoch = self.epoch;
-        let Some(stamp) = self.best_stamps.get_mut(idx) else {
-            debug_assert!(false, "best table smaller than the query geometry");
-            // Degrade to processing the push (duplicate work, never a
-            // dropped state) — the sound direction.
-            return true;
-        };
-        let Some(val) = self.best.get_mut(idx) else {
-            debug_assert!(false, "best table smaller than the query geometry");
-            return true;
-        };
-        if *stamp == epoch && *val <= dist {
+        // Out of range degrades to processing the push (duplicate work,
+        // never a dropped state) — the sound direction.
+        let Some(best) = self.best_mut(origin, node, descending) else { return true };
+        if *best <= dist {
             return false;
         }
-        *stamp = epoch;
-        *val = dist;
+        *best = dist;
+        true
+    }
+
+    /// Weighted without visit dedup: keeps `dist` unless the state's last
+    /// push was already at `dist` (so a bucket holds each origin-state at
+    /// most once, as a BFS level does); `true` if kept. Shares the
+    /// distance table with [`improve_best`](Self::improve_best) — a query
+    /// uses one or the other.
+    #[inline]
+    pub(crate) fn pend_at(
+        &mut self,
+        origin: u32,
+        node: ConceptId,
+        descending: bool,
+        dist: u32,
+    ) -> bool {
+        let Some(last) = self.best_mut(origin, node, descending) else { return true };
+        if *last == dist {
+            return false;
+        }
+        *last = dist;
         true
     }
 
@@ -744,8 +765,8 @@ impl DenseTables {
             + self.origin_rows.capacity() * size_of::<OriginWords>()
             + self.pending.capacity() * size_of::<u64>()
             + self.doc_bits.capacity() * size_of::<StampedWord>()
-            + (self.touch_stamps.capacity() + self.best.capacity() + self.best_stamps.capacity())
-                * size_of::<u32>()
+            + self.touch_stamps.capacity() * size_of::<u32>()
+            + self.best.capacity() * size_of::<StampedDist>()
             + self.slots.capacity() * size_of::<u64>()
             + self.cand.capacity() * size_of::<Candidate>()
             + self.cand_docs.capacity() * size_of::<DocId>()
@@ -756,6 +777,7 @@ impl DenseTables {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weighted::Push;
 
     #[test]
     fn begin_reports_warmth_and_finish_returns_clean() {
@@ -768,28 +790,35 @@ mod tests {
         assert!(ws.begin(), "second borrow is warm");
     }
 
-    /// A round mid-flight: every origin row, frontier entry, span word
-    /// and pending next-round origin a query can hold when it panics.
+    /// A round mid-flight, over every table a query opens (SDS touch
+    /// stamps and weighted distances included): the origin rows, the
+    /// round's entries with the first one gathered, the next round
+    /// pending, a bucket of pushes, a candidate row, and the fetch
+    /// buffers — everything a query can hold when it panics.
     fn dirty_round(ws: &mut KndsWorkspace, origins: usize) {
-        ws.dense.begin_query(origins, 8, 4, false, false);
-        ws.dense.insert_candidate(DocId(0), 0);
-        let stride = ws.dense.stride();
+        ws.dense.begin_query(origins, 64, 32, true, true);
         for i in 0..origins {
-            let c = ConceptId((i % 8) as u32);
-            ws.dense.push_next(c, i % 2 == 1, i >> 6, 1 << (i & 63), true);
+            let (c, w, bit) = (ConceptId((i % 8) as u32), i >> 6, 1u64 << (i & 63));
+            ws.dense.push_next(c, i % 2 == 1, w, bit, true);
             let row = ws.dense.origin_row(c).unwrap();
-            ws.dense.fresh_pairs(row, i >> 6, 1 << (i & 63));
-            let mut slot = u32::MAX;
-            ws.frontier.or_word(&mut slot, c, stride, false, i >> 6, 1 << (i & 63));
+            ws.dense.fresh_pairs(row, w, bit);
+            ws.dense.improve_best(packing::narrow_u32(i), c, i % 2 == 1, 3);
         }
-        ws.buckets.push(Round::default());
-        if let (Some(slot), Some(bucket)) =
-            (ws.dense.entry_slot(ConceptId(2)), ws.buckets.get_mut(0))
-        {
-            bucket.or_word(slot, ConceptId(2), stride, true, 0, 0b101);
+        ws.frontier.sweep(&mut ws.dense, origins);
+        if let Some((up, down)) = ws.frontier.origins_mut(0, ws.dense.stride()) {
+            ws.dense.take_pending(ConceptId(0), up, down);
         }
-        ws.postings_buf.extend([DocId(0), DocId(2)]);
-        ws.spans.push(Span::default());
+        for c in 8..16 {
+            ws.dense.push_next(ConceptId(c), true, 0, 0b11, true);
+        }
+        let push = Push { node: ConceptId(2), origin: 1, dist: 4, desc: true };
+        ws.queues.buckets.push(vec![push; 16]);
+        ws.queues.staged.push(vec![push; 4]);
+        ws.dense.touch_first(ConceptId(9));
+        ws.dense.mark_doc(DocId(3));
+        ws.dense.insert_candidate(DocId(5), 3);
+        ws.postings_buf.extend((0..100).map(DocId));
+        ws.spans.resize(8, Span::default());
         ws.span_words.extend([(0, 1), (1, 0b11)]);
     }
 
@@ -808,19 +837,27 @@ mod tests {
         assert!(ws.postings_buf.is_empty(), "stale fetched postings leaked");
         assert!(ws.spans.is_empty(), "stale posting spans leaked");
         assert!(ws.span_words.is_empty(), "stale span origin words leaked");
-        for (name, round) in [("current", &ws.frontier), ("bucket", &ws.buckets[0])] {
-            assert!(round.is_empty(), "stale {name} entries leaked");
-            assert_eq!(round.pending(), 0, "stale {name} origin-states leaked");
-            assert!(round.footprint_bytes() > 0, "{name} capacity was freed");
+        assert!(ws.frontier.is_empty(), "stale round entries leaked");
+        assert_eq!(ws.frontier.pending(), 0, "stale round origin-states leaked");
+        assert!(ws.frontier.footprint_bytes() > 0, "round capacity was freed");
+        let queues = &ws.queues;
+        for (name, pushes) in [("bucket", &queues.buckets[0]), ("staged", &queues.staged[0])] {
+            assert!(pushes.is_empty(), "stale {name} pushes leaked");
+            assert!(pushes.capacity() > 0, "{name} capacity was freed");
         }
         let mut stale = Vec::new();
         ws.dense.take_pending_concepts(&mut stale);
-        assert!(stale.is_empty(), "stale pending level leaked");
-        // The next query sees no origin of the dirty one seen or pending.
+        assert!(stale.is_empty(), "stale pending round leaked");
+        // The next query sees no origin of the dirty one seen or pending,
+        // no touch, no distance and no doc mark.
         ws.dense.begin_query(70, 8, 4, false, false);
         for c in 0..8 {
             assert_eq!(ws.dense.push_next(ConceptId(c), true, 0, 0b11, true), 2, "stale c{c}");
         }
+        assert!(ws.dense.touch_first(ConceptId(9)), "stale touch leaked");
+        assert!(ws.dense.improve_best(1, ConceptId(1), true, 9), "stale distance leaked");
+        assert!(!ws.dense.doc_marked(DocId(3)), "stale doc mark leaked");
+        assert_eq!(ws.dense.slot_of(DocId(5)), None, "stale slot leaked");
         let mut pending = Vec::new();
         ws.dense.take_pending_concepts(&mut pending);
         assert_eq!(pending, (0..8).map(ConceptId).collect::<Vec<_>>(), "stale pending concepts");
@@ -831,6 +868,7 @@ mod tests {
         let mut ws = KndsWorkspace::new();
         ws.begin();
         dirty_round(&mut ws, 130);
+        assert!(!ws.dense.touch_stamps.is_empty() && !ws.dense.best.is_empty());
         let footprint = ws.footprint_bytes();
         ws.finish();
         assert_eq!(ws.footprint_bytes(), footprint, "finish must keep capacity");
@@ -850,7 +888,7 @@ mod tests {
         assert!(d.improve_best(1, ConceptId(2), false, 5));
         assert!(!d.improve_best(1, ConceptId(2), false, 5), "equal is not an improvement");
         assert!(d.improve_best(1, ConceptId(2), false, 4), "strict improvement");
-        assert_eq!(d.best_dist(1, ConceptId(2), false), Some(4));
+        assert!(!d.improve_best(1, ConceptId(2), false, 4), "4 is kept");
         assert!(d.mark_doc(DocId(6)));
         assert!(d.doc_marked(DocId(6)));
         let slot = d.insert_candidate(DocId(4), 2);
@@ -870,7 +908,7 @@ mod tests {
         let row = d.origin_row(ConceptId(7)).unwrap();
         assert_eq!(d.fresh_pairs(row, 0, 0b01), 0b01, "stale pair leaked");
         assert!(d.touch_first(ConceptId(9)), "stale touch leaked");
-        assert_eq!(d.best_dist(1, ConceptId(2), false), None, "stale distance leaked");
+        assert!(d.improve_best(1, ConceptId(2), false, 9), "stale distance leaked");
         assert!(!d.doc_marked(DocId(6)), "stale doc mark leaked");
         assert_eq!(d.slot_of(DocId(4)), None, "stale slot leaked");
         assert!(d.cand.is_empty(), "stale rows leaked");
@@ -914,7 +952,7 @@ mod tests {
         d.epoch = u32::MAX;
         assert!(d.begin_query(1, 8, 4, true, true), "wrap must be reported");
         assert_eq!(d.push_next(ConceptId(1), false, 0, 1, true), 1, "pre-wrap visit aliased");
-        assert_eq!(d.best_dist(0, ConceptId(2), false), None, "pre-wrap distance aliased");
+        assert!(d.improve_best(0, ConceptId(2), false, 9), "pre-wrap distance aliased");
         assert!(d.mark_doc(DocId(3)), "pre-wrap doc mark aliased the new epoch");
         assert!(!d.begin_query(1, 8, 4, true, true), "post-wrap queries are ordinary");
     }
@@ -966,7 +1004,7 @@ mod tests {
         assert!(reserved > 0);
         // A query inside the reserved bounds grows nothing doc/concept
         // sized (origin rows still size by nq at begin).
-        ws.dense.begin_query(0, 0, 400, true, false);
+        ws.dense.begin_query(0, 1000, 400, true, false);
         assert_eq!(ws.footprint_bytes(), reserved, "reserved tables re-grew");
     }
 }
