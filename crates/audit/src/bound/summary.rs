@@ -44,8 +44,8 @@ const TYPE_TOKENS: [&str; 13] =
 
 /// Methods whose return type is `usize` wherever the hot path calls
 /// them (slice/Vec accessors and the id-space accessors of the index).
-const USIZE_METHODS: [&str; 8] =
-    ["len", "capacity", "index", "num_docs", "doc_len", "count", "num_concepts", "total_postings"];
+const USIZE_METHODS: [&str; 7] =
+    ["len", "capacity", "index", "num_docs", "doc_len", "count", "num_concepts"];
 
 /// Buffer-growth methods B03 watches inside loops (and whose `bound:
 /// sized` capacities cplx C04 cross-links).

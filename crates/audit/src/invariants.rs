@@ -7,11 +7,10 @@
 
 use crate::report::{Finding, Stat, Stats};
 use crate::ParsedWorkspace;
-use cbr_corpus::{Corpus, CorpusGenerator, CorpusProfile};
+use cbr_corpus::{Corpus, CorpusGenerator, CorpusProfile, DocId};
 use cbr_dradix::DRadixDag;
-use cbr_index::MemorySource;
 use cbr_ontology::{ConceptId, GeneratorConfig, Ontology, OntologyGenerator};
-use concept_rank::{EngineBuilder, SharedEngine};
+use concept_rank::{Engine, EngineBuilder, SharedEngine};
 
 const SEEDS: [u64; 3] = [7, 42, 20_140_324];
 
@@ -31,7 +30,7 @@ type Check = fn() -> Result<(), String>;
 /// The invariant suite, by check name (the `file` of an `INV` finding).
 const CHECKS: [(&str, Check); 6] = [
     ("ontology-validate", ontology_validate),
-    ("index-pair-validate", index_pair_validate),
+    ("index-validate", index_validate),
     ("dradix-validate", dradix_validate),
     ("dradix-catches-corruption", dradix_catches_corruption),
     ("snapshot-frame-roundtrip", snapshot_frame_roundtrip),
@@ -59,13 +58,57 @@ fn ontology_validate() -> Result<(), String> {
     Ok(())
 }
 
-/// Forward/inverted pairs built from generated corpora cross-validate.
-fn index_pair_validate() -> Result<(), String> {
+/// Appends per seed in [`index_validate`], in batches of [`BATCH`]: enough
+/// to cross the default 512-document memtable seal.
+const APPENDS: usize = 600;
+/// Appends between two validations.
+const BATCH: usize = 50;
+/// Deletes per seed in [`index_validate`].
+const DELETES: usize = 40;
+
+/// The index an engine serves validates after every write it takes:
+/// appends that seal the memtable, deletes, and a merging compaction.
+fn index_validate() -> Result<(), String> {
     for seed in SEEDS {
         let (ont, corpus) = generated(seed);
-        let source = MemorySource::build(&corpus, ont.len());
-        cbr_index::validate_pair(source.forward(), source.inverted())
-            .map_err(|v| format!("seed {seed}: index violations {v:?}"))?;
+        let pool: Vec<Vec<ConceptId>> = corpus.documents().map(|d| d.concepts().to_vec()).collect();
+        let mut engine = EngineBuilder::new().build(ont, corpus);
+        let valid = |engine: &Engine, step: &str| {
+            engine
+                .snapshot()
+                .source()
+                .validate()
+                .map_err(|v| format!("seed {seed}, after {step}: index violations {v:?}"))
+        };
+        valid(&engine, "the build")?;
+        // A seeded LCG picks what to append and whom to delete.
+        let mut state = seed;
+        let mut pick = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        for batch in 0..APPENDS / BATCH {
+            for _ in 0..BATCH {
+                engine.add_document(pool[pick(pool.len())].clone());
+            }
+            valid(&engine, &format!("append batch {batch}"))?;
+        }
+        if engine.num_segments() < 2 {
+            return Err(format!("seed {seed}: {APPENDS} appends sealed no segment"));
+        }
+        for _ in 0..DELETES {
+            let victim = DocId::from_index(pick(engine.num_docs()));
+            if engine.is_live(victim) {
+                engine.remove_document(victim).map_err(|e| format!("seed {seed}: {e}"))?;
+                valid(&engine, &format!("deleting {victim}"))?;
+            }
+        }
+        if !engine.compact() || engine.num_segments() != 1 {
+            return Err(format!("seed {seed}: compact() merged nothing"));
+        }
+        valid(&engine, "compact()")?;
     }
     Ok(())
 }

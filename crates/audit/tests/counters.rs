@@ -14,7 +14,7 @@
 use cbr_corpus::{Corpus, CorpusGenerator, CorpusProfile};
 use cbr_dradix::counters as dag_counters;
 use cbr_dradix::{DRadixDag, Drc};
-use cbr_index::MemorySource;
+use cbr_index::SegmentedView;
 use cbr_knds::counters as knds_counters;
 use cbr_knds::{Hooks, Knds, KndsConfig, KndsWorkspace, QueryKind, WeightedKnds};
 use cbr_ontology::{ConceptId, EdgeWeights, GeneratorConfig, Ontology, OntologyGenerator};
@@ -146,7 +146,7 @@ proptest! {
     ) {
         let ont = ontology(seed);
         let corpus = corpus(&ont, seed);
-        let source = MemorySource::build(&corpus, ont.len());
+        let source = SegmentedView::from_corpus(&corpus);
         let q = pick_concepts(&ont, &query_picks);
         let depth = max_depth(&ont);
 
@@ -173,7 +173,7 @@ proptest! {
     ) {
         let ont = ontology(seed);
         let corpus = corpus(&ont, seed);
-        let source = MemorySource::build(&corpus, ont.len());
+        let source = SegmentedView::from_corpus(&corpus);
         let weights = EdgeWeights::uniform(&ont);
         let q = pick_concepts(&ont, &query_picks);
         let depth = max_depth(&ont);
@@ -205,7 +205,7 @@ proptest! {
     ) {
         let ont = ontology(seed);
         let corpus = corpus(&ont, seed);
-        let source = MemorySource::build(&corpus, ont.len());
+        let source = SegmentedView::from_corpus(&corpus);
         let q = pick_concepts(&ont, &query_picks);
         let cfg = KndsConfig::default().with_error_threshold([0.0, 0.5, 0.9, 1.0][eps_pick]);
         let engine = Knds::new(&ont, &source, cfg);

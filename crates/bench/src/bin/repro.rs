@@ -680,7 +680,7 @@ fn effectiveness(wb: &Workbench) {
 
     for coll in &wb.collections {
         // Query documents: members of cohorts with ≥ 3 live documents.
-        let mut by_cohort: std::collections::HashMap<u32, Vec<DocId>> = Default::default();
+        let mut by_cohort: std::collections::BTreeMap<u32, Vec<DocId>> = Default::default();
         for (i, &cohort) in coll.cohorts.iter().enumerate() {
             let d = DocId::from_index(i);
             if cohort != u32::MAX && coll.corpus.get(d).num_concepts() > 0 {

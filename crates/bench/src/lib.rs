@@ -21,7 +21,7 @@
 pub mod json;
 
 use cbr_corpus::{ConceptFilter, Corpus, CorpusGenerator, CorpusProfile, DocId, FilterConfig};
-use cbr_index::MemorySource;
+use cbr_index::SegmentedView;
 use cbr_knds::QueryMetrics;
 use cbr_ontology::{ConceptId, GeneratorConfig, Ontology, OntologyGenerator};
 use rand::rngs::StdRng;
@@ -97,8 +97,8 @@ pub struct Collection {
     pub name: &'static str,
     /// The filtered corpus.
     pub corpus: Corpus,
-    /// Resident indexes over it.
-    pub source: MemorySource,
+    /// The index over it: a static one-segment view.
+    pub source: SegmentedView,
     /// The collection's default error threshold, chosen — as the paper
     /// chose its 0.5/0.9 — from the Figure 7 sensitivity analysis run *on
     /// this data*: 0.5 for both collections here (our traversal-vs-DRC
@@ -156,7 +156,7 @@ impl Workbench {
             let raw_stats = cbr_corpus::CorpusStats::compute(&raw);
             let filter = ConceptFilter::build(&ontology, &raw, FilterConfig::default());
             let corpus = filter.apply(&raw);
-            let source = MemorySource::build(&corpus, ontology.len());
+            let source = SegmentedView::from_corpus(&corpus);
             let mut pool: Vec<ConceptId> = Vec::new();
             let mut seen = cbr_ontology::FxHashSet::default();
             for d in corpus.documents() {

@@ -7,14 +7,18 @@
 //! from MySQL and reports I/O time separately; here both stay in memory,
 //! and the engine times every posting read as its I/O component:
 //!
-//! * [`InvertedIndex`] — concept → documents, CSR layout;
-//! * [`ForwardIndex`] — document → concepts, CSR layout;
+//! * [`Segment`] — both indexes over a contiguous document range in CSR
+//!   layout: forward (document → concepts) and inverted (concept →
+//!   documents);
 //! * [`IndexSource`] — the access trait the ranking algorithms program
-//!   against, with [`MemorySource`] (both indexes resident, static);
-//! * [`Segment`] / [`SegmentedSource`] / [`SegmentedView`] — the dynamic
-//!   path: immutable CSR segments plus a small memtable, sealed and
-//!   compacted by a single writer and published to readers as lock-free
-//!   `Arc`-shared snapshot views (see `DESIGN.md` §12);
+//!   against, implemented by [`SegmentedView`];
+//! * [`SegmentedView`] / [`SegmentedSource`] — a static collection is a
+//!   view over one base segment ([`SegmentedView::from_corpus`]); the
+//!   dynamic path adds a small memtable, sealed and compacted by a single
+//!   writer and published to readers as lock-free `Arc`-shared snapshot
+//!   views (see `DESIGN.md` §12);
+//! * [`IndexViolation`] — what [`Segment::validate`] and
+//!   [`SegmentedView::validate`] report when the structure is broken;
 //! * [`LiveConcepts`] / [`LiveMask`] — per-concept `live_here` /
 //!   `live_below` bits a view publishes so the kNDS traversal skips
 //!   concepts and subtrees that hold no live document;
@@ -25,8 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod forward;
-pub mod inverted;
 pub mod live;
 pub mod packing;
 pub mod segment;
@@ -35,11 +37,9 @@ pub mod snapshot;
 pub mod source;
 pub mod validate;
 
-pub use forward::ForwardIndex;
-pub use inverted::InvertedIndex;
 pub use live::{LiveConcepts, LiveMask};
 pub use segment::Segment;
 pub use segmented::{CompactionPolicy, SegmentedSource, SegmentedView};
 pub use snapshot::SnapshotStore;
-pub use source::{IndexSource, MemorySource};
-pub use validate::{validate_pair, IndexViolation};
+pub use source::IndexSource;
+pub use validate::IndexViolation;

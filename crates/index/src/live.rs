@@ -166,7 +166,7 @@ impl LiveConcepts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemorySource;
+    use crate::SegmentedView;
     use cbr_corpus::Corpus;
     use cbr_ontology::fixture;
 
@@ -191,7 +191,7 @@ mod tests {
     fn exact_marks_postings_and_their_ancestors_only() {
         let fig = fixture::figure3();
         let corpus = Corpus::from_concept_sets(vec![(names(&fig, &["M", "T"]), 0)]);
-        let source = MemorySource::build(&corpus, fig.ontology.len());
+        let source = SegmentedView::from_corpus(&corpus);
         let live = LiveConcepts::exact(&fig.ontology, &source);
         let mask = live.as_mask();
         for c in fig.ontology.concepts() {
@@ -210,7 +210,7 @@ mod tests {
     fn the_ancestor_worklist_stops_at_the_first_bit_already_set() {
         let fig = fixture::figure3();
         let corpus = Corpus::from_concept_sets(vec![(names(&fig, &["M"]), 0)]);
-        let source = MemorySource::build(&corpus, fig.ontology.len());
+        let source = SegmentedView::from_corpus(&corpus);
         let mut live = LiveConcepts::exact(&fig.ontology, &source);
         let published = live.clone();
         // N's parent I is already live below: here(N) + below(N), nothing
@@ -237,7 +237,7 @@ mod tests {
             (names(&fig, &["N"]), 0),
             (names(&fig, &["U"]), 0),
         ]);
-        let source = MemorySource::build(&grown, fig.ontology.len());
+        let source = SegmentedView::from_corpus(&grown);
         assert_eq!(live, LiveConcepts::exact(&fig.ontology, &source));
     }
 }

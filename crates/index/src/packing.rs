@@ -62,7 +62,7 @@ pub fn narrow_u32(n: usize) -> u32 {
 ///
 /// Invariant: a segment holds fewer than `u32::MAX` postings — enforced
 /// upstream by the `u32` [`DocId`]/[`ConceptId`](cbr_ontology::ConceptId)
-/// spaces and re-proven by `validate_pair` on every build.
+/// spaces and re-proven by `Segment::validate` on every debug build.
 #[inline]
 #[must_use]
 pub fn csr_offset(len: usize) -> u32 {

@@ -1,24 +1,38 @@
-//! Immutable CSR segments: the building block of the segmented index.
+//! Immutable CSR segments: the one index layout, static or served.
 //!
 //! A [`Segment`] covers one contiguous range of document ids and stores
-//! both access directions in compressed-sparse-row form, exactly like the
-//! full [`InvertedIndex`](crate::InvertedIndex)/[`ForwardIndex`](crate::ForwardIndex)
-//! pair but scoped to its range. Unlike the full inverted index — whose
-//! offset table is dense over every concept id the ontology knows — a
-//! segment holds postings for the sorted *distinct* concepts that actually
-//! occur in it, found by binary search. Small segments sealed from a
-//! memtable touch a handful of concepts, so a dense 300k-entry offset
-//! table per segment would dwarf the payload.
+//! both access directions of §5.3 in compressed-sparse-row form: the
+//! forward index (document → concepts) and the inverted index (concept →
+//! documents), scoped to its range. The inverted half holds postings only
+//! for the sorted *distinct* concepts that actually occur in the segment,
+//! found by binary search, rather than a dense offset table over every
+//! concept id the ontology knows: small segments sealed from a memtable
+//! touch a handful of concepts, so a dense 300k-entry table per segment
+//! would dwarf the payload. A static collection is a view over one such
+//! segment ([`SegmentedView::from_corpus`](crate::SegmentedView::from_corpus)).
 //!
 //! Segments are never mutated after construction (the Navarro–Nekrich
 //! static-structure discipline): appends go to a memtable that is sealed
 //! into a *new* segment, deletes go to a side bitset, and compaction
 //! *replaces* a run of segments with a freshly built merged one. Readers
 //! therefore share segments freely behind `Arc` with no synchronization.
+//! Every segment is re-checked by [`Segment::validate`] as it is built in
+//! a debug build.
 
 use crate::packing;
+use crate::validate::{verdict, IndexViolation};
 use cbr_corpus::DocId;
 use cbr_ontology::ConceptId;
+
+fn strictly_sorted<T: Ord>(xs: &[T]) -> bool {
+    xs.windows(2).all(|w| w[0] < w[1])
+}
+
+fn offsets_valid(offsets: &[u32], payload_len: usize) -> bool {
+    offsets.first() == Some(&0)
+        && offsets.windows(2).all(|w| w[0] <= w[1])
+        && offsets.last().map(|&end| end as usize) == Some(payload_len)
+}
 
 /// An immutable CSR index fragment over the contiguous document range
 /// `[first_doc, first_doc + len)`.
@@ -125,7 +139,14 @@ impl Segment {
                 cursor[slot] += 1;
             }
         }
-        Segment { first_doc, fwd_offsets, fwd_concepts, inv_concepts, inv_offsets, inv_docs }
+        let seg =
+            Segment { first_doc, fwd_offsets, fwd_concepts, inv_concepts, inv_offsets, inv_docs };
+        #[cfg(debug_assertions)]
+        {
+            let checked = seg.validate();
+            debug_assert!(checked.is_ok(), "segment invariants violated: {checked:?}");
+        }
+        seg
     }
 
     /// Global id of the first covered document slot.
@@ -196,10 +217,67 @@ impl Segment {
     pub fn num_concepts(&self) -> usize {
         self.inv_concepts.len()
     }
+
+    /// Re-checks every invariant tying the segment's two directions
+    /// together: sane CSR offsets on both sides, strictly sorted forward
+    /// rows, concept directory and local postings, postings inside the
+    /// segment, and the two-way membership equivalence. Violations name
+    /// documents by global id.
+    pub fn validate(&self) -> Result<(), Vec<IndexViolation>> {
+        let mut v = Vec::new();
+        if !offsets_valid(&self.fwd_offsets, self.fwd_concepts.len()) {
+            v.push(IndexViolation::BadOffsets { forward: true });
+        }
+        if self.inv_offsets.len() != self.inv_concepts.len() + 1
+            || !offsets_valid(&self.inv_offsets, self.inv_docs.len())
+        {
+            v.push(IndexViolation::BadOffsets { forward: false });
+        }
+        if !v.is_empty() {
+            // Offsets gate slice construction; bail before indexing with them.
+            return Err(v);
+        }
+        let global = |local: u32| DocId(self.first_doc.saturating_add(local));
+
+        // Forward → inverted: every listed concept's postings contain the doc.
+        for local in 0..self.len() {
+            let row = packing::narrow_u32(local);
+            let doc = global(row);
+            let concepts = self.concepts(local);
+            if !strictly_sorted(concepts) {
+                v.push(IndexViolation::UnsortedConcepts { doc });
+            }
+            for &c in concepts {
+                if self.local_postings(c).binary_search(&row).is_err() {
+                    v.push(IndexViolation::MissingPosting { doc, concept: c });
+                }
+            }
+        }
+
+        // Inverted → forward: every posting's document lists the concept.
+        for (j, &c) in self.inv_concepts.iter().enumerate() {
+            if j > 0 && self.inv_concepts[j - 1] >= c {
+                v.push(IndexViolation::UnsortedPostings { concept: c });
+            }
+            let postings =
+                &self.inv_docs[self.inv_offsets[j] as usize..self.inv_offsets[j + 1] as usize];
+            if !strictly_sorted(postings) {
+                v.push(IndexViolation::UnsortedPostings { concept: c });
+            }
+            for &local in postings {
+                let listed = (local as usize) < self.len()
+                    && self.concepts(local as usize).binary_search(&c).is_ok();
+                if !listed {
+                    v.push(IndexViolation::MissingForwardEntry { doc: global(local), concept: c });
+                }
+            }
+        }
+        verdict(v)
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn c(v: u32) -> ConceptId {
@@ -208,6 +286,29 @@ mod tests {
 
     fn seg(first: u32, docs: &[&[ConceptId]]) -> Segment {
         Segment::from_docs(first, docs.iter().copied())
+    }
+
+    /// Corruptors, each breaking one invariant of a built segment.
+    impl Segment {
+        /// Swaps the first two stored concepts: an unsorted forward row.
+        pub(crate) fn corrupt_order(&mut self) {
+            self.fwd_concepts.swap(0, 1);
+        }
+
+        /// Points the first posting at local document `local`.
+        fn corrupt_posting(&mut self, local: u32) {
+            self.inv_docs[0] = local;
+        }
+
+        /// Makes the forward offsets step backwards after row 0.
+        fn corrupt_offset(&mut self) {
+            self.fwd_offsets[1] = self.fwd_offsets[2] + 1;
+        }
+    }
+
+    /// Concept 0 occurs only in document 2; document 0 lists 1 and 3.
+    pub(crate) fn three_docs(first: u32) -> Segment {
+        seg(first, &[&[c(1), c(3)], &[c(3)], &[c(0), c(2), c(3)]])
     }
 
     #[test]
@@ -249,5 +350,40 @@ mod tests {
         let a = seg(0, &[&[c(1)]]);
         let b = seg(5, &[&[c(1)]]);
         let _ = Segment::merge(&[&a, &b], |_| false);
+    }
+
+    #[test]
+    fn a_built_segment_validates() {
+        assert_eq!(three_docs(0).validate(), Ok(()));
+        assert_eq!(seg(4, &[]).validate(), Ok(()));
+    }
+
+    #[test]
+    fn unsorted_forward_row_is_caught() {
+        let mut s = three_docs(0);
+        s.corrupt_order();
+        let err = s.validate().unwrap_err();
+        assert!(err.contains(&IndexViolation::UnsortedConcepts { doc: DocId(0) }), "{err:?}");
+    }
+
+    #[test]
+    fn phantom_posting_is_caught() {
+        // Concept 0's one posting now names document 0, which lists only
+        // 1 and 3. The list stays sorted and inside the segment, so only
+        // the inverted → forward pass can see it.
+        let mut s = three_docs(10);
+        s.corrupt_posting(0);
+        let err = s.validate().unwrap_err();
+        assert!(
+            err.contains(&IndexViolation::MissingForwardEntry { doc: DocId(10), concept: c(0) }),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn non_monotone_offset_is_caught() {
+        let mut s = three_docs(0);
+        s.corrupt_offset();
+        assert_eq!(s.validate(), Err(vec![IndexViolation::BadOffsets { forward: true }]));
     }
 }

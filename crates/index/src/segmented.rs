@@ -28,7 +28,8 @@ use crate::live::{LiveConcepts, LiveMask};
 use crate::packing;
 use crate::segment::Segment;
 use crate::source::IndexSource;
-use cbr_corpus::DocId;
+use crate::validate::{verdict, IndexViolation};
+use cbr_corpus::{Corpus, DocId};
 use cbr_ontology::ConceptId;
 use std::sync::Arc;
 
@@ -36,6 +37,13 @@ use std::sync::Arc;
 #[inline]
 fn bit(words: &[u64], i: usize) -> bool {
     words.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1)
+}
+
+/// The base segment covering every document of `corpus` (none when it is
+/// empty).
+fn base_segment(corpus: &Corpus) -> Option<Arc<Segment>> {
+    let docs = corpus.documents().map(|d| d.concepts());
+    (!corpus.is_empty()).then(|| Arc::new(Segment::from_docs(0, docs)))
 }
 
 /// When to seal the memtable and when to fold small segments together.
@@ -81,6 +89,16 @@ impl SegmentedView {
         }
     }
 
+    /// A static view of `corpus`: one base segment, no tombstones and no
+    /// concept mask, so a search over it prunes nothing.
+    pub fn from_corpus(corpus: &Corpus) -> SegmentedView {
+        SegmentedView {
+            segments: base_segment(corpus).into_iter().collect(),
+            num_docs: corpus.len(),
+            ..SegmentedView::empty()
+        }
+    }
+
     /// This view publishing `live` as its concept mask. The caller vouches
     /// that `live` over-reports this view's live postings and never
     /// under-reports them (see [`crate::live`]).
@@ -92,6 +110,29 @@ impl SegmentedView {
     /// Number of segments behind this view.
     pub fn num_segments(&self) -> usize {
         self.segments.len()
+    }
+
+    /// Checks that the view's segments tile `0..num_docs` in order with
+    /// no gap or overlap, and that each segment validates.
+    pub fn validate(&self) -> Result<(), Vec<IndexViolation>> {
+        let mut v = Vec::new();
+        let mut expected = 0u32;
+        for seg in self.segments.iter() {
+            if seg.first_doc() != expected {
+                v.push(IndexViolation::SegmentGap { expected, first_doc: seg.first_doc() });
+            }
+            if let Err(found) = seg.validate() {
+                v.extend(found);
+            }
+            expected = seg.doc_end();
+        }
+        if self.num_docs != expected as usize {
+            v.push(IndexViolation::DocCountMismatch {
+                num_docs: self.num_docs,
+                covered: expected as usize,
+            });
+        }
+        verdict(v)
     }
 
     /// The segment containing `d`, with `d` mapped to a local row.
@@ -179,12 +220,9 @@ impl SegmentedSource {
     }
 
     /// Wraps an existing corpus as one base segment.
-    pub fn from_corpus(corpus: &cbr_corpus::Corpus, policy: CompactionPolicy) -> SegmentedSource {
+    pub fn from_corpus(corpus: &Corpus, policy: CompactionPolicy) -> SegmentedSource {
         let mut source = SegmentedSource::new(policy);
-        if !corpus.is_empty() {
-            let base = Segment::from_docs(0, corpus.documents().map(|d| d.concepts()));
-            source.segments.push(Arc::new(base));
-        }
+        source.segments.extend(base_segment(corpus));
         source
     }
 
@@ -456,13 +494,64 @@ mod tests {
 
     #[test]
     fn from_corpus_wraps_everything_as_base_segment() {
-        let corpus =
-            cbr_corpus::Corpus::from_concept_sets(vec![(vec![c(2), c(1)], 0), (vec![c(2)], 0)]);
+        let corpus = Corpus::from_concept_sets(vec![(vec![c(2), c(1)], 0), (vec![c(2)], 0)]);
         let mut s = SegmentedSource::from_corpus(&corpus, CompactionPolicy::default());
         assert_eq!(s.num_segments(), 1);
         let v = s.view();
         assert_eq!(v.num_docs(), 2);
         assert_eq!(postings(&v, c(2)), vec![DocId(0), DocId(1)]);
         assert_eq!(s.append(vec![c(9)]), DocId(2));
+    }
+
+    #[test]
+    fn a_static_view_reads_both_directions_into_appended_buffers() {
+        let corpus = Corpus::from_concept_sets(vec![(vec![c(3), c(1)], 0), (vec![c(3)], 0)]);
+        let v = SegmentedView::from_corpus(&corpus);
+        assert_eq!((v.num_segments(), v.num_docs()), (1, 2));
+        assert_eq!(v.live_mask(), LiveMask::ALL_LIVE);
+        let mut docs = vec![DocId(9)];
+        v.postings(c(3), &mut docs);
+        assert_eq!(docs, vec![DocId(9), DocId(0), DocId(1)]);
+        let mut cs = vec![c(7)];
+        v.doc_concepts(DocId(0), &mut cs);
+        assert_eq!(cs, vec![c(7), c(1), c(3)]);
+        assert_eq!(v.doc_len(DocId(1)), 1);
+        assert!(v.is_live(DocId(1)));
+        let empty = SegmentedView::from_corpus(&Corpus::from_concept_sets(vec![]));
+        assert_eq!((empty.num_segments(), empty.num_docs()), (0, 0));
+    }
+
+    fn view(segments: Vec<Segment>, num_docs: usize) -> SegmentedView {
+        let segments = segments.into_iter().map(Arc::new).collect();
+        SegmentedView { segments, num_docs, ..SegmentedView::empty() }
+    }
+
+    #[test]
+    fn views_that_tile_their_ids_validate() {
+        let three = crate::segment::tests::three_docs;
+        assert_eq!(view(vec![three(0), three(3)], 6).validate(), Ok(()));
+        assert_eq!(SegmentedView::empty().validate(), Ok(()));
+        let mut s = SegmentedSource::new(tiny_policy());
+        for i in 0..5u32 {
+            s.append(vec![c(i), c(9)]);
+        }
+        s.delete(DocId(2));
+        assert_eq!(s.view().validate(), Ok(()));
+        s.compact_all();
+        assert_eq!(s.view().validate(), Ok(()));
+    }
+
+    #[test]
+    fn gaps_and_miscounts_between_segments_are_caught() {
+        let three = crate::segment::tests::three_docs;
+        let err = view(vec![three(0), three(5)], 8).validate().unwrap_err();
+        assert_eq!(err, [IndexViolation::SegmentGap { expected: 3, first_doc: 5 }]);
+        let err = view(vec![three(0)], 4).validate().unwrap_err();
+        assert_eq!(err, [IndexViolation::DocCountMismatch { num_docs: 4, covered: 3 }]);
+        // A corrupt segment fails the view that holds it.
+        let mut bad = three(3);
+        bad.corrupt_order();
+        let err = view(vec![three(0), bad], 6).validate().unwrap_err();
+        assert!(err.contains(&IndexViolation::UnsortedConcepts { doc: DocId(3) }), "{err:?}");
     }
 }

@@ -1,39 +1,56 @@
-//! Cross-consistency validation for a forward/inverted index pair.
+//! Structural validation of the index that is served: its segments and
+//! the views over them.
 //!
-//! Both indexes are CSR projections of the same corpus, so each one must
-//! be derivable from the other: document `d` lists concept `c` in the
-//! forward index **iff** `c`'s posting list contains `d`. This module
-//! re-checks that equivalence (plus the per-list sorted/deduplicated
-//! layout both query algorithms rely on for binary search and merge
-//! joins), so the `cbr-audit` invariant runner and debug assertions can
-//! catch a decoder bug or tampered snapshot after the fact.
+//! Each [`Segment`](crate::Segment) stores two CSR projections of the same
+//! documents, so each must be derivable from the other: local document
+//! `d` lists concept `c` in the forward rows **iff** `c`'s posting list
+//! contains `d`. [`Segment::validate`](crate::Segment::validate) re-checks
+//! that equivalence, plus the sorted, deduplicated layout both query
+//! algorithms rely on for binary search and merge joins;
+//! [`SegmentedView::validate`](crate::SegmentedView::validate) checks that
+//! the segments tile the view's id space. Debug builds run the first on
+//! every segment they make, and the `cbr-audit` invariant runner runs the
+//! second on engines after writes, so a builder or merge bug is caught
+//! after the fact. Both report [`IndexViolation`]s.
 
-use crate::{ForwardIndex, InvertedIndex};
 use cbr_corpus::DocId;
 use cbr_ontology::ConceptId;
 
-/// A violated index invariant, reported by [`validate_pair`].
+/// A violated index invariant, reported by
+/// [`Segment::validate`](crate::Segment::validate) and
+/// [`SegmentedView::validate`](crate::SegmentedView::validate).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IndexViolation {
-    /// A CSR offset array that is not monotonically non-decreasing or
-    /// does not end at the payload length.
+    /// A CSR offset array that does not start at 0, is not monotonically
+    /// non-decreasing, does not end at the payload length, or (inverted)
+    /// does not have one fence post per distinct concept plus one.
     BadOffsets {
-        /// Which index holds the bad offsets.
+        /// Which direction holds the bad offsets.
         forward: bool,
     },
-    /// The two indexes disagree on the number of documents.
+    /// A segment that does not start where the previous one ended (the
+    /// first at document 0).
+    SegmentGap {
+        /// Where the segment should start.
+        expected: u32,
+        /// Where it starts.
+        first_doc: u32,
+    },
+    /// A view whose document count is not the number of slots its
+    /// segments cover.
     DocCountMismatch {
-        /// Documents according to the forward index.
-        forward: usize,
-        /// Documents according to the inverted index.
-        inverted: usize,
+        /// Documents according to the view.
+        num_docs: usize,
+        /// Document slots its segments cover.
+        covered: usize,
     },
     /// A document whose forward concept set is unsorted or has duplicates.
     UnsortedConcepts {
         /// The offending document.
         doc: DocId,
     },
-    /// A concept whose posting list is unsorted or has duplicates.
+    /// A concept listed out of order in a segment's concept directory, or
+    /// whose posting list is unsorted or has duplicates.
     UnsortedPostings {
         /// The offending concept.
         concept: ConceptId,
@@ -46,7 +63,7 @@ pub enum IndexViolation {
         concept: ConceptId,
     },
     /// A posting `(concept, doc)` whose document does not list the concept
-    /// in the forward index (or lies outside the corpus entirely).
+    /// in the forward rows (or lies outside the segment entirely).
     MissingForwardEntry {
         /// The document in the posting list.
         doc: DocId,
@@ -55,137 +72,11 @@ pub enum IndexViolation {
     },
 }
 
-fn strictly_sorted<T: Ord>(xs: &[T]) -> bool {
-    xs.windows(2).all(|w| w[0] < w[1])
-}
-
-fn offsets_valid(offsets: &[u32], payload_len: usize) -> bool {
-    !offsets.is_empty()
-        && offsets.first() == Some(&0)
-        && offsets.windows(2).all(|w| w[0] <= w[1])
-        && offsets.last().copied() == Some(payload_len as u32)
-}
-
-/// Re-checks every invariant tying a forward/inverted pair together:
-/// CSR offset sanity, sorted + deduplicated entries on both sides, equal
-/// document counts, and the two-way membership equivalence.
-pub fn validate_pair(
-    forward: &ForwardIndex,
-    inverted: &InvertedIndex,
-) -> Result<(), Vec<IndexViolation>> {
-    let mut v = Vec::new();
-
-    let (f_offsets, _) = forward.parts();
-    let (i_offsets, _) = inverted.parts();
-    if !offsets_valid(f_offsets, forward.parts().1.len()) {
-        v.push(IndexViolation::BadOffsets { forward: true });
-    }
-    if !offsets_valid(i_offsets, inverted.parts().1.len()) {
-        v.push(IndexViolation::BadOffsets { forward: false });
-    }
-    if !v.is_empty() {
-        // Offsets gate slice construction; bail before indexing with them.
-        return Err(v);
-    }
-
-    if forward.num_docs() != inverted.num_docs() {
-        v.push(IndexViolation::DocCountMismatch {
-            forward: forward.num_docs(),
-            inverted: inverted.num_docs(),
-        });
-    }
-
-    let num_docs = forward.num_docs();
-    let num_concepts = inverted.num_concepts();
-
-    // Forward → inverted: every listed concept's postings contain the doc.
-    for i in 0..num_docs {
-        let doc = DocId::from_index(i);
-        let concepts = forward.concepts(doc);
-        if !strictly_sorted(concepts) {
-            v.push(IndexViolation::UnsortedConcepts { doc });
-        }
-        for &c in concepts {
-            if inverted.postings(c).binary_search(&doc).is_err() {
-                v.push(IndexViolation::MissingPosting { doc, concept: c });
-            }
-        }
-    }
-
-    // Inverted → forward: every posting's document lists the concept.
-    for ci in 0..num_concepts {
-        let c = ConceptId::from_index(ci);
-        let postings = inverted.postings(c);
-        if !strictly_sorted(postings) {
-            v.push(IndexViolation::UnsortedPostings { concept: c });
-        }
-        for &doc in postings {
-            let listed = doc.index() < num_docs && forward.concepts(doc).binary_search(&c).is_ok();
-            if !listed {
-                v.push(IndexViolation::MissingForwardEntry { doc, concept: c });
-            }
-        }
-    }
-
-    if v.is_empty() {
+/// `Ok` when no violation was found.
+pub(crate) fn verdict(found: Vec<IndexViolation>) -> Result<(), Vec<IndexViolation>> {
+    if found.is_empty() {
         Ok(())
     } else {
-        Err(v)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cbr_corpus::Corpus;
-
-    fn pair() -> (ForwardIndex, InvertedIndex) {
-        let corpus = Corpus::from_concept_sets(vec![
-            (vec![ConceptId(1), ConceptId(3)], 0),
-            (vec![ConceptId(3)], 0),
-            (vec![ConceptId(0), ConceptId(2), ConceptId(3)], 0),
-        ]);
-        (ForwardIndex::build(&corpus), InvertedIndex::build(&corpus, 5))
-    }
-
-    #[test]
-    fn consistent_pair_passes() {
-        let (fwd, inv) = pair();
-        assert_eq!(validate_pair(&fwd, &inv), Ok(()));
-    }
-
-    #[test]
-    fn unsorted_forward_entry_is_caught() {
-        let (mut fwd, inv) = pair();
-        fwd.corrupt_order_for_tests();
-        let err = validate_pair(&fwd, &inv).unwrap_err();
-        assert!(
-            err.iter().any(|x| matches!(x, IndexViolation::UnsortedConcepts { .. })),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn phantom_posting_is_caught() {
-        let (fwd, mut inv) = pair();
-        inv.corrupt_posting_for_tests(DocId(9));
-        let err = validate_pair(&fwd, &inv).unwrap_err();
-        assert!(
-            err.iter()
-                .any(|x| matches!(x, IndexViolation::MissingForwardEntry { doc: DocId(9), .. })),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn doc_count_mismatch_is_caught() {
-        let a = Corpus::from_concept_sets(vec![(vec![ConceptId(1)], 0)]);
-        let b = Corpus::from_concept_sets(vec![(vec![ConceptId(1)], 0), (vec![], 0)]);
-        let err =
-            validate_pair(&ForwardIndex::build(&b), &InvertedIndex::build(&a, 2)).unwrap_err();
-        assert!(
-            err.iter().any(|x| matches!(x, IndexViolation::DocCountMismatch { .. })),
-            "{err:?}"
-        );
+        Err(found)
     }
 }

@@ -203,7 +203,7 @@ impl<'a, S: IndexSource> Knds<'a, S> {
     ///
     /// ```
     /// use cbr_corpus::Corpus;
-    /// use cbr_index::MemorySource;
+    /// use cbr_index::SegmentedView;
     /// use cbr_knds::{Knds, KndsConfig};
     /// use cbr_ontology::fixture;
     ///
@@ -212,7 +212,7 @@ impl<'a, S: IndexSource> Knds<'a, S> {
     ///     (fig.example_document(), 0),
     ///     (fig.example_query(), 0),
     /// ]);
-    /// let source = MemorySource::build(&corpus, fig.ontology.len());
+    /// let source = SegmentedView::from_corpus(&corpus);
     /// let knds = Knds::new(&fig.ontology, &source, KndsConfig::default());
     ///
     /// let top = knds.rds(&fig.example_query(), 2);
@@ -233,7 +233,7 @@ impl<'a, S: IndexSource> Knds<'a, S> {
     ///
     /// ```
     /// use cbr_corpus::Corpus;
-    /// use cbr_index::MemorySource;
+    /// use cbr_index::SegmentedView;
     /// use cbr_knds::{Knds, KndsConfig, KndsWorkspace};
     /// use cbr_ontology::fixture;
     ///
@@ -242,7 +242,7 @@ impl<'a, S: IndexSource> Knds<'a, S> {
     ///     (fig.example_document(), 0),
     ///     (fig.example_query(), 0),
     /// ]);
-    /// let source = MemorySource::build(&corpus, fig.ontology.len());
+    /// let source = SegmentedView::from_corpus(&corpus);
     /// let knds = Knds::new(&fig.ontology, &source, KndsConfig::default());
     ///
     /// let mut ws = KndsWorkspace::new();
@@ -724,6 +724,10 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
     /// distance, so the first application carries the minimal distance
     /// under either policy — then reads the node's posting list once if
     /// either is due, as one [`Span`] carrying the forward origin words.
+    // cplx: bound nq*c*seg + nq*post — amortized: the dense pair marks admit each
+    // (origin, concept) pair once per query and the reverse read comes on a first
+    // touch, so a query reads a concept's list at most nq + 1 times, each a walk over
+    // the source's segments
     fn fetch_block(&mut self, round: &mut Round, from: usize) -> usize {
         let stride = self.ws.dense.stride();
         let origin_sets = round.words.chunks_exact_mut(2 * stride);
@@ -1094,12 +1098,12 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
 mod tests {
     use super::*;
     use cbr_corpus::Corpus;
-    use cbr_index::MemorySource;
+    use cbr_index::SegmentedView;
     use cbr_ontology::fixture;
     use std::time::Duration;
 
     /// A small collection over the Figure 3 ontology.
-    fn setup() -> (fixture::Figure3, Corpus, MemorySource) {
+    fn setup() -> (fixture::Figure3, Corpus, SegmentedView) {
         let fig = fixture::figure3();
         let c = |n: &str| fig.concept(n);
         let corpus = Corpus::from_concept_sets(vec![
@@ -1110,7 +1114,7 @@ mod tests {
             (vec![c("G"), c("H")], 0),
             (vec![c("U"), c("L")], 0),
         ]);
-        let source = MemorySource::build(&corpus, fig.ontology.len());
+        let source = SegmentedView::from_corpus(&corpus);
         (fig, corpus, source)
     }
 
@@ -1209,10 +1213,10 @@ mod tests {
         assert!(r.metrics.candidates_seen >= r.metrics.docs_examined);
     }
 
-    /// `MemorySource` whose every `postings` call busy-waits `SPIN` first,
+    /// A `SegmentedView` wrapper whose every `postings` call busy-waits `SPIN` first,
     /// so index time dominates the query and is known from the call count.
     struct SpinningSource<'a> {
-        inner: &'a MemorySource,
+        inner: &'a SegmentedView,
         postings_calls: std::cell::Cell<u32>,
     }
 

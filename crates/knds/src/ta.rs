@@ -179,10 +179,10 @@ fn ta_round_robin<S: IndexSource>(
 mod tests {
     use super::*;
     use cbr_corpus::Corpus;
-    use cbr_index::MemorySource;
+    use cbr_index::SegmentedView;
     use cbr_ontology::fixture;
 
-    fn setup() -> (fixture::Figure3, MemorySource) {
+    fn setup() -> (fixture::Figure3, SegmentedView) {
         let fig = fixture::figure3();
         let c = |n: &str| fig.concept(n);
         let corpus = Corpus::from_concept_sets(vec![
@@ -191,7 +191,7 @@ mod tests {
             (vec![c("M"), c("N")], 0),
             (vec![c("C")], 0),
         ]);
-        let source = MemorySource::build(&corpus, fig.ontology.len());
+        let source = SegmentedView::from_corpus(&corpus);
         (fig, source)
     }
 

@@ -73,7 +73,7 @@ pub const DEFAULT_CANDIDATES: &[f64] = &[0.0, 0.25, 0.5, 0.75, 1.0];
 mod tests {
     use super::*;
     use cbr_corpus::{CorpusGenerator, CorpusProfile};
-    use cbr_index::MemorySource;
+    use cbr_index::SegmentedView;
     use cbr_ontology::{GeneratorConfig, OntologyGenerator};
 
     #[test]
@@ -84,7 +84,7 @@ mod tests {
             CorpusProfile::radio_like().with_num_docs(80).with_mean_concepts(10.0),
         )
         .generate();
-        let source = MemorySource::build(&corpus, ont.len());
+        let source = SegmentedView::from_corpus(&corpus);
         let sample: Vec<Vec<ConceptId>> = corpus
             .documents()
             .filter(|d| d.num_concepts() >= 2)
@@ -113,7 +113,7 @@ mod tests {
             CorpusProfile::patient_like().with_num_docs(40).with_mean_concepts(15.0),
         )
         .generate();
-        let source = MemorySource::build(&corpus, ont.len());
+        let source = SegmentedView::from_corpus(&corpus);
         let sample: Vec<Vec<ConceptId>> = corpus
             .documents()
             .filter(|d| d.num_concepts() > 0)
@@ -137,7 +137,7 @@ mod tests {
     fn empty_candidates_panic() {
         let ont = OntologyGenerator::new(GeneratorConfig::small(50)).generate();
         let corpus = cbr_corpus::Corpus::default();
-        let source = MemorySource::build(&corpus, ont.len());
+        let source = SegmentedView::from_corpus(&corpus);
         tune_error_threshold(
             &ont,
             &source,

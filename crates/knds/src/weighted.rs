@@ -357,14 +357,14 @@ impl<'a> Frontier<'a> for Buckets<'a> {
 mod tests {
     use super::*;
     use cbr_corpus::{Corpus, CorpusGenerator, CorpusProfile, DocId};
-    use cbr_index::MemorySource;
+    use cbr_index::SegmentedView;
     use cbr_ontology::{fixture, weighted, GeneratorConfig, OntologyGenerator};
 
     /// Exhaustive weighted baseline for verification.
     fn weighted_scan_rds(
         ont: &Ontology,
         w: &EdgeWeights,
-        source: &MemorySource,
+        source: &SegmentedView,
         q: &[ConceptId],
         k: usize,
     ) -> Vec<f64> {
@@ -388,7 +388,7 @@ mod tests {
     fn weighted_scan_sds(
         ont: &Ontology,
         w: &EdgeWeights,
-        source: &MemorySource,
+        source: &SegmentedView,
         q: &[ConceptId],
         k: usize,
     ) -> Vec<f64> {
@@ -412,7 +412,7 @@ mod tests {
             CorpusProfile::radio_like().with_num_docs(50).with_mean_concepts(8.0),
         )
         .generate();
-        let source = MemorySource::build(&corpus, ont.len());
+        let source = SegmentedView::from_corpus(&corpus);
         let w = EdgeWeights::from_fn(&ont, |p, c| 1 + (p.0.wrapping_add(c.0) % 3));
         let queries: Vec<Vec<ConceptId>> = corpus
             .documents()
@@ -445,7 +445,7 @@ mod tests {
             CorpusProfile::radio_like().with_num_docs(40).with_mean_concepts(6.0),
         )
         .generate();
-        let source = MemorySource::build(&corpus, ont.len());
+        let source = SegmentedView::from_corpus(&corpus);
         let w = EdgeWeights::from_fn(&ont, |p, _| 1 + (p.0 % 2));
         let q = corpus.documents().find(|d| d.num_concepts() >= 3).unwrap().concepts().to_vec();
         let engine = WeightedKnds::new(&ont, &w, &source, KndsConfig::default());
@@ -466,7 +466,7 @@ mod tests {
             (vec![c("M")], 0), // near I through G
             (vec![c("T")], 0), // far from I
         ]);
-        let source = MemorySource::build(&corpus, fig.ontology.len());
+        let source = SegmentedView::from_corpus(&corpus);
         let q = vec![c("I")];
 
         let unit = EdgeWeights::uniform(&fig.ontology);
@@ -501,7 +501,7 @@ mod tests {
             (vec![c("I"), c("L"), c("U")], 0),
             (vec![c("M"), c("N")], 0),
         ]);
-        let source = MemorySource::build(&corpus, fig.ontology.len());
+        let source = SegmentedView::from_corpus(&corpus);
         let w = EdgeWeights::from_fn(&fig.ontology, |p, _| 1 + (p.0 % 2));
         let engine = WeightedKnds::new(&fig.ontology, &w, &source, KndsConfig::default());
         let q1 = fig.example_query();

@@ -4,7 +4,7 @@
 //! under test on randomized workloads.
 
 use cbr_corpus::{Corpus, CorpusGenerator, CorpusProfile};
-use cbr_index::{IndexSource, MemorySource};
+use cbr_index::{IndexSource, SegmentedView};
 use cbr_knds::{
     baseline, ta, Hooks, Knds, KndsConfig, KndsWorkspace, QueryKind, QueryResult, RankedDoc,
     TraceEvent, WeightedKnds,
@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 struct Fixture {
     ont: Ontology,
     corpus: Corpus,
-    source: MemorySource,
+    source: SegmentedView,
 }
 
 fn fixture(seed: u64) -> Fixture {
@@ -28,7 +28,7 @@ fn fixture(seed: u64) -> Fixture {
         .with_mean_concepts(12.0)
         .with_seed(seed.wrapping_add(17));
     let corpus = CorpusGenerator::new(&ont, profile).generate();
-    let source = MemorySource::build(&corpus, ont.len());
+    let source = SegmentedView::from_corpus(&corpus);
     Fixture { ont, corpus, source }
 }
 
@@ -169,7 +169,7 @@ fn empty_documents_rank_last() {
         (vec![], 0), // empty document
         (vec![deep[1]], 0),
     ]);
-    let source = MemorySource::build(&corpus, ont.len());
+    let source = SegmentedView::from_corpus(&corpus);
     let knds = Knds::new(&ont, &source, KndsConfig::default());
     let r = knds.rds(&[deep[0]], 3);
     assert_eq!(r.results.len(), 3);
@@ -217,7 +217,7 @@ fn fingerprint(r: &QueryResult) -> (Vec<(cbr_corpus::DocId, u64)>, [usize; 5]) {
 /// itself when that document is empty).
 struct Generated {
     ont: Ontology,
-    source: MemorySource,
+    source: SegmentedView,
     q: Vec<ConceptId>,
     qd: Vec<ConceptId>,
 }
@@ -229,7 +229,7 @@ fn generated(seed: u64, query_picks: &[u32]) -> Generated {
         .with_mean_concepts(8.0)
         .with_seed(seed.wrapping_add(31));
     let corpus = CorpusGenerator::new(&ont, profile).generate();
-    let source = MemorySource::build(&corpus, ont.len());
+    let source = SegmentedView::from_corpus(&corpus);
     let mut q: Vec<ConceptId> =
         query_picks.iter().map(|&p| ConceptId(p % ont.len() as u32)).collect();
     q.sort_unstable();
@@ -265,7 +265,7 @@ fn by_bound(a: &(f64, cbr_corpus::DocId), b: &(f64, cbr_corpus::DocId)) -> std::
 fn check_examination_order(
     events: &[TraceEvent],
     ont: &Ontology,
-    source: &MemorySource,
+    source: &SegmentedView,
     kind: QueryKind,
     q: &[ConceptId],
     ctx: &str,

@@ -9,7 +9,7 @@
 //! queries ago.
 
 use cbr_corpus::{Corpus, CorpusGenerator, CorpusProfile};
-use cbr_index::MemorySource;
+use cbr_index::SegmentedView;
 use cbr_knds::{baseline, Knds, KndsConfig, KndsWorkspace, RankedDoc};
 use cbr_ontology::{ConceptId, GeneratorConfig, Ontology, OntologyGenerator};
 use proptest::prelude::*;
@@ -17,7 +17,7 @@ use proptest::prelude::*;
 struct Fixture {
     ont: Ontology,
     corpus: Corpus,
-    source: MemorySource,
+    source: SegmentedView,
 }
 
 fn fixture(seed: u64) -> Fixture {
@@ -27,7 +27,7 @@ fn fixture(seed: u64) -> Fixture {
         .with_mean_concepts(8.0)
         .with_seed(seed.wrapping_add(29));
     let corpus = CorpusGenerator::new(&ont, profile).generate();
-    let source = MemorySource::build(&corpus, ont.len());
+    let source = SegmentedView::from_corpus(&corpus);
     Fixture { ont, corpus, source }
 }
 

@@ -3,13 +3,13 @@
 //! and the emitted set equals the final top-k.
 
 use cbr_corpus::{CorpusGenerator, CorpusProfile};
-use cbr_index::MemorySource;
+use cbr_index::SegmentedView;
 use cbr_knds::{
     Hooks, Knds, KndsConfig, KndsWorkspace, QueryKind, QueryResult, RankedDoc, WeightedKnds,
 };
 use cbr_ontology::{ConceptId, EdgeWeights, GeneratorConfig, OntologyGenerator};
 
-fn setup() -> (cbr_ontology::Ontology, MemorySource, Vec<Vec<ConceptId>>) {
+fn setup() -> (cbr_ontology::Ontology, SegmentedView, Vec<Vec<ConceptId>>) {
     let ont = OntologyGenerator::new(GeneratorConfig::small(600)).generate();
     let corpus = CorpusGenerator::new(
         &ont,
@@ -22,14 +22,14 @@ fn setup() -> (cbr_ontology::Ontology, MemorySource, Vec<Vec<ConceptId>>) {
         .take(6)
         .map(|d| d.concepts()[..3].to_vec())
         .collect();
-    let source = MemorySource::build(&corpus, ont.len());
+    let source = SegmentedView::from_corpus(&corpus);
     (ont, source, queries)
 }
 
 /// One query through [`Knds::run`] with a progressive sink attached:
 /// the emission sequence and the returned result.
 fn stream(
-    knds: &Knds<'_, MemorySource>,
+    knds: &Knds<'_, SegmentedView>,
     ws: &mut KndsWorkspace,
     kind: QueryKind,
     q: &[ConceptId],

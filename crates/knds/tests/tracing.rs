@@ -2,13 +2,13 @@
 //! with the returned metrics and results.
 
 use cbr_corpus::Corpus;
-use cbr_index::MemorySource;
+use cbr_index::SegmentedView;
 use cbr_knds::{
     Hooks, Knds, KndsConfig, KndsWorkspace, QueryKind, QueryResult, TraceEvent, WeightedKnds,
 };
 use cbr_ontology::{fixture, ConceptId, EdgeWeights};
 
-fn setup() -> (fixture::Figure3, MemorySource) {
+fn setup() -> (fixture::Figure3, SegmentedView) {
     let fig = fixture::figure3();
     let c = |n: &str| fig.concept(n);
     let corpus = Corpus::from_concept_sets(vec![
@@ -18,14 +18,14 @@ fn setup() -> (fixture::Figure3, MemorySource) {
         (vec![c("C")], 0),
         (vec![c("G"), c("H")], 0),
     ]);
-    let source = MemorySource::build(&corpus, fig.ontology.len());
+    let source = SegmentedView::from_corpus(&corpus);
     (fig, source)
 }
 
 /// One query through [`Knds::run`] with a trace sink attached: the event
 /// sequence and the returned result.
 fn traced(
-    knds: &Knds<'_, MemorySource>,
+    knds: &Knds<'_, SegmentedView>,
     ws: &mut KndsWorkspace,
     kind: QueryKind,
     q: &[ConceptId],

@@ -11,7 +11,7 @@
 //! ```
 
 use cbr_corpus::Corpus;
-use cbr_index::MemorySource;
+use cbr_index::SegmentedView;
 use cbr_knds::{Hooks, Knds, KndsConfig, KndsWorkspace, QueryKind, TraceEvent};
 use cbr_ontology::fixture;
 
@@ -35,7 +35,7 @@ fn main() {
         println!("  {} = {{{}}}", d.id(), labels.join(", "));
     }
 
-    let source = MemorySource::build(&corpus, ont.len());
+    let source = SegmentedView::from_corpus(&corpus);
     let knds = Knds::new(ont, &source, KndsConfig::default().with_error_threshold(1.0));
     let q = vec![c("F"), c("I")];
     println!("\nRDS query q = {{F, I}}, k = 2, εθ = 1.0 — the Table 2 setup\n");

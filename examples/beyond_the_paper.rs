@@ -16,7 +16,7 @@
 //! ```
 
 use cbr_corpus::{CorpusGenerator, CorpusProfile, FilterConfig};
-use cbr_index::MemorySource;
+use cbr_index::SegmentedView;
 use cbr_knds::{KndsConfig, WeightedKnds};
 use cbr_ontology::EdgeWeights;
 use concept_rank::prelude::*;
@@ -32,7 +32,7 @@ fn main() {
 
     // Keep copies for the weighted engine (the facade owns its inputs).
     let ont2 = OntologyGenerator::new(GeneratorConfig::snomed_like(6_000)).generate();
-    let source = MemorySource::build(&corpus, ont2.len());
+    let source = SegmentedView::from_corpus(&corpus);
 
     let engine = EngineBuilder::new().filter(FilterConfig::default()).build(ontology, corpus);
     let query: Vec<ConceptId> = engine

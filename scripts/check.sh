@@ -10,7 +10,7 @@
 # exploration — including the publish/retire and compaction harnesses
 # over the epoch-published snapshot — (same honest + seeded-bug pairing),
 # the repro smoke (every report of the paper's evaluation, end to end at
-# micro scale), the whole workspace's tests, the kNDS and D-Radix crates'
+# micro scale), a run of every example, the whole workspace's tests, the kNDS and D-Radix crates'
 # tests once more as they ship (without the `counters` feature), and the
 # benchmark tripwire (fmt, clippy, tests and a smoke run of perfbench/,
 # which is outside the workspace and compiles against the crates' public
@@ -70,6 +70,18 @@ for header in '== Ontology statistics' '== Table 3' '== Figure 6' '== Figure 7' 
         echo "repro smoke: no '$header' section in the report" >&2
         exit 1
     }
+done
+# Examples: clippy only compiles them, so run every `[[example]]` the root
+# manifest names. The list is read from the manifest, so a new example
+# cannot be left out.
+examples="$(awk '/^\[/ { in_example = ($0 == "[[example]]") }
+    in_example && /^name *=/ { gsub(/^name *= *"|"$/, ""); print }' Cargo.toml)"
+[ -n "$examples" ] || {
+    echo "examples: no [[example]] in Cargo.toml" >&2
+    exit 1
+}
+for example in $examples; do
+    cargo run -q --release --example "$example" >/dev/null
 done
 # Every package, not just the root one: the kNDS equivalence/streaming/
 # tracing suites, the C05 counter harness and the analyzers' fixture pins

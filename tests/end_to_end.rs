@@ -2,7 +2,7 @@
 //! persistence to querying.
 
 use cbr_corpus::{CorpusGenerator, CorpusProfile, FilterConfig};
-use cbr_index::MemorySource;
+use cbr_index::SegmentedView;
 use cbr_knds::{Knds, KndsConfig};
 use cbr_ontology::{GeneratorConfig, OntologyGenerator};
 use concept_rank::EngineBuilder;
@@ -51,8 +51,8 @@ fn snapshot_roundtrip_preserves_query_results() {
         .find(|d| d.num_concepts() >= 3)
         .map(|d| d.concepts()[..3].to_vec())
         .unwrap();
-    let src1 = MemorySource::build(&corpus, ont.len());
-    let src2 = MemorySource::build(&corpus2, ont2.len());
+    let src1 = SegmentedView::from_corpus(&corpus);
+    let src2 = SegmentedView::from_corpus(&corpus2);
     let r1 = Knds::new(&ont, &src1, KndsConfig::default()).rds(&q, 5);
     let r2 = Knds::new(&ont2, &src2, KndsConfig::default()).rds(&q, 5);
     for (a, b) in r1.results.iter().zip(r2.results.iter()) {

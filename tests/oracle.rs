@@ -14,9 +14,10 @@
 //! a search keeps is the one thing it leaves open).
 //!
 //! The paths:
-//! * over a static `MemorySource`: `Knds`, `WeightedKnds` at unit weights,
-//!   TA (RDS only) and the full scan; and `WeightedKnds` at drawn weights
-//!   in 1..=3 against `cbr_ontology::weighted` over the same documents;
+//! * over a static one-segment view (`SegmentedView::from_corpus`): `Knds`,
+//!   `WeightedKnds` at unit weights, TA (RDS only) and the full scan; and
+//!   `WeightedKnds` at drawn weights in 1..=3 against
+//!   `cbr_ontology::weighted` over the same documents;
 //! * a raw `SegmentedSource` under a tight compaction policy, so seals and
 //!   both compactions happen: its `IndexSource` contract and `Knds` over
 //!   its view, at the end of the script and for a view pinned mid-script;
@@ -27,7 +28,7 @@
 
 use cbr_corpus::{normalize_concepts, Corpus, DocId};
 use cbr_dradix::{brute, INFINITE};
-use cbr_index::{CompactionPolicy, IndexSource, MemorySource, SegmentedSource, SegmentedView};
+use cbr_index::{CompactionPolicy, IndexSource, SegmentedSource, SegmentedView};
 use cbr_knds::WeightedKnds;
 use cbr_knds::{baseline, ta, Hooks, Knds, KndsConfig, KndsWorkspace, QueryResult, RankedDoc};
 use cbr_ontology::{
@@ -235,10 +236,10 @@ fn expect_all(
     Ok(())
 }
 
-/// The static paths over `MemorySource`.
+/// The static paths over a one-segment view of the bulk corpus.
 fn check_static(case: &Case, bulk: &Corpus, shadow: &Shadow) -> Check {
     let (ont, k, mut ws) = (&case.ontology, case.k, KndsWorkspace::new());
-    let source = MemorySource::build(bulk, ont.len());
+    let source = SegmentedView::from_corpus(bulk);
     let knds = Knds::new(ont, &source, case.config.clone());
     expect_all(case, shadow, &BOTH, "Knds", |kind, q| {
         Ok(knds.run(&mut ws, kind, q, k, Hooks::default()))

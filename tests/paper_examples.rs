@@ -60,7 +60,7 @@ fn example_4_early_termination_invariants() {
         (vec![c("V"), c("L")], 0),
         (vec![c("G"), c("H")], 0),
     ]);
-    let source = cbr_index::MemorySource::build(&corpus, fig.ontology.len());
+    let source = cbr_index::SegmentedView::from_corpus(&corpus);
     let q = vec![c("F"), c("I")];
 
     let knds = Knds::new(&fig.ontology, &source, KndsConfig::default().with_error_threshold(1.0));

@@ -11,7 +11,7 @@
 
 use cbr_corpus::{Corpus, DocId, FilterConfig};
 use cbr_index::snapshot::encode_frame;
-use cbr_index::{validate_pair, ForwardIndex, InvertedIndex};
+use cbr_index::IndexSource;
 use cbr_knds::{KndsConfig, RankedDoc};
 use cbr_ontology::{ConceptId, GeneratorConfig, Ontology, OntologyGenerator};
 use concept_rank::persist::{decode_names, encode_names};
@@ -199,13 +199,17 @@ fn load_all(dir: &Path) -> std::io::Result<(Engine, Vec<String>)> {
     Ok((engine, names))
 }
 
-/// Whatever loads must be structurally sound: a valid DAG, and a corpus
-/// whose forward/inverted pair is consistent over that DAG's id space.
+/// Whatever loads must be structurally sound: a valid DAG, and a served
+/// index whose segments validate and name only concepts of that DAG.
 fn assert_sound(engine: &Engine) {
     engine.ontology().validate().expect("loaded ontology validates");
-    let forward = ForwardIndex::build(engine.corpus());
-    let inverted = InvertedIndex::build(engine.corpus(), engine.ontology().len());
-    validate_pair(&forward, &inverted).expect("loaded corpus indexes consistently");
+    let source = engine.source();
+    source.validate().expect("loaded index validates");
+    let mut concepts = Vec::new();
+    for d in 0..source.num_docs() {
+        source.doc_concepts(DocId::from_index(d), &mut concepts);
+    }
+    assert!(concepts.iter().all(|c| c.index() < engine.ontology().len()), "concept past the DAG");
 }
 
 #[test]

@@ -6,7 +6,7 @@
 
 use cbr_corpus::Corpus;
 use cbr_dradix::{brute, Drc};
-use cbr_index::MemorySource;
+use cbr_index::SegmentedView;
 use cbr_knds::{baseline, Knds, KndsConfig, KndsWorkspace};
 use cbr_ontology::{
     concept_distance, concept_distance_graph, distance::multi_source_distances, ConceptId,
@@ -149,7 +149,7 @@ proptest! {
             })
             .collect();
         let corpus = Corpus::from_concept_sets(sets);
-        let source = MemorySource::build(&corpus, ont.len());
+        let source = SegmentedView::from_corpus(&corpus);
         let q = pick_concepts(&ont, &query_picks);
 
         let cfg = KndsConfig::default().with_error_threshold(eps);
@@ -277,7 +277,7 @@ proptest! {
             })
             .collect();
         let corpus = Corpus::from_concept_sets(sets);
-        let source = MemorySource::build(&corpus, ont.len());
+        let source = SegmentedView::from_corpus(&corpus);
         let q = corpus
             .documents()
             .find(|d| d.num_concepts() > 0)
@@ -319,7 +319,7 @@ proptest! {
             })
             .collect();
         let corpus = Corpus::from_concept_sets(sets);
-        let source = MemorySource::build(&corpus, ont.len());
+        let source = SegmentedView::from_corpus(&corpus);
         let q1 = pick_concepts(&ont, &query_picks);
         let q2 = corpus
             .documents()
@@ -374,7 +374,7 @@ fn poisoned_workspace_is_reset_on_next_borrow() {
         .map(|s| (pick_concepts(&ont, &[s * 131, s * 977 + 5, s * 613 + 11]), 0))
         .collect();
     let corpus = Corpus::from_concept_sets(sets);
-    let source = MemorySource::build(&corpus, ont.len());
+    let source = SegmentedView::from_corpus(&corpus);
     let engine = Knds::new(&ont, &source, KndsConfig::default());
     let q = pick_concepts(&ont, &[42, 4242, 424242]);
 
