@@ -61,19 +61,28 @@ fn ontology_validate() -> Result<(), String> {
 /// Appends per seed in [`index_validate`], in batches of [`BATCH`]: enough
 /// to cross the default 512-document memtable seal.
 const APPENDS: usize = 600;
-/// Appends between two validations.
+/// Appends between two validations, except in the batch that crosses
+/// the seal, which validates after every append.
 const BATCH: usize = 50;
 /// Deletes per seed in [`index_validate`].
 const DELETES: usize = 40;
 
 /// The index an engine serves validates after every write it takes:
 /// appends that seal the memtable, deletes, and a merging compaction.
+/// Around the seal, every step also keeps the memtable in at most
+/// ⌊log₂ m⌋ + 1 tail chunks for `m` memtable documents.
 fn index_validate() -> Result<(), String> {
     for seed in SEEDS {
         let (ont, corpus) = generated(seed);
         let pool: Vec<Vec<ConceptId>> = corpus.documents().map(|d| d.concepts().to_vec()).collect();
         let mut engine = EngineBuilder::new().build(ont, corpus);
+        let seal_at = engine.writer().policy().seal_threshold;
         let valid = |engine: &Engine, step: &str| {
+            let writer = engine.writer();
+            let (chunks, depth) = (writer.tail_chunks(), writer.memtable_len());
+            if chunks > depth.checked_ilog2().map_or(0, |log| log as usize + 1) {
+                return Err(format!("seed {seed}, after {step}: {chunks} chunks for {depth} docs"));
+            }
             engine
                 .snapshot()
                 .source()
@@ -90,12 +99,16 @@ fn index_validate() -> Result<(), String> {
             (state >> 33) as usize % bound
         };
         for batch in 0..APPENDS / BATCH {
-            for _ in 0..BATCH {
+            let crosses_seal = (batch * BATCH..(batch + 1) * BATCH).contains(&(seal_at - 1));
+            for i in 0..BATCH {
                 engine.add_document(pool[pick(pool.len())].clone());
+                if crosses_seal {
+                    valid(&engine, &format!("append {} of batch {batch}", i + 1))?;
+                }
             }
             valid(&engine, &format!("append batch {batch}"))?;
         }
-        if engine.num_segments() < 2 {
+        if engine.writer().seals() == 0 {
             return Err(format!("seed {seed}: {APPENDS} appends sealed no segment"));
         }
         for _ in 0..DELETES {

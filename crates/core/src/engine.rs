@@ -108,7 +108,8 @@ impl EngineBuilder {
 /// on an `Engine` without being re-declared here. Every read — here or
 /// through a clone of the snapshot — runs against an immutable snapshot
 /// and never holds any lock; appends and deletes take `&mut self` and
-/// refresh the cached snapshot in `O(memtable)` at most.
+/// refresh the cached snapshot, which freezes only the documents appended
+/// since the last refresh: amortized `O(|doc|·log memtable)` an append.
 /// [`SharedEngine`](crate::SharedEngine) wraps this split for concurrent
 /// serving: one writer behind a mutex, snapshots epoch-published to any
 /// number of lock-free readers.
@@ -206,10 +207,16 @@ impl Engine {
         merged
     }
 
-    /// Segments behind the current snapshot (diagnostics for benches and
-    /// the compaction harnesses).
+    /// Segments behind the current snapshot, sealed and memtable chunks
+    /// alike (diagnostics for benches and the compaction harnesses).
     pub fn num_segments(&self) -> usize {
         self.snapshot.source().num_segments()
+    }
+
+    /// The segmented index writer, read-only: its seals, compactions,
+    /// memtable depth and tail chunks (diagnostics for the audit).
+    pub fn writer(&self) -> &SegmentedSource {
+        &self.writer
     }
 
     /// Auto-tunes the error threshold `εθ` for this collection by timing a

@@ -18,11 +18,37 @@
 //! therefore share segments freely behind `Arc` with no synchronization.
 //! Every segment is re-checked by [`Segment::validate`] as it is built in
 //! a debug build.
+//!
+//! Every build — a base segment, a memtable chunk, a seal, a compaction —
+//! inverts its forward rows through one [`SlotTable`] its owner reuses, so
+//! a build costs time in its own payload, not in the largest concept id
+//! it holds.
 
 use crate::packing;
 use crate::validate::{verdict, IndexViolation};
 use cbr_corpus::DocId;
 use cbr_ontology::ConceptId;
+use std::borrow::Borrow;
+use std::fmt;
+
+/// A [`SlotTable`] entry no build is using.
+const UNUSED: u32 = u32::MAX;
+
+/// The reusable concept → directory-slot table a segment build inverts
+/// through. Between builds every entry reads unused: a build marks the
+/// concepts it touches, numbers them once its directory is sorted, and
+/// resets exactly those entries before it returns. The table grows to the
+/// largest concept id its owner has built, once, and no build scans it.
+#[derive(Default)]
+pub struct SlotTable {
+    slot_of: Vec<u32>,
+}
+
+impl fmt::Debug for SlotTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SlotTable").field("len", &self.slot_of.len()).finish()
+    }
+}
 
 fn strictly_sorted<T: Ord>(xs: &[T]) -> bool {
     xs.windows(2).all(|w| w[0] < w[1])
@@ -55,7 +81,7 @@ pub struct Segment {
 impl Segment {
     /// Builds a segment from normalized (sorted, deduplicated) concept
     /// sets, one per document slot starting at `first_doc`.
-    pub fn from_docs<'a, I>(first_doc: u32, docs: I) -> Segment
+    pub fn from_docs<'a, I>(first_doc: u32, docs: I, slots: &mut SlotTable) -> Segment
     where
         I: IntoIterator<Item = &'a [ConceptId]>,
     {
@@ -66,7 +92,7 @@ impl Segment {
             fwd_concepts.extend_from_slice(set);
             fwd_offsets.push(packing::csr_offset(fwd_concepts.len()));
         }
-        Segment::from_forward(first_doc, fwd_offsets, fwd_concepts)
+        Segment::from_forward(first_doc, fwd_offsets, fwd_concepts, slots)
     }
 
     /// Merges a contiguous run of segments into one, physically dropping
@@ -74,13 +100,17 @@ impl Segment {
     /// becomes empty and it vanishes from every posting list, while its
     /// id slot stays covered so global ids never shift. Panics if the
     /// run's ranges are not adjacent in order.
-    pub fn merge(parts: &[&Segment], mut is_dead: impl FnMut(DocId) -> bool) -> Segment {
+    pub fn merge(
+        parts: &[impl Borrow<Segment>],
+        mut is_dead: impl FnMut(DocId) -> bool,
+        slots: &mut SlotTable,
+    ) -> Segment {
         assert!(!parts.is_empty(), "cannot merge zero segments");
-        let first_doc = parts[0].first_doc;
+        let first_doc = parts[0].borrow().first_doc;
         let mut fwd_offsets = vec![0u32];
         let mut fwd_concepts = Vec::new();
         let mut next = first_doc;
-        for part in parts {
+        for part in parts.iter().map(Borrow::borrow) {
             assert_eq!(part.first_doc, next, "merge run is not contiguous");
             for local in 0..part.len() {
                 let id = DocId(part.first_doc + packing::narrow_u32(local));
@@ -91,28 +121,36 @@ impl Segment {
             }
             next = part.doc_end();
         }
-        Segment::from_forward(first_doc, fwd_offsets, fwd_concepts)
+        Segment::from_forward(first_doc, fwd_offsets, fwd_concepts, slots)
     }
 
-    /// Builds the inverted half from a finished forward CSR. Linear in the
-    /// payload: one dense concept→slot scratch table sized to the largest
-    /// concept id present, then a counting fill (no comparison sort).
+    /// Builds the inverted half from a finished forward CSR, in
+    /// O(payload + distinct·log distinct): the distinct concepts are
+    /// collected in first-touch order through `slots` and sorted into the
+    /// directory, then a counting fill lays out the postings (no
+    /// comparison sort of the payload), and the touched entries of
+    /// `slots` are reset.
     fn from_forward(
         first_doc: u32,
         fwd_offsets: Vec<u32>,
         fwd_concepts: Vec<ConceptId>,
+        slots: &mut SlotTable,
     ) -> Segment {
-        let max_c = fwd_concepts.iter().map(|c| c.0 as usize).max();
-        let mut slot_of = vec![u32::MAX; max_c.map_or(0, |m| m + 1)];
-        for &c in &fwd_concepts {
-            slot_of[c.0 as usize] = 0; // mark present
-        }
+        let slot_of = &mut slots.slot_of;
         let mut inv_concepts = Vec::new();
-        for (raw, slot) in slot_of.iter_mut().enumerate() {
-            if *slot != u32::MAX {
-                *slot = packing::narrow_u32(inv_concepts.len());
-                inv_concepts.push(ConceptId(packing::narrow_u32(raw)));
+        for &c in &fwd_concepts {
+            let raw = c.0 as usize;
+            if raw >= slot_of.len() {
+                slot_of.resize(raw + 1, UNUSED);
             }
+            if slot_of[raw] == UNUSED {
+                slot_of[raw] = 0; // touched; numbered below
+                inv_concepts.push(c);
+            }
+        }
+        inv_concepts.sort_unstable();
+        for (j, &c) in inv_concepts.iter().enumerate() {
+            slot_of[c.0 as usize] = packing::narrow_u32(j);
         }
         let mut counts = vec![0u32; inv_concepts.len()];
         for &c in &fwd_concepts {
@@ -138,6 +176,9 @@ impl Segment {
                 inv_docs[cursor[slot] as usize] = packing::narrow_u32(local);
                 cursor[slot] += 1;
             }
+        }
+        for &c in &inv_concepts {
+            slot_of[c.0 as usize] = UNUSED;
         }
         let seg =
             Segment { first_doc, fwd_offsets, fwd_concepts, inv_concepts, inv_offsets, inv_docs };
@@ -285,7 +326,7 @@ pub(crate) mod tests {
     }
 
     fn seg(first: u32, docs: &[&[ConceptId]]) -> Segment {
-        Segment::from_docs(first, docs.iter().copied())
+        Segment::from_docs(first, docs.iter().copied(), &mut SlotTable::default())
     }
 
     /// Corruptors, each breaking one invariant of a built segment.
@@ -333,7 +374,7 @@ pub(crate) mod tests {
     fn merge_concatenates_and_drops_dead_rows() {
         let a = seg(0, &[&[c(1)], &[c(2), c(3)]]);
         let b = seg(2, &[&[c(1), c(3)]]);
-        let merged = Segment::merge(&[&a, &b], |d| d == DocId(1));
+        let merged = Segment::merge(&[&a, &b], |d| d == DocId(1), &mut SlotTable::default());
         assert_eq!(merged.first_doc(), 0);
         assert_eq!(merged.len(), 3);
         // The dead slot keeps its position but loses its payload.
@@ -349,7 +390,22 @@ pub(crate) mod tests {
     fn merge_rejects_gaps() {
         let a = seg(0, &[&[c(1)]]);
         let b = seg(5, &[&[c(1)]]);
-        let _ = Segment::merge(&[&a, &b], |_| false);
+        let _ = Segment::merge(&[&a, &b], |_| false, &mut SlotTable::default());
+    }
+
+    #[test]
+    fn a_reused_slot_table_is_left_clean() {
+        let mut slots = SlotTable::default();
+        let wide: &[&[ConceptId]] = &[&[c(4), c(900)], &[c(2), c(900)]];
+        let narrow: &[&[ConceptId]] = &[&[c(7)], &[c(2), c(4), c(7)], &[]];
+        let first = Segment::from_docs(0, wide.iter().copied(), &mut slots);
+        assert_eq!(first, seg(0, wide));
+        assert!(slots.slot_of.iter().all(|&s| s == UNUSED), "a build left entries touched");
+        let second = Segment::from_docs(2, narrow.iter().copied(), &mut slots);
+        assert_eq!(second, seg(2, narrow));
+        let merged = Segment::merge(&[&first, &second], |_| false, &mut slots);
+        assert_eq!(merged, seg(0, &[wide, narrow].concat()));
+        assert!(slots.slot_of.iter().all(|&s| s == UNUSED), "a merge left entries touched");
     }
 
     #[test]

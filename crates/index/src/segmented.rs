@@ -4,13 +4,13 @@
 //! Split into a writer half and a reader half:
 //!
 //! * [`SegmentedSource`] — owned by the single writer. It keeps a sorted
-//!   run of immutable [`Segment`]s covering `0..n` plus one small mutable
-//!   **memtable** of freshly appended documents, a tombstone bitset, and a
-//!   compaction policy. Appends normalize the concept set and, at the
-//!   seal threshold, freeze the memtable into a new tail segment;
-//!   compaction merges runs of small segments and physically drops
-//!   tombstoned rows (their id slots stay covered and stay dead, so
-//!   `DocId` liveness semantics are preserved forever).
+//!   run of immutable sealed [`Segment`]s covering `0..n`, the
+//!   **memtable** of documents appended since the last seal, a tombstone
+//!   bitset, and a compaction policy. Appends normalize the concept set
+//!   and, at the seal threshold, merge the memtable into a new sealed
+//!   segment; compaction merges runs of small sealed segments and
+//!   physically drops tombstoned rows (their id slots stay covered and
+//!   stay dead, so `DocId` liveness semantics are preserved forever).
 //! * [`SegmentedView`] — an immutable, cheaply-cloneable snapshot of the
 //!   whole set ([`SegmentedSource::view`]), implementing [`IndexSource`].
 //!   Everything inside is behind `Arc`, so a view costs a few refcounts
@@ -19,14 +19,24 @@
 //!   publishes the concept liveness mask its owner attaches
 //!   ([`SegmentedView::with_live`], see [`crate::live`]), all-live if none.
 //!
-//! A view taken mid-memtable freezes the partial memtable into a bounded
-//! tail segment (cached until the next append), so published snapshots
-//! always see every append that happened before them — the paper's
-//! "instantly add the EMR at the point of care" claim, minus the lock.
+//! The memtable is the logarithmic method of Bentley & Saxe
+//! ("Decomposable searching problems I: static-to-dynamic
+//! transformation", J. Algorithms 1980) over static segments. A view
+//! freezes only the documents appended since the previous view, as one
+//! new **tail chunk**, then carries: in one merge, the new chunk absorbs
+//! each next older chunk that holds less than twice the documents
+//! gathered so far — a binary counter when every view freezes one
+//! document. Chunk sizes therefore at least halve from the oldest to the
+//! newest, so `m` memtable documents sit in at most ⌊log₂ m⌋ + 1
+//! chunks, and each document is copied O(log m) times before its seal:
+//! a publish costs amortized O(|doc|·log m), not O(memtable). Published
+//! snapshots always see every append that happened before them — the
+//! paper's "instantly add the EMR at the point of care" claim, minus the
+//! lock.
 
 use crate::live::{LiveConcepts, LiveMask};
 use crate::packing;
-use crate::segment::Segment;
+use crate::segment::{Segment, SlotTable};
 use crate::source::IndexSource;
 use crate::validate::{verdict, IndexViolation};
 use cbr_corpus::{Corpus, DocId};
@@ -41,9 +51,9 @@ fn bit(words: &[u64], i: usize) -> bool {
 
 /// The base segment covering every document of `corpus` (none when it is
 /// empty).
-fn base_segment(corpus: &Corpus) -> Option<Arc<Segment>> {
+fn base_segment(corpus: &Corpus, slots: &mut SlotTable) -> Option<Arc<Segment>> {
     let docs = corpus.documents().map(|d| d.concepts());
-    (!corpus.is_empty()).then(|| Arc::new(Segment::from_docs(0, docs)))
+    (!corpus.is_empty()).then(|| Arc::new(Segment::from_docs(0, docs, slots)))
 }
 
 /// When to seal the memtable and when to fold small segments together.
@@ -93,7 +103,7 @@ impl SegmentedView {
     /// concept mask, so a search over it prunes nothing.
     pub fn from_corpus(corpus: &Corpus) -> SegmentedView {
         SegmentedView {
-            segments: base_segment(corpus).into_iter().collect(),
+            segments: base_segment(corpus, &mut SlotTable::default()).into_iter().collect(),
             num_docs: corpus.len(),
             ..SegmentedView::empty()
         }
@@ -182,21 +192,28 @@ impl IndexSource for SegmentedView {
     }
 }
 
-/// The writer half: memtable, tombstones, segments, compaction.
+/// The writer half: sealed segments, the memtable, tombstones,
+/// compaction.
 #[derive(Debug)]
 pub struct SegmentedSource {
     /// Sealed immutable segments, contiguous from document 0.
     segments: Vec<Arc<Segment>>,
-    /// Appends since the last seal; global ids `mem_first..`.
-    memtable: Vec<Box<[ConceptId]>>,
+    /// The memtable's frozen part: one chunk per view that found pending
+    /// documents, merged like a binary counter, contiguous after
+    /// `segments`. Each chunk holds at least twice the documents of the
+    /// next one.
+    chunks: Vec<Arc<Segment>>,
+    /// The memtable's unfrozen part: appends since the last view, global
+    /// ids from the end of the last chunk. No chunk holds them yet.
+    pending: Vec<Box<[ConceptId]>>,
     /// Tombstone bitset over global ids. Bits are never cleared — a
     /// compacted-away document keeps reading as dead.
     dead: Vec<u64>,
     dead_count: usize,
     policy: CompactionPolicy,
-    /// The partial memtable frozen as a tail segment for views; dropped
-    /// on append, rebuilt lazily (cost bounded by the seal threshold).
-    frozen_tail: Option<Arc<Segment>>,
+    /// The one slot table every segment this writer builds inverts
+    /// through.
+    slots: SlotTable,
     /// Shared copy of `dead` for views; dropped on delete.
     shared_dead: Option<Arc<[u64]>>,
     seals: usize,
@@ -208,11 +225,12 @@ impl SegmentedSource {
     pub fn new(policy: CompactionPolicy) -> SegmentedSource {
         SegmentedSource {
             segments: Vec::new(),
-            memtable: Vec::new(),
+            chunks: Vec::new(),
+            pending: Vec::new(),
             dead: Vec::new(),
             dead_count: 0,
             policy,
-            frozen_tail: None,
+            slots: SlotTable::default(),
             shared_dead: None,
             seals: 0,
             compactions: 0,
@@ -222,18 +240,24 @@ impl SegmentedSource {
     /// Wraps an existing corpus as one base segment.
     pub fn from_corpus(corpus: &Corpus, policy: CompactionPolicy) -> SegmentedSource {
         let mut source = SegmentedSource::new(policy);
-        source.segments.extend(base_segment(corpus));
+        source.segments.extend(base_segment(corpus, &mut source.slots));
         source
     }
 
     /// Global id the next append will receive.
     fn next_doc(&self) -> u32 {
-        self.mem_first() + packing::narrow_u32(self.memtable.len())
+        self.pending_first() + packing::narrow_u32(self.pending.len())
     }
 
-    /// Global id of the first memtable slot.
+    /// Global id of the first memtable document (one past the sealed
+    /// segments).
     fn mem_first(&self) -> u32 {
         self.segments.last().map_or(0, |s| s.doc_end())
+    }
+
+    /// Global id of the first pending document (one past the last chunk).
+    fn pending_first(&self) -> u32 {
+        self.chunks.last().map_or_else(|| self.mem_first(), |c| c.doc_end())
     }
 
     /// Appends a document, normalizing `concepts` into set form, and
@@ -242,9 +266,8 @@ impl SegmentedSource {
     pub fn append(&mut self, mut concepts: Vec<ConceptId>) -> DocId {
         cbr_corpus::normalize_concepts(&mut concepts);
         let id = DocId(self.next_doc());
-        self.memtable.push(concepts.into_boxed_slice());
-        self.frozen_tail = None;
-        if self.memtable.len() >= self.policy.seal_threshold {
+        self.pending.push(concepts.into_boxed_slice());
+        if self.memtable_len() >= self.policy.seal_threshold {
             self.seal();
             self.maybe_compact();
         }
@@ -268,29 +291,57 @@ impl SegmentedSource {
         true
     }
 
-    /// Seals the memtable into a new immutable tail segment (no-op when
-    /// the memtable is empty).
-    pub fn seal(&mut self) {
-        if self.memtable.is_empty() {
+    /// Freezes the pending documents into one new tail chunk (no-op when
+    /// none is pending).
+    fn freeze_pending(&mut self) {
+        if self.pending.is_empty() {
             return;
         }
-        let tail = match self.frozen_tail.take() {
-            // A view already froze exactly this memtable; reuse it.
-            Some(seg) if seg.len() == self.memtable.len() => seg,
-            _ => Arc::new(Segment::from_docs(
-                self.mem_first(),
-                self.memtable.iter().map(|s| s.as_ref()),
-            )),
+        let docs = self.pending.iter().map(|d| d.as_ref());
+        let chunk = Segment::from_docs(self.pending_first(), docs, &mut self.slots);
+        self.pending.clear();
+        self.chunks.push(Arc::new(chunk));
+    }
+
+    /// Merges the newest chunk with the run of older ones it carries into,
+    /// in one merge: going back from it, each next older chunk joins the
+    /// run while it holds less than twice the documents gathered so far.
+    /// Chunk sizes then at least halve from oldest to newest again.
+    fn carry(&mut self) {
+        let Some(newest) = self.chunks.last() else { return };
+        let (mut start, mut gathered) = (self.chunks.len() - 1, newest.len());
+        // cplx: bound log — chunk sizes at least halve from oldest to newest, so at most ⌊log₂ m⌋ + 1 older chunks; each joins a run over 1.5 times its size, so a document is merged O(log m) times before its seal
+        while start > 0 && self.chunks[start - 1].len() < 2 * gathered {
+            start -= 1;
+            gathered += self.chunks[start].len();
+        }
+        if start + 1 < self.chunks.len() {
+            let merged = Segment::merge(&self.chunks[start..], |_| false, &mut self.slots);
+            self.chunks.truncate(start);
+            self.chunks.push(Arc::new(merged));
+        }
+    }
+
+    /// Seals the memtable into a new immutable segment: freezes what is
+    /// pending, then merges the chunks into one (no-op when the memtable
+    /// is empty). Tombstoned rows stay; dropping them is compaction's job,
+    /// so the sealed segment is the one `Segment::from_docs` builds over
+    /// the same documents.
+    pub fn seal(&mut self) {
+        self.freeze_pending();
+        let sealed = match self.chunks.as_slice() {
+            [] => return,
+            [one] => Arc::clone(one),
+            parts => Arc::new(Segment::merge(parts, |_| false, &mut self.slots)),
         };
-        self.segments.push(tail);
-        self.memtable.clear();
-        self.frozen_tail = None;
+        self.chunks.clear();
+        self.segments.push(sealed);
         self.seals += 1;
     }
 
     /// Runs the compaction policy once: if the trailing run of small
-    /// segments is at least `merge_fanin` long, merge it into one segment,
-    /// physically dropping tombstoned rows.
+    /// sealed segments is at least `merge_fanin` long, merge it into one
+    /// segment, physically dropping tombstoned rows.
     pub fn maybe_compact(&mut self) -> bool {
         let small = |s: &Arc<Segment>| s.len() <= self.policy.small_max_docs;
         let run_start = {
@@ -307,9 +358,10 @@ impl SegmentedSource {
         true
     }
 
-    /// Merges every segment (and nothing of the memtable) into one,
-    /// regardless of policy, dropping currently tombstoned rows. A no-op
-    /// when there is at most one segment and no tombstone to fold in.
+    /// Merges every sealed segment (and nothing of the memtable) into
+    /// one, regardless of policy, dropping currently tombstoned rows. A
+    /// no-op when there is at most one segment and no tombstone to fold
+    /// in.
     pub fn compact_all(&mut self) -> bool {
         if self.segments.is_empty() || (self.segments.len() == 1 && self.dead_count == 0) {
             return false;
@@ -319,32 +371,27 @@ impl SegmentedSource {
     }
 
     fn merge_from(&mut self, run_start: usize) {
-        let parts: Vec<&Segment> = self.segments[run_start..].iter().map(Arc::as_ref).collect();
         let dead = &self.dead;
-        let merged = Segment::merge(&parts, |d| bit(dead, d.index()));
+        let parts = &self.segments[run_start..];
+        let merged = Segment::merge(parts, |d| bit(dead, d.index()), &mut self.slots);
         self.segments.truncate(run_start);
         self.segments.push(Arc::new(merged));
         self.compactions += 1;
     }
 
-    /// Publishes the current state as an immutable [`SegmentedView`]. The
-    /// partial memtable is frozen into a cached tail segment, so the cost
-    /// of a view between seals is bounded by the seal threshold; with no
-    /// writes since the last view it is a few `Arc` clones.
+    /// Publishes the current state as an immutable [`SegmentedView`]: the
+    /// sealed segments, then the memtable's chunks. The documents
+    /// appended since the last view are frozen into one new chunk and
+    /// the chunks carried, which costs amortized O(|doc|·log m) an
+    /// appended document for a memtable of `m`; with no appends since
+    /// the last view it is a few `Arc` clones.
     pub fn view(&mut self) -> SegmentedView {
-        let mut segments = self.segments.clone();
-        if !self.memtable.is_empty() {
-            let tail = self.frozen_tail.get_or_insert_with(|| {
-                Arc::new(Segment::from_docs(
-                    self.segments.last().map_or(0, |s| s.doc_end()),
-                    self.memtable.iter().map(|s| s.as_ref()),
-                ))
-            });
-            segments.push(Arc::clone(tail));
-        }
+        self.freeze_pending();
+        self.carry();
+        let segments = self.segments.iter().chain(&self.chunks).cloned().collect();
         let dead = self.shared_dead.get_or_insert_with(|| Arc::from(self.dead.clone())).clone();
         SegmentedView {
-            segments: Arc::from(segments),
+            segments,
             dead,
             num_docs: self.next_doc() as usize,
             live: LiveConcepts::default(),
@@ -361,14 +408,20 @@ impl SegmentedSource {
         self.num_docs() - self.dead_count
     }
 
-    /// Sealed segment count (excluding the memtable).
+    /// Sealed segment count (excluding the memtable's chunks).
     pub fn num_segments(&self) -> usize {
         self.segments.len()
     }
 
-    /// Documents currently buffered in the memtable.
+    /// How many frozen chunks the memtable holds (the tail segments of
+    /// the last view).
+    pub fn tail_chunks(&self) -> usize {
+        self.chunks.len()
+    }
+
+    /// Documents appended since the last seal, frozen or pending.
     pub fn memtable_len(&self) -> usize {
-        self.memtable.len()
+        (self.next_doc() - self.mem_first()) as usize
     }
 
     /// How many times the memtable has been sealed.
@@ -390,6 +443,8 @@ impl SegmentedSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::{TestCaseError, TestRng};
 
     fn c(v: u32) -> ConceptId {
         ConceptId(v)
@@ -519,6 +574,122 @@ mod tests {
         assert!(v.is_live(DocId(1)));
         let empty = SegmentedView::from_corpus(&Corpus::from_concept_sets(vec![]));
         assert_eq!((empty.num_segments(), empty.num_docs()), (0, 0));
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Append(Vec<ConceptId>),
+        View,
+        Delete(usize),
+    }
+
+    /// A seal threshold in 1..40 and up to 120 appends, views and
+    /// deletes, views of one to many pending documents among them.
+    struct Scripts;
+
+    impl Strategy for Scripts {
+        type Value = (usize, Vec<Op>);
+        fn sample(&self, rng: &mut TestRng) -> (usize, Vec<Op>) {
+            let seal_threshold = 1 + rng.below(39) as usize;
+            let ops = (0..rng.below(120))
+                .map(|_| match rng.below(6) {
+                    0..=2 => {
+                        Op::Append((0..rng.below(6)).map(|_| c(rng.below(40) as u32)).collect())
+                    }
+                    3 | 4 => Op::View,
+                    _ => Op::Delete(rng.below(64) as usize),
+                })
+                .collect();
+            (seal_threshold, ops)
+        }
+    }
+
+    /// The memtable's shape after any step: its chunks tile the ids after
+    /// the sealed segments and hold at least twice the documents of the
+    /// next one (so at most ⌊log₂ m⌋ + 1 of them), the pending documents
+    /// follow the last chunk, and every document sits in exactly one of
+    /// the two, as appended. Every sealed segment is what a fresh
+    /// `Segment::from_docs` builds over its documents.
+    fn check_shape(s: &SegmentedSource, docs: &[Vec<ConceptId>]) -> Result<(), TestCaseError> {
+        let depth = s.memtable_len();
+        prop_assert!(depth < s.policy.seal_threshold, "{} docs past the seal", depth);
+        let bound = depth.checked_ilog2().map_or(0, |log| log as usize + 1);
+        prop_assert!(s.chunks.len() <= bound, "{} chunks for {} docs", s.chunks.len(), depth);
+        for pair in s.chunks.windows(2) {
+            prop_assert!(
+                pair[0].len() >= 2 * pair[1].len(),
+                "chunks {} then {}",
+                pair[0].len(),
+                pair[1].len()
+            );
+        }
+        let mut next = 0u32;
+        for seg in &s.segments {
+            prop_assert_eq!(seg.first_doc(), next);
+            let rows = &docs[next as usize..seg.doc_end() as usize];
+            let fresh =
+                Segment::from_docs(next, rows.iter().map(Vec::as_slice), &mut SlotTable::default());
+            prop_assert_eq!(seg.as_ref(), &fresh, "sealed segment at {}", next);
+            next = seg.doc_end();
+        }
+        for chunk in &s.chunks {
+            prop_assert!(!chunk.is_empty(), "an empty chunk");
+            prop_assert_eq!(chunk.first_doc(), next);
+            for local in 0..chunk.len() {
+                prop_assert_eq!(chunk.concepts(local), docs[next as usize + local].as_slice());
+            }
+            next = chunk.doc_end();
+        }
+        prop_assert_eq!(s.pending.len(), docs.len() - next as usize, "pending docs");
+        for (i, doc) in s.pending.iter().enumerate() {
+            prop_assert_eq!(doc.as_ref(), docs[next as usize + i].as_slice());
+        }
+        prop_assert_eq!(depth, docs.len() - s.mem_first() as usize);
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn the_memtable_keeps_its_shape_through_any_script(script in Scripts) {
+            let (seal_threshold, ops) = script;
+            // No policy merge, so every sealed segment stays one seal.
+            let policy = CompactionPolicy { seal_threshold, merge_fanin: usize::MAX, small_max_docs: 0 };
+            let mut s = SegmentedSource::new(policy);
+            let mut docs: Vec<Vec<ConceptId>> = Vec::new();
+            for op in ops {
+                match op {
+                    Op::Append(mut set) => {
+                        s.append(set.clone());
+                        cbr_corpus::normalize_concepts(&mut set);
+                        docs.push(set);
+                    }
+                    Op::View => {
+                        let v = s.view();
+                        prop_assert_eq!(v.num_docs(), docs.len());
+                        prop_assert_eq!(v.validate(), Ok(()));
+                    }
+                    Op::Delete(i) => {
+                        s.delete(DocId::from_index(i));
+                    }
+                }
+                check_shape(&s, &docs)?;
+            }
+            prop_assert_eq!(s.seals(), docs.len() / seal_threshold);
+        }
+    }
+
+    #[test]
+    fn one_document_a_view_counts_in_binary() {
+        let mut s = SegmentedSource::new(CompactionPolicy::default());
+        for i in 0..300u32 {
+            s.append(vec![c(i % 7)]);
+            s.view();
+            let sizes: Vec<usize> = s.chunks.iter().map(|c| c.len()).collect();
+            let depth = i as usize + 1;
+            let bits: Vec<usize> =
+                (0..usize::BITS).rev().map(|b| depth & (1 << b)).filter(|&b| b > 0).collect();
+            assert_eq!(sizes, bits, "after {depth} appends");
+        }
     }
 
     fn view(segments: Vec<Segment>, num_docs: usize) -> SegmentedView {

@@ -2,7 +2,7 @@
 //!
 //! One generator draws a case: an ontology, a bulk corpus, an edit script
 //! (append; delete, dead and past-the-end ids included; `compact`;
-//! `maybe_compact`), concept sets that serve as RDS queries and as SDS
+//! `maybe_compact`; a view of the raw source), concept sets that serve as RDS queries and as SDS
 //! query documents (one case in four 65-200 concepts wide, over an
 //! ontology of at least 400), `k` (sometimes above the live collection), `εθ`,
 //! `queue_cap` and `dedup_visits`. A shadow of the collection — concept
@@ -19,12 +19,15 @@
 //!   `WeightedKnds` at drawn weights in 1..=3 against
 //!   `cbr_ontology::weighted` over the same documents;
 //! * a raw `SegmentedSource` under a tight compaction policy, so seals and
-//!   both compactions happen: its `IndexSource` contract and `Knds` over
-//!   its view, at the end of the script and for a view pinned mid-script;
+//!   both compactions happen and the script's views leave memtable chunks
+//!   of uneven sizes to merge and seal: its `IndexSource` contract and
+//!   `Knds` over its view, at the end of the script and for a view pinned
+//!   mid-script;
 //! * an `Engine` driven through the same script: every snapshot entry that
 //!   answers a query (for the current and a pinned snapshot), `batch`,
 //!   `SharedEngine`, and save→load with ids mapped through the save-time
-//!   compaction.
+//!   compaction; and, in a directed script, RDS and SDS across the
+//!   engine's own 512-document seal.
 
 use cbr_corpus::{normalize_concepts, Corpus, DocId};
 use cbr_dradix::{brute, INFINITE};
@@ -50,6 +53,9 @@ enum Op {
     Delete(usize),
     Compact,
     MaybeCompact,
+    /// A view of the raw source, dropped: it freezes the appends since the
+    /// previous one into a memtable chunk (the engine views every write).
+    View,
 }
 
 struct Case {
@@ -85,11 +91,12 @@ impl Strategy for Cases {
         };
         let bulk = (0..1 + rng.below(12)).map(|_| set(rng, 7)).collect();
         let ops: Vec<Op> = (0..rng.below(40))
-            .map(|_| match rng.below(8) {
+            .map(|_| match rng.below(10) {
                 0..=3 => Op::Append(set(rng, 7)),
                 4 | 5 => Op::Delete(rng.below(64) as usize),
                 6 => Op::Compact,
-                _ => Op::MaybeCompact,
+                7 => Op::MaybeCompact,
+                _ => Op::View,
             })
             .collect();
         let pin_at = rng.below(ops.len() as u64 + 1) as usize;
@@ -338,7 +345,7 @@ fn run(case: &Case) -> Check {
     };
     check_static(case, &bulk, &shadow)?;
 
-    let tight = CompactionPolicy { seal_threshold: 3, merge_fanin: 2, small_max_docs: 64 };
+    let tight = CompactionPolicy { seal_threshold: 6, merge_fanin: 2, small_max_docs: 64 };
     let mut raw = SegmentedSource::from_corpus(&bulk, tight);
     let ontology = OntologyGenerator::new(case.shape.clone()).generate();
     let mut engine = EngineBuilder::new().knds_config(case.config.clone()).build(ontology, bulk);
@@ -375,6 +382,7 @@ fn run(case: &Case) -> Check {
                 raw.maybe_compact();
                 engine.maybe_compact();
             }
+            Op::View => drop(raw.view()),
         }
     }
 
@@ -430,4 +438,65 @@ fn view_pinned_before_compaction_is_unaffected_by_it() {
     let config = KndsConfig::default().with_error_threshold(0.5);
     let case = Case { shape, ontology, bulk, ops, pin_at, queries, k: 5, config, weight_seed: 7 };
     run(&case).unwrap();
+}
+
+/// A directed engine script across the default 512-document seal: RDS and
+/// SDS equal brute force after 1, 255, 511, 512 (the append that seals)
+/// and 513 appends, with a few deletes among them, and again after
+/// `compact()`.
+#[test]
+fn appends_across_the_seal_match_brute_force() {
+    let shape = GeneratorConfig::small(300);
+    let ontology = OntologyGenerator::new(shape.clone()).generate();
+    let pool: Vec<ConceptId> = ontology.concepts().filter(|&c| ontology.depth(c) >= 2).collect();
+    let pick = |i: usize| pool[i * 7919 % pool.len()];
+    let bulk: Vec<Vec<ConceptId>> = (0..8).map(|i| vec![pick(i), pick(i + 40)]).collect();
+    let queries = vec![vec![pick(3), pick(91)], vec![pick(17)], vec![pick(5), pick(8), pick(13)]];
+    let config = KndsConfig::default();
+    let case = Case {
+        shape,
+        ontology,
+        bulk: bulk.clone(),
+        ops: Vec::new(),
+        pin_at: 0,
+        queries,
+        k: 6,
+        config: config.clone(),
+        weight_seed: 0,
+    };
+    let corpus = Corpus::from_concept_sets(bulk.iter().map(|d| (d.clone(), 0)).collect());
+    let ontology = OntologyGenerator::new(case.shape.clone()).generate();
+    let mut engine = EngineBuilder::new().knds_config(config).build(ontology, corpus);
+    let mut shadow = Shadow { docs: bulk, dead: vec![false; 8] };
+    let check = |engine: &Engine, shadow: &Shadow, step: &str| -> Check {
+        let snap = engine.snapshot();
+        prop_assert_eq!(snap.source().validate(), Ok(()), "{}", step);
+        expect_all(&case, shadow, &BOTH, step, |kind, q| match kind {
+            QueryKind::Rds => snap.rds(q, case.k),
+            QueryKind::Sds => snap.sds(q, case.k),
+        })
+    };
+    for n in 1..=513usize {
+        let mut doc = vec![pick(n), pick(3 * n + 1), pick(n / 2)];
+        engine.add_document(doc.clone());
+        normalize_concepts(&mut doc);
+        shadow.docs.push(doc);
+        shadow.dead.push(false);
+        if n % 97 == 0 {
+            let victim = n * 31 % shadow.docs.len();
+            if !shadow.dead[victim] {
+                engine.remove_document(DocId::from_index(victim)).unwrap();
+                shadow.dead[victim] = true;
+            }
+        }
+        if [1, 255, 511, 512, 513].contains(&n) {
+            let depth = engine.writer().memtable_len();
+            assert_eq!(depth, n % 512, "memtable depth after {n} appends");
+            check(&engine, &shadow, &format!("after {n} appends")).unwrap();
+        }
+    }
+    assert_eq!(engine.writer().seals(), 1);
+    assert!(engine.compact());
+    assert_eq!(engine.num_segments(), 1);
+    check(&engine, &shadow, "after compact()").unwrap();
 }
