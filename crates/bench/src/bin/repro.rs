@@ -468,31 +468,14 @@ fn fig9(wb: &Workbench) {
     }
 }
 
-/// Ablations over the design choices called out in DESIGN.md.
+/// Ablations over the design choices called out in DESIGN.md. Two
+/// letters are retired with what they switched: (a) visit deduplication,
+/// now the one visit rule, and (e) the compressed postings; EXPERIMENTS.md
+/// keeps their last rows.
 fn ablation(wb: &Workbench) {
     println!("== Ablations ==\n");
     let k = 10;
     let nq = 5;
-
-    // (a) BFS state deduplication (the paper's prototype skips it).
-    let coll = wb.collection("RADIO");
-    let queries = coll.rds_queries(wb.scale.queries_per_point, nq, wb.scale.seed ^ 0xA0);
-    let mut t = Table::new(&["dedup", "time", "states visited"]);
-    for dedup in [true, false] {
-        let cfg =
-            KndsConfig::default().with_error_threshold(coll.default_eps).with_dedup_visits(dedup);
-        let engine = Knds::new(&wb.ontology, &coll.source, cfg);
-        let metrics: Vec<QueryMetrics> = queries.iter().map(|q| engine.rds(q, k).metrics).collect();
-        let states: usize = metrics.iter().map(|m| m.nodes_visited).sum();
-        let timing = Timing::from_metrics(&metrics, k);
-        t.row(vec![
-            dedup.to_string(),
-            format!("{:.2} ms", timing.ms()),
-            format!("{:.0}", states as f64 / metrics.len() as f64),
-        ]);
-    }
-    println!("-- (a) BFS state deduplication (RDS, RADIO, nq = {nq}) --");
-    println!("{}", t.render());
 
     // (b) Queue watermark sensitivity (forces early DRC rounds).
     let coll = wb.collection("PATIENT");

@@ -18,6 +18,7 @@
 
 use cbr_corpus::{io as cio, CorpusStats, DocId, FilterConfig};
 use cbr_index::SnapshotStore;
+use cbr_knds::KndsConfig;
 use cbr_ontology::{GeneratorConfig, OntologyGenerator, OntologyStats};
 use concept_rank::{persist, Engine, EngineBuilder, ExpansionConfig};
 use std::collections::HashMap;
@@ -180,10 +181,8 @@ fn load(flags: &Flags) -> Result<LoadedIndex, AnyError> {
     let mut engine =
         Engine::load(dir, refilter).map_err(|e| format!("index {}: {e}", dir.display()))?;
     let eps: f64 = parse_or(flags, "eps", engine.config().error_threshold)?;
-    if !(0.0..=1.0).contains(&eps) {
-        return Err(format!("--eps: {eps} is outside [0, 1]").into());
-    }
-    let config = engine.config().clone().with_error_threshold(eps);
+    let config = KndsConfig { error_threshold: eps, ..engine.config().clone() };
+    config.validate().map_err(|e| format!("--eps: {e}"))?;
     engine.set_config(config);
 
     let names = SnapshotStore::open(dir)

@@ -223,7 +223,8 @@ impl Engine {
     /// sample workload at each candidate (the Figure 7 procedure,
     /// automated). Updates the engine's configuration and returns the
     /// chosen threshold. Results are exact under any threshold, so tuning
-    /// is safe at any time.
+    /// is safe at any time. An empty `sample` has no query to tune on:
+    /// [`EngineError::EmptyQuery`].
     pub fn auto_tune(
         &mut self,
         kind: QueryKind,
@@ -232,6 +233,9 @@ impl Engine {
     ) -> Result<f64, EngineError> {
         let filtered: Vec<Vec<ConceptId>> =
             sample.iter().map(|q| self.snapshot.checked_query(q, k)).collect::<Result<_, _>>()?;
+        if filtered.is_empty() {
+            return Err(EngineError::EmptyQuery);
+        }
         let (best, _) = cbr_knds::tune_error_threshold(
             self.snapshot.ontology(),
             self.snapshot.source(),

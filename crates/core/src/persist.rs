@@ -20,7 +20,7 @@
 //! ```text
 //! ontology  n: u64, n × label: str, n × children: [u32]   (Dewey order)
 //! corpus    n: u64, n × (token_count: u32, concepts: [u32])
-//! config    error_threshold: f64, queue_cap: u64, dedup_visits: bool, progressive: bool
+//! config    error_threshold: f64, queue_cap: u64
 //! names     n: u64, n × name: str      (`crank`'s sidecar, one per document)
 //! ```
 //!
@@ -110,25 +110,19 @@ pub fn encode_config(cfg: &KndsConfig) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_f64(cfg.error_threshold);
     w.put_u64(cfg.queue_cap as u64);
-    w.put_bool(cfg.dedup_visits);
-    w.put_bool(cfg.progressive);
     w.finish()
 }
 
-/// Decodes a kNDS configuration, holding it to the ranges `KndsConfig`'s
-/// own setters assert.
+/// Decodes a kNDS configuration, holding it to
+/// [`KndsConfig::validate`].
 pub fn decode_config(body: &[u8]) -> io::Result<KndsConfig> {
     let mut r = Reader::new(body);
     let cfg = KndsConfig {
         error_threshold: r.f64()?,
         queue_cap: usize::try_from(r.u64()?).map_err(invalid)?,
-        dedup_visits: r.bool()?,
-        progressive: r.bool()?,
     };
     r.expect_end()?;
-    if !(0.0..=1.0).contains(&cfg.error_threshold) || cfg.queue_cap == 0 {
-        return Err(invalid("config out of range"));
-    }
+    cfg.validate().map_err(invalid)?;
     Ok(cfg)
 }
 
@@ -154,7 +148,14 @@ pub fn decode_names(body: &[u8]) -> io::Result<Vec<String>> {
 impl Engine {
     /// Saves the engine into a snapshot directory. Live documents
     /// (bulk + appended, minus deleted) are compacted into one corpus.
+    ///
+    /// A configuration [`Engine::load`] would refuse (one failing
+    /// [`KndsConfig::validate`]) is an [`io::ErrorKind::InvalidInput`]
+    /// error before any frame is written.
     pub fn save(&self, dir: &Path) -> io::Result<()> {
+        self.config()
+            .validate()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("config: {e}")))?;
         // Compact: every live document's concepts, in id order.
         let mut sets = Vec::new();
         for i in 0..self.num_docs() {
@@ -354,18 +355,48 @@ mod tests {
 
     #[test]
     fn config_roundtrips_and_is_range_checked() {
-        let cfg = KndsConfig { error_threshold: 0.25, queue_cap: 9, ..KndsConfig::default() }
-            .with_dedup_visits(false);
-        let back = decode_config(&encode_config(&cfg)).unwrap();
-        assert_eq!(back.error_threshold, 0.25);
-        assert_eq!(back.queue_cap, 9);
-        assert_eq!((back.dedup_visits, back.progressive), (false, cfg.progressive));
+        let cfg = KndsConfig { error_threshold: 0.25, queue_cap: 9 };
+        let body = encode_config(&cfg);
+        assert_eq!(body.len(), 16, "two fields: f64 + u64");
+        assert_eq!(decode_config(&body).unwrap(), cfg);
         for bad in [
             KndsConfig { error_threshold: f64::NAN, ..KndsConfig::default() },
             KndsConfig { error_threshold: 1.5, ..KndsConfig::default() },
             KndsConfig { queue_cap: 0, ..KndsConfig::default() },
         ] {
             assert!(decode_config(&encode_config(&bad)).is_err(), "{bad:?}");
+        }
+        // The layout before the visit-dedup and progressive switches were
+        // deleted: the same two fields followed by two bools. Its leading
+        // 16 bytes decode to a valid configuration, so only the length
+        // tells it apart, and it must be refused rather than misread.
+        let mut old = Writer::new();
+        old.put_f64(0.25);
+        old.put_u64(9);
+        old.put_bool(false);
+        old.put_bool(true);
+        let old = old.finish();
+        assert_eq!(old.len(), 18);
+        let err = decode_config(&old).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    /// A configuration built by hand (the fields are public) that `load`
+    /// would refuse is refused by `save` — before any frame is written, so
+    /// no half-saved directory is left behind.
+    #[test]
+    fn save_refuses_a_config_that_load_would_refuse() {
+        for (tag, bad) in [
+            ("cap0", KndsConfig { queue_cap: 0, ..KndsConfig::default() }),
+            ("nan", KndsConfig { error_threshold: f64::NAN, ..KndsConfig::default() }),
+            ("eps2", KndsConfig { error_threshold: 2.0, ..KndsConfig::default() }),
+        ] {
+            let mut e = engine();
+            e.set_config(bad.clone());
+            let dir = tmp(tag);
+            let err = e.save(&dir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{bad:?}: {err}");
+            assert!(!dir.exists(), "{bad:?}: save wrote frames before refusing");
         }
     }
 }

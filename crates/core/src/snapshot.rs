@@ -332,4 +332,31 @@ mod tests {
         // The workspace took no part in the refused calls and still serves.
         assert_eq!(engine.rds_with(ws, &q, 1).unwrap().metrics.workspace_reused, 0);
     }
+
+    /// An empty query — or an empty tuning sample, which has no query to
+    /// tune on — is [`EmptyQuery`](crate::EngineError::EmptyQuery) at
+    /// every entry point, never a kNDS or tuner precondition panic.
+    #[test]
+    fn empty_query_is_a_typed_error_at_every_entry_point() {
+        use crate::engine::EngineError::EmptyQuery;
+        use cbr_knds::{KndsWorkspace, QueryKind};
+        let fig = cbr_ontology::fixture::figure3();
+        let corpus = cbr_corpus::Corpus::from_concept_sets(vec![(fig.example_document(), 0)]);
+        let mut engine = EngineBuilder::new().build(fig.ontology, corpus);
+        let config = engine.config().clone();
+        let ws = &mut KndsWorkspace::new();
+        assert_eq!(engine.rds(&[], 1).unwrap_err(), EmptyQuery, "rds");
+        assert_eq!(engine.rds_with(ws, &[], 1).unwrap_err(), EmptyQuery, "rds_with");
+        assert_eq!(engine.rds_by_labels(&[], 1).unwrap_err(), EmptyQuery, "rds_by_labels");
+        assert_eq!(engine.sds(&[], 1).unwrap_err(), EmptyQuery, "sds");
+        assert_eq!(engine.sds_with(ws, &[], 1).unwrap_err(), EmptyQuery, "sds_with");
+        assert_eq!(engine.rds_full_scan(&[], 1).unwrap_err(), EmptyQuery, "rds_full_scan");
+        assert_eq!(engine.sds_full_scan(&[], 1).unwrap_err(), EmptyQuery, "sds_full_scan");
+        for kind in [QueryKind::Rds, QueryKind::Sds] {
+            assert_eq!(engine.auto_tune(kind, &[], 1).unwrap_err(), EmptyQuery, "{kind:?}");
+            assert_eq!(engine.auto_tune(kind, &[vec![]], 1).unwrap_err(), EmptyQuery, "{kind:?}");
+        }
+        // A refused tuning leaves the configuration as it was.
+        assert_eq!(engine.config(), &config);
+    }
 }

@@ -181,21 +181,6 @@ impl<'a> Drc<'a> {
         sum
     }
 
-    /// `Ddq(d, q) / |q|` — the query-size-normalized form the paper uses
-    /// when merging scores across expanded queries (footnote 3).
-    pub fn document_query_distance_normalized(
-        &mut self,
-        doc: &[ConceptId],
-        query: &[ConceptId],
-    ) -> f64 {
-        let d = self.document_query_distance(doc, query);
-        if d == crate::INFINITE {
-            f64::INFINITY
-        } else {
-            d as f64 / query.len() as f64
-        }
-    }
-
     /// `Ddd(d1, d2)` (Equation 3) — the symmetric SDS distance with equal
     /// concept weights:
     ///
@@ -267,7 +252,6 @@ mod tests {
         let d = fig.example_document();
         let q = fig.example_query();
         assert_eq!(drc.document_query_distance(&d, &q), 7);
-        assert!((drc.document_query_distance_normalized(&d, &q) - 7.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

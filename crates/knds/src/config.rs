@@ -1,4 +1,4 @@
-//! kNDS tuning knobs.
+//! kNDS tuning knobs: the two parameters the paper tunes.
 
 /// Configuration of the kNDS engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,51 +31,51 @@ pub struct KndsConfig {
     /// when the lower bounds are tighter — than the same search over a
     /// source without one.
     pub queue_cap: usize,
-
-    /// Deduplicate BFS states `(origin concept, node, direction)`.
-    ///
-    /// The paper's prototype skips this ("labeling a visited node is more
-    /// expensive"), accepting re-visits; state deduplication never changes
-    /// first-touch levels, so it is a pure optimization. Default **on**;
-    /// the ablation bench measures the paper's choice.
-    pub dedup_visits: bool,
-
-    /// Emit results progressively (Section 5.3, optimization 4): a document
-    /// in the top-k heap whose distance is at or below the best remaining
-    /// lower bound is final and counted in
-    /// [`QueryMetrics::progressive_results`](crate::QueryMetrics).
-    pub progressive: bool,
 }
 
 impl Default for KndsConfig {
     fn default() -> Self {
-        KndsConfig {
-            error_threshold: 0.5,
-            queue_cap: 50_000,
-            dedup_visits: true,
-            progressive: true,
-        }
+        KndsConfig { error_threshold: 0.5, queue_cap: 50_000 }
     }
 }
 
 impl KndsConfig {
+    /// Checks both parameters' ranges: `error_threshold` in `[0, 1]` (so
+    /// not NaN) and a positive `queue_cap`. The fields are public, so a
+    /// configuration built by hand is held to this wherever it crosses a
+    /// boundary (the setters below, a saved or loaded snapshot).
+    pub fn validate(&self) -> Result<(), String> {
+        if !(0.0..=1.0).contains(&self.error_threshold) {
+            return Err(format!("error threshold {} is outside [0, 1]", self.error_threshold));
+        }
+        if self.queue_cap == 0 {
+            return Err("queue cap must be positive".to_string());
+        }
+        Ok(())
+    }
+
     /// Returns a copy with a different error threshold.
-    pub fn with_error_threshold(mut self, eps: f64) -> Self {
-        assert!((0.0..=1.0).contains(&eps), "error threshold must be in [0, 1]");
-        self.error_threshold = eps;
-        self
+    ///
+    /// # Panics
+    ///
+    /// Panics if the result fails [`validate`](Self::validate).
+    pub fn with_error_threshold(self, eps: f64) -> Self {
+        KndsConfig { error_threshold: eps, ..self }.validated()
     }
 
     /// Returns a copy with a different queue watermark.
-    pub fn with_queue_cap(mut self, cap: usize) -> Self {
-        assert!(cap > 0, "queue cap must be positive");
-        self.queue_cap = cap;
-        self
+    ///
+    /// # Panics
+    ///
+    /// Panics if the result fails [`validate`](Self::validate).
+    pub fn with_queue_cap(self, cap: usize) -> Self {
+        KndsConfig { queue_cap: cap, ..self }.validated()
     }
 
-    /// Returns a copy with visit deduplication toggled.
-    pub fn with_dedup_visits(mut self, dedup: bool) -> Self {
-        self.dedup_visits = dedup;
+    fn validated(self) -> Self {
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
         self
     }
 }
@@ -89,18 +89,30 @@ mod tests {
         let c = KndsConfig::default();
         assert_eq!(c.queue_cap, 50_000);
         assert_eq!(c.error_threshold, 0.5);
-        assert!(c.dedup_visits);
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
     fn builders_apply() {
-        let c = KndsConfig::default()
-            .with_error_threshold(0.9)
-            .with_queue_cap(10)
-            .with_dedup_visits(false);
+        let c = KndsConfig::default().with_error_threshold(0.9).with_queue_cap(10);
         assert_eq!(c.error_threshold, 0.9);
         assert_eq!(c.queue_cap, 10);
-        assert!(!c.dedup_visits);
+    }
+
+    #[test]
+    fn validate_holds_hand_built_configs_to_the_setters_ranges() {
+        for eps in [0.0, 1.0] {
+            assert_eq!(
+                KndsConfig { error_threshold: eps, ..KndsConfig::default() }.validate(),
+                Ok(())
+            );
+        }
+        for eps in [f64::NAN, -0.1, 1.5, f64::INFINITY] {
+            let c = KndsConfig { error_threshold: eps, ..KndsConfig::default() };
+            assert!(c.validate().unwrap_err().contains("error threshold"), "{eps}");
+        }
+        let c = KndsConfig { queue_cap: 0, ..KndsConfig::default() };
+        assert!(c.validate().unwrap_err().contains("queue cap"));
     }
 
     #[test]

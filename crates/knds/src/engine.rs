@@ -457,7 +457,7 @@ pub(crate) trait Frontier<'a> {
 
     /// Detaches the policy's buffers from `ws` and seeds distance 0 with
     /// every query concept, ascending from itself.
-    fn seed(&mut self, ws: &mut KndsWorkspace, query: &[ConceptId], dedup: bool);
+    fn seed(&mut self, ws: &mut KndsWorkspace, query: &[ConceptId]);
 
     /// Moves the round pending at distance `dist` out for processing,
     /// with every origin superseded since its push cleared; its
@@ -483,7 +483,6 @@ pub(crate) trait Frontier<'a> {
     fn admit(
         &mut self,
         dense: &mut DenseTables,
-        dedup: bool,
         node: ConceptId,
         desc: bool,
         bits: &[u64],
@@ -532,10 +531,10 @@ impl<'a> Frontier<'a> for Levels {
         Drc::new(ontology)
     }
 
-    fn seed(&mut self, ws: &mut KndsWorkspace, query: &[ConceptId], dedup: bool) {
+    fn seed(&mut self, ws: &mut KndsWorkspace, query: &[ConceptId]) {
         self.pending = 0;
         for (i, &c) in query.iter().enumerate() {
-            self.pending += ws.dense.push_next(c, false, i >> 6, 1 << (i & 63), dedup) as usize;
+            self.pending += ws.dense.push_next(c, false, i >> 6, 1 << (i & 63)) as usize;
         }
         self.gather_level(&mut ws.dense, std::mem::take(&mut ws.frontier));
     }
@@ -549,7 +548,6 @@ impl<'a> Frontier<'a> for Levels {
     fn admit(
         &mut self,
         dense: &mut DenseTables,
-        dedup: bool,
         node: ConceptId,
         desc: bool,
         bits: &[u64],
@@ -557,7 +555,7 @@ impl<'a> Frontier<'a> for Levels {
     ) {
         for (w, &b) in bits.iter().enumerate() {
             if b != 0 {
-                self.pending += dense.push_next(node, desc, w, b, dedup) as usize;
+                self.pending += dense.push_next(node, desc, w, b) as usize;
             }
         }
     }
@@ -601,7 +599,7 @@ struct Search<'a, 'r, S: IndexSource, F> {
 
 impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
     fn run(&mut self) -> QueryResult {
-        self.frontier.seed(self.ws, self.query, self.config.dedup_visits);
+        self.frontier.seed(self.ws, self.query);
 
         let mut dist: u32 = 0;
         // cplx: bound depth — one distance per turn, exhausting within the valid-path diameter; cplx: counter rounds
@@ -631,11 +629,9 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
 
             // --- termination -------------------------------------------------
             let d_minus = min_unexamined.min(self.unseen_bound(dist));
-            if self.config.progressive {
-                let final_now = self.heap.iter().filter(|&(_, d)| d <= d_minus).count();
-                self.metrics.progressive_results = self.metrics.progressive_results.max(final_now);
-                self.emit_final(d_minus);
-            }
+            let final_now = self.heap.iter().filter(|&(_, d)| d <= d_minus).count();
+            self.metrics.progressive_results = self.metrics.progressive_results.max(final_now);
+            self.emit_final(d_minus);
             if self.heap.is_full() && d_minus >= self.heap.threshold() {
                 let threshold = self.heap.threshold();
                 self.trace(|| TraceEvent::Terminated { level: dist, d_minus, threshold });
@@ -846,7 +842,7 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
                     debug_assert!(false, "parent adjacency is symmetric");
                     continue;
                 };
-                self.push_state(p, false, up, dist + w);
+                self.frontier.admit(&mut self.ws.dense, p, false, up, dist + w);
             }
         }
         let mut any = false;
@@ -862,14 +858,8 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
                 continue;
             }
             let w = self.frontier.child_step(node, pos);
-            self.push_state(c, true, down, dist + w);
+            self.frontier.admit(&mut self.ws.dense, c, true, down, dist + w);
         }
-    }
-
-    #[inline]
-    fn push_state(&mut self, node: ConceptId, desc: bool, bits: &[u64], dist: u32) {
-        let dedup = self.config.dedup_visits;
-        self.frontier.admit(&mut self.ws.dense, dedup, node, desc, bits, dist);
     }
 
     /// One linear pass over the unexamined rows, then examination in

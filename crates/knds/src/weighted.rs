@@ -106,7 +106,6 @@ impl<'a, S: IndexSource> WeightedKnds<'a, S> {
             weights: self.weights,
             queues: Queues::default(),
             round: Round::default(),
-            dedup: true,
             queued: 0,
         }
     }
@@ -141,8 +140,6 @@ struct Buckets<'a> {
     queues: Queues,
     /// The round handed out (the workspace's retained round buffer).
     round: Round,
-    /// Whether visits are deduplicated (see [`Buckets::keep`]).
-    dedup: bool,
     /// Origin-states pushed into the buckets not drained yet (what the
     /// queue watermark limits).
     queued: usize,
@@ -197,34 +194,14 @@ fn origins_of(w: usize, mut bits: u64) -> impl Iterator<Item = u32> {
 }
 
 impl Buckets<'_> {
-    /// Whether origin-state `(o, node, desc)` is queued at `dist`: with
-    /// dedup iff `dist` strictly improves its tentative distance, without
-    /// iff it is not already queued there — so a bucket holds each
-    /// origin-state at most once, as a level does. (Without dedup, a state
-    /// queued at `d`, then at a smaller distance, then at `d` again is
-    /// queued twice at `d`; the drain collapses the two.)
-    #[inline]
-    fn keep(
-        &self,
-        dense: &mut DenseTables,
-        o: u32,
-        node: ConceptId,
-        desc: bool,
-        dist: u32,
-    ) -> bool {
-        if self.dedup {
-            dense.improve_best(o, node, desc, dist)
-        } else {
-            dense.pend_at(o, node, desc, dist)
-        }
-    }
-
-    /// Queues `push` in its bucket if the relaxation keeps it.
+    /// Queues `push` in its bucket if it strictly improves its
+    /// origin-state's tentative distance — so a bucket holds each
+    /// origin-state at most once, as a level does.
     // Bucket growth is retained by the workspace across queries.
     // flow: workspace-fed
     fn queue(&mut self, dense: &mut DenseTables, push: Push) {
         let Push { node, origin, dist, desc } = push;
-        if !self.keep(dense, origin, node, desc, dist) {
+        if !dense.improve_best(origin, node, desc, dist) {
             return;
         }
         if self.queues.buckets.len() <= dist as usize {
@@ -247,13 +224,12 @@ impl<'a> Frontier<'a> for Buckets<'a> {
 
     // Staging lists are retained by the workspace across queries.
     // flow: workspace-fed
-    fn seed(&mut self, ws: &mut KndsWorkspace, query: &[ConceptId], dedup: bool) {
+    fn seed(&mut self, ws: &mut KndsWorkspace, query: &[ConceptId]) {
         self.queues = std::mem::take(&mut ws.queues);
         if self.queues.staged.len() < query.len() {
             self.queues.staged.resize_with(query.len(), Vec::new);
         }
         self.round = std::mem::take(&mut ws.frontier);
-        self.dedup = dedup;
         self.queued = 0;
         for (origin, &node) in query.iter().enumerate() {
             let origin = packing::narrow_u32(origin);
@@ -262,10 +238,10 @@ impl<'a> Frontier<'a> for Buckets<'a> {
     }
 
     /// Drains bucket `dist`: its pushes pend in the origin rows, where
-    /// duplicates collapse and — with dedup — an origin whose state has
-    /// since settled at a smaller distance (it was relaxed below this
-    /// bucket after the push) is stale and dropped; the rest are swept
-    /// into the round as a level is.
+    /// duplicates collapse and an origin whose state has since settled at
+    /// a smaller distance (it was relaxed below this bucket after the
+    /// push) is stale and dropped; the rest are swept into the round as a
+    /// level is.
     fn take_round(&mut self, dense: &mut DenseTables, dist: u32) -> Round {
         let mut pushes =
             self.queues.buckets.get_mut(dist as usize).map(std::mem::take).unwrap_or_default();
@@ -274,7 +250,7 @@ impl<'a> Frontier<'a> for Buckets<'a> {
         for &Push { node, origin, desc, .. } in &pushes {
             self.queued -= 1;
             let (w, bit) = (origin as usize >> 6, 1 << (origin & 63));
-            states += dense.push_next(node, desc, w, bit, self.dedup) as usize;
+            states += dense.push_next(node, desc, w, bit) as usize;
         }
         pushes.clear();
         if let Some(bucket) = self.queues.buckets.get_mut(dist as usize) {
@@ -302,7 +278,6 @@ impl<'a> Frontier<'a> for Buckets<'a> {
     fn admit(
         &mut self,
         _dense: &mut DenseTables,
-        _dedup: bool,
         node: ConceptId,
         desc: bool,
         bits: &[u64],
@@ -319,7 +294,7 @@ impl<'a> Frontier<'a> for Buckets<'a> {
     }
 
     /// Relaxes the round's staged pushes, origin by origin and in push
-    /// order within an origin (see [`Buckets::keep`]), and keeps the
+    /// order within an origin (see [`Buckets::queue`]), and keeps the
     /// drained round's buffers for the next bucket (expansion only ever
     /// pushes past `dist`, so bucket `dist` stays empty).
     fn finish_round(&mut self, dense: &mut DenseTables, drained: Round, _dist: u32) -> usize {

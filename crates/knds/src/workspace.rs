@@ -503,19 +503,11 @@ impl DenseTables {
     }
 
     /// Admits origin word `w` of a push to `node` into the next round:
-    /// with `dedup` the origins of `bits` not yet seen there in this
-    /// direction (`new = bits & !seen; seen |= new`), else those not yet
-    /// pending, join the concept's origins pending next round. Returns how
-    /// many joined.
+    /// the origins of `bits` not yet seen there in this direction
+    /// (`new = bits & !seen; seen |= new`) join the concept's origins
+    /// pending next round. Returns how many joined.
     #[inline]
-    pub(crate) fn push_next(
-        &mut self,
-        node: ConceptId,
-        desc: bool,
-        w: usize,
-        bits: u64,
-        dedup: bool,
-    ) -> u32 {
+    pub(crate) fn push_next(&mut self, node: ConceptId, desc: bool, w: usize, bits: u64) -> u32 {
         let Some(at) = self.origin_row(node) else {
             return 0;
         };
@@ -524,7 +516,7 @@ impl DenseTables {
             return 0;
         };
         let dir = if desc { &mut words.down } else { &mut words.up };
-        let new = bits & !if dedup { dir.seen } else { dir.next };
+        let new = bits & !dir.seen;
         if new == 0 {
             return 0;
         }
@@ -600,23 +592,9 @@ impl DenseTables {
         true
     }
 
-    /// Weighted: the state's entry in the distance table, made live (as
-    /// `u32::MAX`, never pushed) on its first write this query.
-    #[inline]
-    fn best_mut(&mut self, origin: u32, node: ConceptId, descending: bool) -> Option<&mut u32> {
-        let idx = self.state_index(origin, node, descending);
-        let Some(e) = self.best.get_mut(idx) else {
-            debug_assert!(false, "best table smaller than the query geometry");
-            return None;
-        };
-        if e.stamp != self.epoch {
-            *e = StampedDist { dist: u32::MAX, stamp: self.epoch };
-        }
-        Some(&mut e.dist)
-    }
-
     /// Weighted relaxation: keeps `dist` iff it strictly improves (or
-    /// first-sets) the state's tentative distance; `true` if kept.
+    /// first-sets — an entry stamped by another query reads as unset) the
+    /// state's tentative distance; `true` if kept.
     #[inline]
     pub(crate) fn improve_best(
         &mut self,
@@ -625,34 +603,17 @@ impl DenseTables {
         descending: bool,
         dist: u32,
     ) -> bool {
-        // Out of range degrades to processing the push (duplicate work,
-        // never a dropped state) — the sound direction.
-        let Some(best) = self.best_mut(origin, node, descending) else { return true };
-        if *best <= dist {
+        let idx = self.state_index(origin, node, descending);
+        let Some(e) = self.best.get_mut(idx) else {
+            debug_assert!(false, "best table smaller than the query geometry");
+            // Out of range degrades to processing the push (duplicate
+            // work, never a dropped state) — the sound direction.
+            return true;
+        };
+        if e.stamp == self.epoch && e.dist <= dist {
             return false;
         }
-        *best = dist;
-        true
-    }
-
-    /// Weighted without visit dedup: keeps `dist` unless the state's last
-    /// push was already at `dist` (so a bucket holds each origin-state at
-    /// most once, as a BFS level does); `true` if kept. Shares the
-    /// distance table with [`improve_best`](Self::improve_best) — a query
-    /// uses one or the other.
-    #[inline]
-    pub(crate) fn pend_at(
-        &mut self,
-        origin: u32,
-        node: ConceptId,
-        descending: bool,
-        dist: u32,
-    ) -> bool {
-        let Some(last) = self.best_mut(origin, node, descending) else { return true };
-        if *last == dist {
-            return false;
-        }
-        *last = dist;
+        *e = StampedDist { dist, stamp: self.epoch };
         true
     }
 
@@ -799,7 +760,7 @@ mod tests {
         ws.dense.begin_query(origins, 64, 32, true, true);
         for i in 0..origins {
             let (c, w, bit) = (ConceptId((i % 8) as u32), i >> 6, 1u64 << (i & 63));
-            ws.dense.push_next(c, i % 2 == 1, w, bit, true);
+            ws.dense.push_next(c, i % 2 == 1, w, bit);
             let row = ws.dense.origin_row(c).unwrap();
             ws.dense.fresh_pairs(row, w, bit);
             ws.dense.improve_best(packing::narrow_u32(i), c, i % 2 == 1, 3);
@@ -809,7 +770,7 @@ mod tests {
             ws.dense.take_pending(ConceptId(0), up, down);
         }
         for c in 8..16 {
-            ws.dense.push_next(ConceptId(c), true, 0, 0b11, true);
+            ws.dense.push_next(ConceptId(c), true, 0, 0b11);
         }
         let push = Push { node: ConceptId(2), origin: 1, dist: 4, desc: true };
         ws.queues.buckets.push(vec![push; 16]);
@@ -852,7 +813,7 @@ mod tests {
         // no touch, no distance and no doc mark.
         ws.dense.begin_query(70, 8, 4, false, false);
         for c in 0..8 {
-            assert_eq!(ws.dense.push_next(ConceptId(c), true, 0, 0b11, true), 2, "stale c{c}");
+            assert_eq!(ws.dense.push_next(ConceptId(c), true, 0, 0b11), 2, "stale c{c}");
         }
         assert!(ws.dense.touch_first(ConceptId(9)), "stale touch leaked");
         assert!(ws.dense.improve_best(1, ConceptId(1), true, 9), "stale distance leaked");
@@ -878,9 +839,9 @@ mod tests {
     fn epoch_bump_empties_every_table_without_clearing() {
         let mut d = DenseTables::default();
         d.begin_query(2, 16, 8, true, true);
-        assert_eq!(d.push_next(ConceptId(3), true, 0, 0b10, true), 1, "first visit");
-        assert_eq!(d.push_next(ConceptId(3), true, 0, 0b10, true), 0, "dup visit");
-        assert_eq!(d.push_next(ConceptId(3), false, 0, 0b11, true), 2, "directions are separate");
+        assert_eq!(d.push_next(ConceptId(3), true, 0, 0b10), 1, "first visit");
+        assert_eq!(d.push_next(ConceptId(3), true, 0, 0b10), 0, "dup visit");
+        assert_eq!(d.push_next(ConceptId(3), false, 0, 0b11), 2, "directions are separate");
         let row = d.origin_row(ConceptId(7)).unwrap();
         assert_eq!(d.fresh_pairs(row, 0, 0b01), 0b01);
         assert_eq!(d.fresh_pairs(row, 0, 0b11), 0b10, "origin 0 already applied");
@@ -904,7 +865,7 @@ mod tests {
 
         // Next query: everything reads empty again, at O(1) cost.
         d.begin_query(2, 16, 8, true, true);
-        assert_eq!(d.push_next(ConceptId(3), true, 0, 0b10, true), 1, "stale visit leaked");
+        assert_eq!(d.push_next(ConceptId(3), true, 0, 0b10), 1, "stale visit leaked");
         let row = d.origin_row(ConceptId(7)).unwrap();
         assert_eq!(d.fresh_pairs(row, 0, 0b01), 0b01, "stale pair leaked");
         assert!(d.touch_first(ConceptId(9)), "stale touch leaked");
@@ -922,10 +883,10 @@ mod tests {
         let slot = d.insert_candidate(DocId(1), 0);
         d.apply_to_candidate(slot, &[(0, 1), (1, 1 << 63), (2, 0b11)], 4, false);
         assert_eq!(d.candidate(slot).map(|c| (c.covered, c.partial)), Some((4, 16)));
-        assert_eq!(d.push_next(ConceptId(3), false, 2, 0b10, true), 1, "origin 129");
-        assert_eq!(d.push_next(ConceptId(3), false, 2, 0b10, true), 0, "origin 129 seen");
-        assert_eq!(d.push_next(ConceptId(3), false, 0, 0b10, true), 1, "origin 1 is not 129");
-        assert_eq!(d.push_next(ConceptId(1), true, 1, 0b1, true), 1, "origin 64");
+        assert_eq!(d.push_next(ConceptId(3), false, 2, 0b10), 1, "origin 129");
+        assert_eq!(d.push_next(ConceptId(3), false, 2, 0b10), 0, "origin 129 seen");
+        assert_eq!(d.push_next(ConceptId(3), false, 0, 0b10), 1, "origin 1 is not 129");
+        assert_eq!(d.push_next(ConceptId(1), true, 1, 0b1), 1, "origin 64");
         // The pending concepts come out ascending, their origins per
         // concept, every word of them.
         let mut pending = Vec::new();
@@ -944,14 +905,14 @@ mod tests {
     fn epoch_wrap_resets_stamps_instead_of_aliasing() {
         let mut d = DenseTables::default();
         assert!(!d.begin_query(1, 8, 4, true, true));
-        d.push_next(ConceptId(1), false, 0, 1, true);
+        d.push_next(ConceptId(1), false, 0, 1);
         d.improve_best(0, ConceptId(2), false, 3);
         d.mark_doc(DocId(3));
         // Prime the counter at the wrap boundary, as the workspace hook
         // does, then open the wrapping query.
         d.epoch = u32::MAX;
         assert!(d.begin_query(1, 8, 4, true, true), "wrap must be reported");
-        assert_eq!(d.push_next(ConceptId(1), false, 0, 1, true), 1, "pre-wrap visit aliased");
+        assert_eq!(d.push_next(ConceptId(1), false, 0, 1), 1, "pre-wrap visit aliased");
         assert!(d.improve_best(0, ConceptId(2), false, 9), "pre-wrap distance aliased");
         assert!(d.mark_doc(DocId(3)), "pre-wrap doc mark aliased the new epoch");
         assert!(!d.begin_query(1, 8, 4, true, true), "post-wrap queries are ordinary");
@@ -961,7 +922,7 @@ mod tests {
     fn geometry_can_grow_between_queries() {
         let mut d = DenseTables::default();
         d.begin_query(1, 4, 2, false, false);
-        d.push_next(ConceptId(3), true, 0, 1, true);
+        d.push_next(ConceptId(3), true, 0, 1);
         let small = d.footprint_bytes();
         // A wider query over a grown index re-sizes at begin and the old
         // rows stay dead under the new indexing.
@@ -969,14 +930,14 @@ mod tests {
         assert!(d.footprint_bytes() > small, "tables grew with the geometry");
         for c in 0..64u32 {
             for (w, bits) in [(0, 1), (0, 2), (1, 1)] {
-                let fresh = d.push_next(ConceptId(c), false, w, bits, true);
+                let fresh = d.push_next(ConceptId(c), false, w, bits);
                 assert_eq!(fresh, 1, "stale state under new geometry");
             }
         }
         // A narrower query reads every row empty.
         d.begin_query(1, 64, 50, false, false);
         for c in 0..64u32 {
-            assert_eq!(d.push_next(ConceptId(c), false, 0, 1, true), 1, "wide-query state leaked");
+            assert_eq!(d.push_next(ConceptId(c), false, 0, 1), 1, "wide-query state leaked");
         }
     }
 
@@ -984,16 +945,16 @@ mod tests {
     fn a_stale_row_index_never_aliases_another_concepts_words() {
         let mut d = DenseTables::default();
         d.begin_query(130, 8, 1, false, false);
-        d.push_next(ConceptId(1), false, 0, 1, true);
-        d.push_next(ConceptId(0), false, 0, 1, true);
+        d.push_next(ConceptId(1), false, 0, 1);
+        d.push_next(ConceptId(0), false, 0, 1);
         // Narrower rows: concept 0's old row index now lands inside the
         // rows concepts 1 and 2 get, so it must not read as concept 0's.
         d.begin_query(100, 8, 1, false, false);
-        d.push_next(ConceptId(1), false, 0, 1, true);
-        assert_eq!(d.push_next(ConceptId(2), false, 1, 1, true), 1);
-        assert_eq!(d.push_next(ConceptId(0), false, 0, 1, true), 1, "concept 0 has no row yet");
-        assert_eq!(d.push_next(ConceptId(0), false, 1, 1, true), 1, "concept 0 owns its words");
-        assert_eq!(d.push_next(ConceptId(2), false, 1, 1, true), 0, "concept 2 keeps its origin");
+        d.push_next(ConceptId(1), false, 0, 1);
+        assert_eq!(d.push_next(ConceptId(2), false, 1, 1), 1);
+        assert_eq!(d.push_next(ConceptId(0), false, 0, 1), 1, "concept 0 has no row yet");
+        assert_eq!(d.push_next(ConceptId(0), false, 1, 1), 1, "concept 0 owns its words");
+        assert_eq!(d.push_next(ConceptId(2), false, 1, 1), 0, "concept 2 keeps its origin");
     }
 
     #[test]

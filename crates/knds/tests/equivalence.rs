@@ -98,19 +98,6 @@ fn sds_matches_baseline_for_every_error_threshold() {
 }
 
 #[test]
-fn knds_is_exact_without_visit_dedup() {
-    // The paper's prototype does not deduplicate BFS states; our dedup is
-    // an optimization that must not change results.
-    let f = fixture(303);
-    let mut rng = StdRng::seed_from_u64(9);
-    let q = random_query(&f.ont, &mut rng, 3);
-    let expect = baseline::rds(&f.ont, &f.source, &q, 4);
-    let cfg = KndsConfig::default().with_dedup_visits(false).with_queue_cap(500);
-    let got = Knds::new(&f.ont, &f.source, cfg).rds(&q, 4);
-    assert_same_profile(&got.results, &expect.results, "no-dedup");
-}
-
-#[test]
 fn knds_is_exact_under_tiny_queue_cap() {
     // A 1-element watermark forces an examination round at every level;
     // results must stay exact (the cap never truncates).
@@ -406,34 +393,32 @@ proptest! {
 
     /// `WeightedKnds` at `EdgeWeights::uniform` *is* `Knds`: same length,
     /// same documents, same distance bits, same work counters, for RDS and
-    /// SDS, across error thresholds, visit dedup on/off and queue
-    /// watermarks from "forced every round" to the default.
+    /// SDS, across error thresholds and queue watermarks from "forced
+    /// every round" to the default.
     #[test]
     fn unit_weights_equal_the_unweighted_engine(
         seed in 0u64..400,
         query_picks in prop::collection::vec(0u32..10_000, 1..6),
         k in 1usize..9,
         eps_pick in 0usize..4,
-        dedup in any::<bool>(),
         cap_pick in 0usize..3,
     ) {
         let Generated { ont, source, q, qd } = generated(seed, &query_picks);
         let weights = EdgeWeights::uniform(&ont);
         let (eps, cfg) = picked_config(eps_pick, cap_pick);
-        let cfg = cfg.with_dedup_visits(dedup);
         let unit = Knds::new(&ont, &source, cfg.clone());
         let weighted = WeightedKnds::new(&ont, &weights, &source, cfg);
 
         prop_assert_eq!(
             fingerprint(&weighted.rds(&q, k)),
             fingerprint(&unit.rds(&q, k)),
-            "RDS q {:?} k {} eps {} dedup {} cap {}", q, k, eps, dedup, cap_pick
+            "RDS q {:?} k {} eps {} cap {}", q, k, eps, cap_pick
         );
 
         prop_assert_eq!(
             fingerprint(&weighted.sds(&qd, k)),
             fingerprint(&unit.sds(&qd, k)),
-            "SDS q {:?} k {} eps {} dedup {} cap {}", qd, k, eps, dedup, cap_pick
+            "SDS q {:?} k {} eps {} cap {}", qd, k, eps, cap_pick
         );
     }
 }

@@ -128,12 +128,3 @@ fn weighted_queries_on_the_shared_workspace_do_not_disturb_the_stream() {
         }
     }
 }
-
-#[test]
-fn streaming_with_progressive_disabled_still_flushes_everything() {
-    let (ont, source, queries) = setup();
-    let cfg = KndsConfig { progressive: false, ..KndsConfig::default() };
-    let knds = Knds::new(&ont, &source, cfg);
-    let (emitted, r) = stream(&knds, &mut KndsWorkspace::new(), QueryKind::Rds, &queries[0], 5);
-    check_stream(&emitted, &r.results, "progressive off");
-}

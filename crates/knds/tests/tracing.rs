@@ -164,8 +164,8 @@ fn weighted_queries_on_the_shared_workspace_do_not_disturb_the_trace() {
 }
 
 /// `LevelStart.frontier` counts origin-states — what the queue watermark
-/// counts — and with visit dedup every one of them is visited exactly
-/// once, so the frontiers sum to `nodes_visited`, for RDS and SDS.
+/// counts — and visit dedup visits every one of them exactly once,
+/// so the frontiers sum to `nodes_visited`, for RDS and SDS.
 #[test]
 fn level_frontiers_sum_to_the_visited_states() {
     let (fig, source) = setup();

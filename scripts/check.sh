@@ -14,7 +14,8 @@
 # tests once more as they ship (without the `counters` feature), and the
 # benchmark tripwire (fmt, clippy, tests and a smoke run of perfbench/,
 # which is outside the workspace and compiles against the crates' public
-# API). Run from the repository root. Every step must pass before merging.
+# API) with the seed-2014 result digests of its read-only workloads. Run
+# from the repository root. Every step must pass before merging.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,7 +65,7 @@ cargo run -q -p cbr-sched --features seeded-races -- \
 repro_out="$(cargo run -q --release -p cbr-bench --bin repro -- all --scale micro --queries 2)"
 repro_out+="$(cargo run -q --release -p cbr-bench --bin repro -- phases --scale micro --queries 2)"
 for header in '== Ontology statistics' '== Table 3' '== Figure 6' '== Figure 7' '== Figure 8' \
-    '== Figure 9' '== Ablations' '-- (a)' '-- (b)' '-- (c)' '-- (d)' '-- (f)' '-- (g)' '-- (h)' \
+    '== Figure 9' '== Ablations' '-- (b)' '-- (c)' '-- (d)' '-- (f)' '-- (g)' '-- (h)' \
     '== Effectiveness' '== Phase breakdown'; do
     grep -qF -- "$header" <<<"$repro_out" || {
         echo "repro smoke: no '$header' section in the report" >&2
@@ -102,3 +103,16 @@ cargo fmt --check --manifest-path perfbench/Cargo.toml
 cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --bin bench -- --smoke
+# Bit-identical results: at seed 2014 each read-only workload folds its
+# rankings into a digest that must match perfbench/baseline.json (the smoke
+# run above uses micro sizes, where no digest is checked). `bench` reports
+# a mismatch in its last line, `"correct": false`, not in its exit status,
+# so that line is grepped.
+for workload in patient_sds radio_rds scale_rds; do
+    result="$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --bin bench -- \
+        --workload "$workload" --seed 2014 --seconds 1 --trace 0 | tail -n 1)"
+    grep -q '"correct": true' <<<"$result" || {
+        echo "digests: $workload at seed 2014 is not correct: $result" >&2
+        exit 1
+    }
+done

@@ -4,8 +4,8 @@
 //! (append; delete, dead and past-the-end ids included; `compact`;
 //! `maybe_compact`; a view of the raw source), concept sets that serve as RDS queries and as SDS
 //! query documents (one case in four 65-200 concepts wide, over an
-//! ontology of at least 400), `k` (sometimes above the live collection), `εθ`,
-//! `queue_cap` and `dedup_visits`. A shadow of the collection — concept
+//! ontology of at least 400), `k` (sometimes above the live collection), `εθ`
+//! and `queue_cap`. A shadow of the collection — concept
 //! sets plus dead bits — follows the script, and `cbr_dradix::brute` over
 //! its live documents is the one answer. Every path must match it:
 //! distances equal to the bit at every rank, each document at its own
@@ -117,8 +117,7 @@ impl Strategy for Cases {
         let k = 1 + rng.below(k_max) as usize;
         let config = KndsConfig::default()
             .with_error_threshold([0.0, 1.0, rng.unit_f64()][rng.below(3) as usize])
-            .with_queue_cap([1, 1 + rng.below(64) as usize, 50_000][rng.below(3) as usize])
-            .with_dedup_visits(rng.below(2) == 0);
+            .with_queue_cap([1, 1 + rng.below(64) as usize, 50_000][rng.below(3) as usize]);
         let weight_seed = rng.next_u64();
         Case { shape, ontology, bulk, ops, pin_at, queries, k, config, weight_seed }
     }
