@@ -32,10 +32,11 @@
 //!   symbolic capacity that dominates the loop nest filling it
 //!   (cross-linking the bound gate's B03 directives).
 //! * **C05** — counter-hook consistency: a loop marked
-//!   `// cplx: counter <name>` must bump that counter in its body and
-//!   vice versa, so the dynamic cross-validation harness
-//!   (`tests/counters.rs`, behind the `counters` feature of `cbr-knds`)
-//!   measures the loops the static model claims to bound.
+//!   `// cplx: counter <name>` must call a `bump_<name>` method in its
+//!   body and vice versa, so the dynamic cross-validation harness
+//!   (`tests/counters.rs`, reading the counts every build keeps:
+//!   `QueryMetrics` and the D-Radix DAG's work tally) measures the
+//!   loops the static model claims to bound.
 //!
 //! A meta-rule (`CPLX`) guards against vacuity: every [`HOT_ROOTS`]
 //! entry must match a function and the reachable slice must contain
@@ -592,7 +593,7 @@ fn c05_counter_hooks(
                 l.at,
                 format!(
                     "loop is marked `cplx: counter {name}` but never calls \
-                     `counters::bump_{name}` in its body — the dynamic cross-validation \
+                     `bump_{name}` in its body — the dynamic cross-validation \
                      would measure nothing"
                 ),
             ));

@@ -210,7 +210,7 @@ pub struct SizedSite {
     pub in_loop: usize,
 }
 
-/// One `counters::bump_*` call site.
+/// One `bump_*` call site: the increment of a counted loop.
 #[derive(Debug, Clone)]
 pub struct BumpSite {
     /// Byte offset of the call.

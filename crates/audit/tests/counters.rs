@@ -1,9 +1,10 @@
-//! C05 dynamic cross-validation: the `counters` cfg feature threads
-//! per-loop iteration counters through the kNDS and D-Radix hot loops
-//! (each marked `// cplx: counter <name>` in the source), and these
-//! properties assert that the *observed* iteration counts stay within a
-//! small constant factor of the *statically proven* symbolic bounds for
-//! arbitrary generated ontologies, corpora, and queries.
+//! C05 dynamic cross-validation: the kNDS and D-Radix hot loops marked
+//! `// cplx: counter <name>` each bump a count every build keeps —
+//! `QueryMetrics::{levels, ordered}` on a query's result and the
+//! D-Radix DAG's `DagWork` tally — and these properties assert that the
+//! *observed* iteration counts stay within a small constant factor of
+//! the *statically proven* symbolic bounds for arbitrary generated
+//! ontologies, corpora, and queries.
 //!
 //! Instance parameters mirror the symbolic atoms of `cbr_audit::cplx::sym`:
 //! `P` is the total number of ranked Dewey addresses of the concept
@@ -12,10 +13,8 @@
 //! which also caps the BFS diameter from any concept at `2·depth`).
 
 use cbr_corpus::{Corpus, CorpusGenerator, CorpusProfile};
-use cbr_dradix::counters as dag_counters;
-use cbr_dradix::{DRadixDag, Drc};
+use cbr_dradix::{DRadixDag, DagWork, Drc};
 use cbr_index::SegmentedView;
-use cbr_knds::counters as knds_counters;
 use cbr_knds::{Hooks, Knds, KndsConfig, KndsWorkspace, QueryKind, WeightedKnds};
 use cbr_ontology::{ConceptId, EdgeWeights, GeneratorConfig, Ontology, OntologyGenerator};
 use proptest::prelude::*;
@@ -74,11 +73,10 @@ proptest! {
         let p = total_addresses(&ont, &doc) + total_addresses(&ont, &query);
         let depth = max_depth(&ont);
 
-        dag_counters::reset();
         let mut dag = DRadixDag::new();
         dag.build_into(&ont, &doc, &query);
         dag.tune();
-        let obs = dag_counters::snapshot();
+        let obs = dag.work();
 
         // C01/C02: the staging nest is O(deg·P); the loop body runs
         // exactly once per ranked address of d ∪ q.
@@ -117,12 +115,11 @@ proptest! {
         let docs: Vec<Vec<ConceptId>> = doc_picks.iter().map(|p| pick_concepts(&ont, p)).collect();
         let depth = max_depth(&ont);
 
-        dag_counters::reset();
         let mut drc = Drc::new(&ont);
+        let mut obs = DagWork::default();
         for doc in &docs {
-            drc.document_query_distance(doc, &query);
+            obs = drc.probe(doc, &query).work();
         }
-        let obs = dag_counters::snapshot();
 
         let staged: u64 = docs.iter().map(|d| total_addresses(&ont, d)).sum();
         prop_assert_eq!(obs.addrs, total_addresses(&ont, &query) + staged);
@@ -150,19 +147,17 @@ proptest! {
         let q = pick_concepts(&ont, &query_picks);
         let depth = max_depth(&ont);
 
-        knds_counters::reset();
         let engine = Knds::new(&ont, &source, KndsConfig::default());
-        let _ = engine.rds(&q, k);
-        let obs = knds_counters::snapshot();
+        let levels = u64::from(engine.rds(&q, k).metrics.levels);
         prop_assert!(
-            obs.rounds <= 2 * depth + 2,
-            "rounds (levels) {} vs bound 2·depth+2 = {}",
-            obs.rounds,
+            levels <= 2 * depth + 2,
+            "levels {} vs bound 2·depth+2 = {}",
+            levels,
             2 * depth + 2
         );
     }
 
-    /// The same loop — the same `rounds` probe — under the bucket policy
+    /// The same loop — the same `levels` count — under the bucket policy
     /// at uniform weights: one distance bucket drains per turn and
     /// distances span the same diameter.
     #[test]
@@ -178,14 +173,12 @@ proptest! {
         let q = pick_concepts(&ont, &query_picks);
         let depth = max_depth(&ont);
 
-        knds_counters::reset();
         let engine = WeightedKnds::new(&ont, &weights, &source, KndsConfig::default());
-        let _ = engine.rds(&q, k);
-        let obs = knds_counters::snapshot();
+        let levels = u64::from(engine.rds(&q, k).metrics.levels);
         prop_assert!(
-            obs.rounds <= 2 * depth + 2,
-            "rounds (buckets) {} vs bound 2·depth+2 = {}",
-            obs.rounds,
+            levels <= 2 * depth + 2,
+            "levels (buckets) {} vs bound 2·depth+2 = {}",
+            levels,
             2 * depth + 2
         );
     }
@@ -211,14 +204,12 @@ proptest! {
         let engine = Knds::new(&ont, &source, cfg);
 
         for kind in [QueryKind::Rds, QueryKind::Sds] {
-            knds_counters::reset();
-            let r = engine.run(&mut KndsWorkspace::new(), kind, &q, k, Hooks::default());
-            let obs = knds_counters::snapshot();
-            let bound = obs.rounds + r.metrics.docs_examined as u64;
+            let m = engine.run(&mut KndsWorkspace::new(), kind, &q, k, Hooks::default()).metrics;
+            let bound = m.levels as usize + m.docs_examined;
             prop_assert!(
-                obs.ordered <= bound,
-                "{:?}: ordered {} vs bound rounds {} + docs_examined {} ({} candidates)",
-                kind, obs.ordered, obs.rounds, r.metrics.docs_examined, r.metrics.candidates_seen
+                m.ordered <= bound,
+                "{:?}: ordered {} vs bound levels {} + docs_examined {} ({} candidates)",
+                kind, m.ordered, m.levels, m.docs_examined, m.candidates_seen
             );
         }
     }

@@ -180,9 +180,9 @@ fn load(flags: &Flags) -> Result<LoadedIndex, AnyError> {
     let refilter = (min_depth > 0).then_some(FilterConfig { min_depth, cf_sigma: f64::INFINITY });
     let mut engine =
         Engine::load(dir, refilter).map_err(|e| format!("index {}: {e}", dir.display()))?;
-    let eps: f64 = parse_or(flags, "eps", engine.config().error_threshold)?;
-    let config = KndsConfig { error_threshold: eps, ..engine.config().clone() };
-    config.validate().map_err(|e| format!("--eps: {e}"))?;
+    let eps: f64 = parse_or(flags, "eps", engine.config().error_threshold())?;
+    let config =
+        KndsConfig::new(eps, engine.config().queue_cap()).map_err(|e| format!("--eps: {e}"))?;
     engine.set_config(config);
 
     let names = SnapshotStore::open(dir)

@@ -245,8 +245,7 @@ impl Engine {
             cbr_knds::tuner::DEFAULT_CANDIDATES,
             self.snapshot.config(),
         );
-        let mut config = self.snapshot.config().clone();
-        config.error_threshold = best;
+        let config = self.snapshot.config().clone().with_error_threshold(best);
         self.snapshot.set_config(config);
         Ok(best)
     }
@@ -384,7 +383,7 @@ mod tests {
         let sample: Vec<Vec<ConceptId>> = (0..3).map(|_| some_query(&e, 2)).collect();
         let best = e.auto_tune(QueryKind::Rds, &sample, 5).unwrap();
         assert!(cbr_knds::tuner::DEFAULT_CANDIDATES.contains(&best));
-        assert_eq!(e.config().error_threshold, best);
+        assert_eq!(e.config().error_threshold(), best);
         // Queries still work and stay exact.
         let q = some_query(&e, 2);
         let a = e.rds(&q, 4).unwrap();

@@ -108,22 +108,19 @@ pub fn decode_corpus(body: &[u8], num_concepts: usize) -> io::Result<Corpus> {
 /// Encodes the kNDS configuration.
 pub fn encode_config(cfg: &KndsConfig) -> Vec<u8> {
     let mut w = Writer::new();
-    w.put_f64(cfg.error_threshold);
-    w.put_u64(cfg.queue_cap as u64);
+    w.put_f64(cfg.error_threshold());
+    w.put_u64(cfg.queue_cap() as u64);
     w.finish()
 }
 
-/// Decodes a kNDS configuration, holding it to
-/// [`KndsConfig::validate`].
+/// Decodes a kNDS configuration, holding it to [`KndsConfig::new`]'s
+/// ranges.
 pub fn decode_config(body: &[u8]) -> io::Result<KndsConfig> {
     let mut r = Reader::new(body);
-    let cfg = KndsConfig {
-        error_threshold: r.f64()?,
-        queue_cap: usize::try_from(r.u64()?).map_err(invalid)?,
-    };
+    let error_threshold = r.f64()?;
+    let queue_cap = usize::try_from(r.u64()?).map_err(invalid)?;
     r.expect_end()?;
-    cfg.validate().map_err(invalid)?;
-    Ok(cfg)
+    KndsConfig::new(error_threshold, queue_cap).map_err(invalid)
 }
 
 /// Encodes a list of document names — the sidecar `crank` keeps beside
@@ -148,14 +145,7 @@ pub fn decode_names(body: &[u8]) -> io::Result<Vec<String>> {
 impl Engine {
     /// Saves the engine into a snapshot directory. Live documents
     /// (bulk + appended, minus deleted) are compacted into one corpus.
-    ///
-    /// A configuration [`Engine::load`] would refuse (one failing
-    /// [`KndsConfig::validate`]) is an [`io::ErrorKind::InvalidInput`]
-    /// error before any frame is written.
     pub fn save(&self, dir: &Path) -> io::Result<()> {
-        self.config()
-            .validate()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("config: {e}")))?;
         // Compact: every live document's concepts, in id order.
         let mut sets = Vec::new();
         for i in 0..self.num_docs() {
@@ -235,7 +225,7 @@ mod tests {
         let dir = tmp("rt");
         e.save(&dir).unwrap();
         let loaded = Engine::load(&dir, None).unwrap();
-        assert_eq!(loaded.config().error_threshold, 0.75);
+        assert_eq!(loaded.config().error_threshold(), 0.75);
         assert_eq!(loaded.num_docs(), e.num_docs());
         let after = loaded.rds(&q, 5).unwrap();
         for (a, b) in before.results.iter().zip(after.results.iter()) {
@@ -355,16 +345,18 @@ mod tests {
 
     #[test]
     fn config_roundtrips_and_is_range_checked() {
-        let cfg = KndsConfig { error_threshold: 0.25, queue_cap: 9 };
+        let cfg = KndsConfig::new(0.25, 9).unwrap();
         let body = encode_config(&cfg);
         assert_eq!(body.len(), 16, "two fields: f64 + u64");
         assert_eq!(decode_config(&body).unwrap(), cfg);
-        for bad in [
-            KndsConfig { error_threshold: f64::NAN, ..KndsConfig::default() },
-            KndsConfig { error_threshold: 1.5, ..KndsConfig::default() },
-            KndsConfig { queue_cap: 0, ..KndsConfig::default() },
-        ] {
-            assert!(decode_config(&encode_config(&bad)).is_err(), "{bad:?}");
+        // No `KndsConfig` holds an out-of-range value, so the bad bodies
+        // are written field by field.
+        for (eps, cap) in [(f64::NAN, 50_000), (1.5, 50_000), (0.5, 0)] {
+            let mut bad = Writer::new();
+            bad.put_f64(eps);
+            bad.put_u64(cap);
+            let err = decode_config(&bad.finish()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "({eps}, {cap}): {err}");
         }
         // The layout before the visit-dedup and progressive switches were
         // deleted: the same two fields followed by two bools. Its leading
@@ -381,22 +373,14 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
-    /// A configuration built by hand (the fields are public) that `load`
-    /// would refuse is refused by `save` — before any frame is written, so
-    /// no half-saved directory is left behind.
+    /// What `load` refuses, no `KndsConfig` can hold: the constructor
+    /// refuses a zero queue cap, a NaN threshold and one above 1, so no
+    /// engine is configured with, or saves, a value `load` would refuse.
     #[test]
-    fn save_refuses_a_config_that_load_would_refuse() {
-        for (tag, bad) in [
-            ("cap0", KndsConfig { queue_cap: 0, ..KndsConfig::default() }),
-            ("nan", KndsConfig { error_threshold: f64::NAN, ..KndsConfig::default() }),
-            ("eps2", KndsConfig { error_threshold: 2.0, ..KndsConfig::default() }),
-        ] {
-            let mut e = engine();
-            e.set_config(bad.clone());
-            let dir = tmp(tag);
-            let err = e.save(&dir).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{bad:?}: {err}");
-            assert!(!dir.exists(), "{bad:?}: save wrote frames before refusing");
+    fn config_constructor_refuses_what_load_would_refuse() {
+        for (tag, eps, cap) in [("cap0", 0.5, 0), ("nan", f64::NAN, 50_000), ("eps2", 2.0, 50_000)]
+        {
+            assert!(KndsConfig::new(eps, cap).is_err(), "{tag}");
         }
     }
 }

@@ -168,6 +168,37 @@ pub struct DagStats {
     pub addresses: usize,
 }
 
+/// Iterations of the three build loops since the last
+/// [`pin`](DRadixDag::pin), which the C05 cross-check holds to their
+/// static bounds. Overlays add to it and never roll it back, so after a
+/// pin and `n` overlays it counts the pinned half's work and all `n`
+/// overlays'.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DagWork {
+    /// Turns of the address-staging loop, one per ranked address staged
+    /// (static bound: `deg·P`).
+    pub addrs: u64,
+    /// Items popped off the suffix worklist (static bound: `depth²` per
+    /// inserted address).
+    pub suffix_pops: u64,
+    /// Radix descent steps (static bound: `depth` per popped item).
+    pub radix_steps: u64,
+}
+
+impl DagWork {
+    fn bump_addrs(&mut self) {
+        self.addrs += 1;
+    }
+
+    fn bump_suffix_pops(&mut self) {
+        self.suffix_pops += 1;
+    }
+
+    fn bump_radix_steps(&mut self) {
+        self.radix_steps += 1;
+    }
+}
+
 /// The D-Radix DAG over one `(document, query)` pair.
 ///
 /// A value is reusable across pairs: [`build_into`](Self::build_into)
@@ -187,6 +218,7 @@ pub struct DRadixDag {
     /// labels are subranges of it. Splits re-slice; nothing is copied.
     labels: Vec<u32>,
     addresses_inserted: usize,
+    work: DagWork,
     // --- per-build scratch, cleared (not freed) by `pin` -----------------
     /// Membership stamps: concept is in the current document (resp. query)
     /// set iff its stamp equals that side's epoch. One epoch per side, so
@@ -302,6 +334,7 @@ impl DRadixDag {
         self.live = 0;
         self.labels.clear();
         self.addresses_inserted = 0;
+        self.work = DagWork::default();
         advance(&mut self.epoch, &mut self.concept_slots);
         advance(&mut self.doc_epoch, &mut self.doc_stamps);
         advance(&mut self.query_epoch, &mut self.query_stamps);
@@ -405,8 +438,7 @@ impl DRadixDag {
             }
             // cplx: counter addrs
             for (rank, addr) in paths.addresses_ranked(c) {
-                #[cfg(feature = "counters")]
-                crate::counters::bump_addrs();
+                self.work.bump_addrs();
                 let start = packing::csr_offset(self.labels.len());
                 // bound: sized — one label range per ranked address of d ∪ q
                 self.labels.extend_from_slice(addr);
@@ -543,6 +575,11 @@ impl DRadixDag {
             edges: self.active().iter().map(|n| n.edges.len()).sum(),
             addresses: self.addresses_inserted,
         }
+    }
+
+    /// Work done since the last pin (see [`DagWork`]).
+    pub fn work(&self) -> DagWork {
+        self.work
     }
 
     /// Approximate heap footprint of the retained allocations, in bytes.
@@ -707,13 +744,11 @@ impl DRadixDag {
         // worklist buffer is retained scratch — no per-call allocation.
         // cplx: counter suffix_pops
         'work: while let Some((from, target, mut vs, mut vl, mut depth)) = self.suffix_work.pop() {
-            #[cfg(feature = "counters")]
-            crate::counters::bump_suffix_pops();
+            self.work.bump_suffix_pops();
             let mut cn = from;
             // cplx: bound depth — descends one radix edge per turn, vl strictly shrinking; cplx: counter radix_steps
             loop {
-                #[cfg(feature = "counters")]
-                crate::counters::bump_radix_steps();
+                self.work.bump_radix_steps();
                 if vl == 0 {
                     // Fully matched: the walk ended on an existing node, which
                     // must be the target (equal Dewey position ⇒ equal concept).

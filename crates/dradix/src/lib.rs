@@ -37,12 +37,10 @@
 #![warn(missing_docs)]
 
 pub mod brute;
-#[cfg(feature = "counters")]
-pub mod counters;
 pub mod dag;
 pub mod drc;
 
-pub use dag::{DRadixDag, DagStats, DagViolation};
+pub use dag::{DRadixDag, DagStats, DagViolation, DagWork};
 pub use drc::{DagScratch, Drc};
 
 /// Sentinel for "distance not defined" (empty document or query in a

@@ -602,10 +602,9 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
         self.frontier.seed(self.ws, self.query);
 
         let mut dist: u32 = 0;
-        // cplx: bound depth — one distance per turn, exhausting within the valid-path diameter; cplx: counter rounds
+        // cplx: bound depth — one distance per turn, exhausting within the valid-path diameter; cplx: counter levels
         loop {
-            #[cfg(feature = "counters")]
-            crate::counters::bump_rounds();
+            self.metrics.bump_levels();
             let mut current = self.frontier.take_round(&mut self.ws.dense, dist);
             self.metrics.nodes_visited += current.pending();
             self.trace(|| TraceEvent::LevelStart { level: dist, frontier: current.pending() });
@@ -617,12 +616,11 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
             self.apply_fetched(dist);
             self.expand_round(&mut current, dist);
             let pending = self.frontier.finish_round(&mut self.ws.dense, current, dist);
-            let forced = pending > self.config.queue_cap;
+            let forced = pending > self.config.queue_cap();
             if forced {
                 self.metrics.forced_rounds += 1;
             }
             self.metrics.traversal += fetched.elapsed();
-            self.metrics.levels += 1;
 
             // --- examination (distance-calculation bucket) ------------------
             let min_unexamined = self.examine(dist, forced);
@@ -900,12 +898,11 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
         // stop at the first one with D⁻ ≥ D⁺_k (or ε_d over the threshold),
         // so both the ordering work and the probes are spent on documents
         // that can still enter the top-k, not on the |D| rows of the
-        // candidate table (measured: knds.examined_per_result; the
-        // `ordered` probe counts the pops).
+        // candidate table (measured: knds.examined_per_result;
+        // `QueryMetrics::ordered` counts the pops).
         // cplx: bound k — only candidates with D⁻ < D⁺_k are ordered and probed (§5 termination); cplx: counter ordered
         while let Some(Reverse((OrdF64(lb), doc))) = order.pop() {
-            #[cfg(feature = "counters")]
-            crate::counters::bump_ordered();
+            self.metrics.bump_ordered();
             if self.heap.is_full() && lb >= self.heap.threshold() {
                 // Optimization 1 (Section 5.3): nothing below this bound can
                 // enter the top-k; ascending pops make the rest moot too.
@@ -923,7 +920,7 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
                 continue;
             };
             let eps = self.error_estimate(c, lb);
-            if !forced && eps > self.config.error_threshold {
+            if !forced && eps > self.config.error_threshold() {
                 min_unexamined = lb;
                 break;
             }
@@ -1201,6 +1198,7 @@ mod tests {
         assert!(r.metrics.levels > 0);
         assert!(r.metrics.docs_examined >= 2);
         assert!(r.metrics.candidates_seen >= r.metrics.docs_examined);
+        assert!(r.metrics.ordered >= r.metrics.docs_examined);
     }
 
     /// A `SegmentedView` wrapper whose every `postings` call busy-waits `SPIN` first,

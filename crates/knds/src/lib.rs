@@ -42,8 +42,6 @@
 
 pub mod baseline;
 pub mod config;
-#[cfg(feature = "counters")]
-pub mod counters;
 pub mod engine;
 pub mod metrics;
 pub mod ta;

@@ -34,8 +34,15 @@ pub struct QueryMetrics {
     pub candidates_seen: usize,
     /// BFS states processed.
     pub nodes_visited: usize,
-    /// Breadth-first levels completed.
+    /// Rounds of the Algorithm 2 loop: breadth-first levels under
+    /// [`Knds`](crate::Knds), drained distance buckets under
+    /// [`WeightedKnds`](crate::WeightedKnds).
     pub levels: u32,
+    /// Candidate rows the examination step placed in final
+    /// `(D⁻, DocId)` order: one per heap pop, so the documents examined
+    /// plus at most one row per round that stopped the pass — never the
+    /// whole candidate table.
+    pub ordered: usize,
     /// Examination rounds forced by the queue watermark.
     pub forced_rounds: usize,
     /// Results that were provably final before termination
@@ -83,11 +90,22 @@ impl QueryMetrics {
         self.candidates_seen += other.candidates_seen;
         self.nodes_visited += other.nodes_visited;
         self.levels += other.levels;
+        self.ordered += other.ordered;
         self.forced_rounds += other.forced_rounds;
         self.progressive_results += other.progressive_results;
         self.workspace_reused += other.workspace_reused;
         self.workspace_bytes = self.workspace_bytes.max(other.workspace_bytes);
         self.epoch_rollover += other.epoch_rollover;
+    }
+
+    /// One round of the Algorithm 2 loop.
+    pub(crate) fn bump_levels(&mut self) {
+        self.levels += 1;
+    }
+
+    /// One row popped in order by the examination step.
+    pub(crate) fn bump_ordered(&mut self) {
+        self.ordered += 1;
     }
 
     /// Divides all durations by `n` (workload averaging).
@@ -141,15 +159,18 @@ mod tests {
         let mut a = QueryMetrics {
             traversal: Duration::from_millis(4),
             drc_calls: 2,
+            ordered: 7,
             ..Default::default()
         };
         let b = QueryMetrics {
             traversal: Duration::from_millis(6),
             drc_calls: 3,
+            ordered: 4,
             ..Default::default()
         };
         a.accumulate(&b);
         assert_eq!(a.drc_calls, 5);
+        assert_eq!(a.ordered, 11);
         let avg = a.averaged(2);
         assert_eq!(avg.traversal, Duration::from_millis(5));
         assert_eq!(avg.drc_calls, 5, "counters are not averaged");

@@ -10,8 +10,7 @@
 # exploration — including the publish/retire and compaction harnesses
 # over the epoch-published snapshot — (same honest + seeded-bug pairing),
 # the repro smoke (every report of the paper's evaluation, end to end at
-# micro scale), a run of every example, the whole workspace's tests, the kNDS and D-Radix crates'
-# tests once more as they ship (without the `counters` feature), and the
+# micro scale), a run of every example, the whole workspace's tests, and the
 # benchmark tripwire (fmt, clippy, tests and a smoke run of perfbench/,
 # which is outside the workspace and compiles against the crates' public
 # API) with the seed-2014 result digests of its read-only workloads. Run
@@ -32,7 +31,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # all eight hot-path roots with zero cyclic functions; C03 recognized the
 # D-Radix build as O((|Pq|+|Pd|)·log) with exactly one quadratic root
 # (the TA baseline) over a non-empty reachable loop set; C05 links all
-# five counter-marked hot loops (the examination step's `ordered` probe
+# five counter-marked hot loops (the examination step's `ordered` count
 # among them) to their bump calls.
 audit_json="$(cargo run -q -p cbr-audit -- all --json)"
 grep -Eq '"resolution": (1\.000|0\.99[5-9])' <<<"$audit_json"
@@ -89,12 +88,6 @@ done
 # live in member crates (the one brute-force oracle, tests/oracle.rs, in
 # the root package).
 cargo test -q --workspace
-# The shipped build of the kNDS and D-Radix hot loops. `cbr-audit`'s
-# dev-dependency turns on their `counters` feature and resolver 2 unifies
-# it, so the workspace run above compiles both crates *with* the C05
-# probes; `-p` alone builds them as release, `repro` and perfbench do,
-# without (`cargo tree -e features,dev -p cbr-knds` shows no `counters`).
-cargo test -q -p cbr-knds -p cbr-dradix
 # Benchmark tripwire: perfbench/ is a package of its own (BENCHMARK.json
 # builds it from source), so nothing above notices when a crate API it
 # compiles against changes. Lint, test and smoke-run it (micro sizes,

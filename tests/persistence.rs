@@ -135,7 +135,7 @@ proptest! {
             let tokens = if bulk { original.corpus().get(old).token_count() } else { 0 };
             prop_assert_eq!(loaded.corpus().get(new).token_count(), tokens);
         }
-        prop_assert_eq!(loaded.config().error_threshold.to_bits(), eps.to_bits());
+        prop_assert_eq!(loaded.config().error_threshold().to_bits(), eps.to_bits());
         prop_assert_eq!(
             cbr_corpus::io::render_ontology(loaded.ontology()),
             cbr_corpus::io::render_ontology(original.ontology())

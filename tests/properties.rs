@@ -197,7 +197,7 @@ proptest! {
             prop_assert!(corpus.documents().all(|d| d.concepts().iter().all(|c| c.index() < 16)));
         }
         if let Ok(cfg) = concept_rank::persist::decode_config(&bytes) {
-            prop_assert!((0.0..=1.0).contains(&cfg.error_threshold) && cfg.queue_cap > 0);
+            prop_assert!((0.0..=1.0).contains(&cfg.error_threshold()) && cfg.queue_cap() > 0);
         }
     }
 
