@@ -82,7 +82,7 @@ pub const IDENT_ENV: &[(&str, &str)] = &[
     ("comps", "depth"),
     ("components", "depth"),
     // Concept-count-sized tables.
-    ("touch_stamps", "c"),
+    ("field", "c"),
     ("stamps", "c"),
     ("concepts", "c"),
     // Bounded adjacency.

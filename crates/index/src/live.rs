@@ -6,8 +6,7 @@
 //! skip that work without changing a result:
 //!
 //! * `live_here(c)` — `c` has a live posting. Where it is unset the
-//!   posting list (and so the SDS reverse coverage) is empty, and the
-//!   search does not read it.
+//!   posting list is empty, and the search does not read it.
 //! * `live_below(c)` — `c` or some descendant has a live posting. The set
 //!   is upward-closed (`live_below(c)` implies `live_below(p)` for every
 //!   parent `p`). Where it is unset no downward path through `c` reaches

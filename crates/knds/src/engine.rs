@@ -14,9 +14,12 @@
 //! 1. **coverage** — for each entry, the posting list of its node is read
 //!    once and updates every containing document's partial distance for
 //!    the entry's origins whose `(origin, node)` pair is fresh (`Md` of
-//!    Equation 5, word-wise per origin bit; for SDS also the reverse map
-//!    `M'd` of Equation 7 on the node's global first touch) — skipped
-//!    where the source's [`LiveMask`] says the node has no live posting.
+//!    Equation 5, word-wise per origin bit) — skipped where the source's
+//!    [`LiveMask`] says the node has no live posting. A document's first
+//!    hit inserts its row; for SDS the row then carries the exact reverse
+//!    half of Equation 3, summed from the query's distance field, which
+//!    the search builds before its first round (see `build_field`), so
+//!    there is no reverse map `M'd` (Equation 7) to keep.
 //!    A round first *fetches*: it decides every entry's coverage and
 //!    appends each list it needs to one buffer, timed as index access as
 //!    a whole rather than list by list; then it *applies* the lists in
@@ -32,12 +35,13 @@
 //!    nothing live at or below it is not pushed; ascents are never
 //!    pruned;
 //! 3. **examination** — one pass over the unexamined candidates computes
-//!    their lower bounds (Equations 6/8) and keeps those still below
-//!    `D⁺ₖ`; these are examined in ascending bound, selected one at a time
-//!    rather than sorted, while the error estimate
-//!    `εd = 1 − Dpartial/D⁻` stays at or below `εθ` (Equation 9): complete
-//!    candidates finalize from their partial sums (Section 5.3,
-//!    optimization 3), incomplete ones get a DRC probe;
+//!    their lower bounds (Equation 6; for SDS Equation 8 with the exact
+//!    reverse half) and keeps those still below `D⁺ₖ`; these are examined
+//!    in ascending bound, selected one at a time rather than sorted, while
+//!    the error estimate `εd = 1 − Dpartial/D⁻` of the forward half
+//!    (Equation 9) stays at or below `εθ`: complete candidates finalize
+//!    from their partial sums (Section 5.3, optimization 3), incomplete
+//!    ones get a DRC probe;
 //! 4. **termination** — once the top-k heap is full and the smallest lower
 //!    bound among unexamined *and unseen* documents reaches the k-th
 //!    distance `D⁺ₖ`, the remaining collection is provably outside the
@@ -62,7 +66,7 @@ use crate::config::KndsConfig;
 use crate::metrics::QueryMetrics;
 use crate::trace::{TraceEvent, TraceSink};
 use crate::util::{OrdF64, TopK};
-use crate::workspace::{DenseTables, KndsWorkspace};
+use crate::workspace::{DenseTables, KndsWorkspace, UNREACHED};
 use cbr_corpus::DocId;
 use cbr_dradix::Drc;
 use cbr_index::{packing, IndexSource, LiveMask};
@@ -141,26 +145,25 @@ pub struct Knds<'a, S: IndexSource> {
 
 /// One row of the dense candidate table (`Md` bookkeeping of Equation 5).
 /// The per-origin coverage bits live in the workspace's shared arena (one
-/// `cover_stride` span per row), so a row is a small flat record and
-/// admission allocates nothing.
+/// `stride` span per row), so a row is a small flat record and admission
+/// allocates nothing. SDS keeps no reverse map (`M'd`, Equation 7): the
+/// row's reverse term is exact from the moment it is inserted, read off
+/// the query's distance field (see `build_field`).
 #[derive(Debug)]
 pub(crate) struct Candidate {
-    /// Query concepts covered by the forward expansion.
-    pub(crate) covered: u32,
     /// Σ of first-touch levels over covered query concepts.
     pub(crate) partial: u64,
-    /// SDS only: concepts of this document touched by any expansion.
-    pub(crate) rev_covered: u32,
-    /// SDS only: Σ of first-touch levels over covered document concepts.
-    pub(crate) rev_sum: u64,
-    /// `|d|` (number of concepts), needed by the SDS normalizers.
-    pub(crate) doc_len: u32,
+    /// SDS: the exact reverse term of Equation 3, `Σ_{c∈d} f(c) / |d|`;
+    /// 0 for RDS.
+    pub(crate) reverse: f64,
+    /// Query concepts covered by the forward expansion.
+    pub(crate) covered: u32,
     pub(crate) examined: bool,
 }
 
 impl Candidate {
-    pub(crate) fn new(doc_len: u32) -> Candidate {
-        Candidate { covered: 0, partial: 0, rev_covered: 0, rev_sum: 0, doc_len, examined: false }
+    pub(crate) fn new(reverse: f64) -> Candidate {
+        Candidate { partial: 0, reverse, covered: 0, examined: false }
     }
 }
 
@@ -315,9 +318,9 @@ impl<'a, S: IndexSource> Knds<'a, S> {
         hooks: Hooks<'_>,
     ) -> QueryResult {
         ws.session(query, k, |ws, q| {
-            // Open a dense-table epoch sized to this query's geometry (the
-            // SDS reverse map needs the first-touch table; only a policy
-            // that relaxes needs the tentative-distance table).
+            // Open a dense-table epoch sized to this query's geometry (SDS
+            // needs the distance field; only a policy that relaxes needs
+            // the tentative-distance table).
             let rolled = ws.dense.begin_query(
                 q.len(),
                 self.ontology.len(),
@@ -419,14 +422,12 @@ impl Round {
 
 /// One posting list a round's fetch pass appended to the workspace's fetch
 /// buffer: ids `begin..end` cover forward the origins in span words
-/// `words` (the nonzero words of the fresh origin set) and/or the list's
-/// concept in reverse (`rev`, SDS only).
+/// `words` (the nonzero words of the fresh origin set).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Span {
     begin: usize,
     end: usize,
     words: std::ops::Range<usize>,
-    rev: bool,
 }
 
 /// Fetched posting ids (64 KiB) past which a round applies what it has
@@ -575,6 +576,100 @@ impl<'a> Frontier<'a> for Levels {
     }
 }
 
+/// Queues `node` in the distance field's bucket for `dist`.
+// flow: workspace-fed
+fn enqueue(queue: &mut Vec<Vec<ConceptId>>, dist: u32, node: ConceptId) {
+    let at = dist as usize;
+    if queue.len() <= at {
+        queue.resize_with(at + 1, Vec::new);
+    }
+    if let Some(bucket) = queue.get_mut(at) {
+        // bound: sized — one entry per improved ascending state, into capacity the workspace retains (cplx: cap c — one per concept the ascent improves)
+        bucket.push(node);
+    }
+}
+
+/// Builds the SDS distance field `f(c) = min_{q ∈ query} D(q, c)` into
+/// `ws`'s dense tables: one multi-source valid-path search from every
+/// query concept at once, with no origin bits (Then et al., "The More the
+/// Merrier", PVLDB 2014), over two states a concept — still ascending and
+/// descended — at the frontier policy's own step costs.
+///
+/// The ascending states settle first, from one bucket per distance in
+/// increasing order (Dial's algorithm: a breadth-first search under
+/// `Levels`, a Dijkstra run under `weighted::Buckets`); they reach only
+/// the query's ancestors. The descended states then settle in the
+/// ontology's topological order: a path that ends descending passes its
+/// last parent first, so a concept's field value is `min(ascending
+/// distance, min over parents p of f(p) + step(p → c))` once its parents
+/// are final — the relaxations a queue would make, at about half the cost
+/// of queueing them (EXPERIMENTS.md, "layer by layer (V)"). A concept
+/// with nothing live at or below it takes no descent, as in the
+/// traversal, and ascents are never pruned, so `f` is exact on every
+/// concept with a live posting.
+// cplx: bound c — amortized: the ascent settles each ancestor of the query once
+// and the descent visits each concept once, its parents' edges once
+// flow: workspace-fed
+pub(crate) fn build_field<'a, F: Frontier<'a>>(
+    frontier: &F,
+    ont: &Ontology,
+    live: LiveMask<'_>,
+    query: &[ConceptId],
+    ws: &mut KndsWorkspace,
+) {
+    let mut queue = std::mem::take(&mut ws.field_queue);
+    let dense = &mut ws.dense;
+    for &q in query {
+        if dense.lower_field(q, 0) {
+            enqueue(&mut queue, 0, q);
+        }
+    }
+    // Ascending: until the descent below, a field value is the concept's
+    // ascending distance.
+    let mut dist = 0;
+    // cplx: bound depth — one bucket per distance, up to the valid-path diameter
+    while let Some(bucket) = queue.get_mut(dist) {
+        // Steps cost at least 1, so nothing joins this bucket while it drains.
+        let mut nodes = std::mem::take(bucket);
+        let d = packing::narrow_u32(dist);
+        // cplx: bound c — one turn per improved ascending state, at most one per concept
+        for &node in &nodes {
+            // A push superseded by a shorter ascent is stale.
+            if dense.field_at(node) != d {
+                continue;
+            }
+            for &p in ont.parents(node) {
+                let Some(w) = frontier.parent_step(ont, p, node) else {
+                    debug_assert!(false, "parent adjacency is symmetric");
+                    continue;
+                };
+                if dense.lower_field(p, d + w) {
+                    enqueue(&mut queue, d + w, p);
+                }
+            }
+        }
+        nodes.clear();
+        if let Some(bucket) = queue.get_mut(dist) {
+            *bucket = nodes;
+        }
+        dist += 1;
+    }
+    ws.field_queue = queue;
+    // Descended: parents before children.
+    // cplx: bound c — one turn per concept
+    for &c in ont.topological_order() {
+        if !live.live_below(c) {
+            continue;
+        }
+        let mut best = UNREACHED;
+        for (p, ordinal) in ont.parents_with_ordinals(c) {
+            let step = frontier.child_step(p, ordinal as usize - 1);
+            best = best.min(dense.field_at(p).saturating_add(step));
+        }
+        dense.lower_field(c, best);
+    }
+}
+
 struct Search<'a, 'r, S: IndexSource, F> {
     ont: &'a Ontology,
     source: &'a S,
@@ -599,6 +694,11 @@ struct Search<'a, 'r, S: IndexSource, F> {
 
 impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
     fn run(&mut self) -> QueryResult {
+        if self.kind == QueryKind::Sds {
+            let t = Instant::now();
+            build_field(&self.frontier, self.ont, self.live, self.query, self.ws);
+            self.metrics.traversal += t.elapsed();
+        }
         self.frontier.seed(self.ws, self.query);
 
         let mut dist: u32 = 0;
@@ -712,16 +812,14 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
     /// Fetches for the round's entries from `from` on until the fetch
     /// buffer holds a full block; returns the first entry not yet fetched
     /// for. Gathers each entry's origins from its origin row and
-    /// decides the entry's coverage — forward for its origins whose
-    /// `(origin, node)` pair is fresh (`(up | down) & !pair_seen`),
-    /// reverse (SDS) on the node's first touch; rounds come in increasing
-    /// distance, so the first application carries the minimal distance
-    /// under either policy — then reads the node's posting list once if
-    /// either is due, as one [`Span`] carrying the forward origin words.
+    /// decides the entry's coverage — its origins whose `(origin, node)`
+    /// pair is fresh (`(up | down) & !pair_seen`); rounds come in
+    /// increasing distance, so the first application carries the minimal
+    /// distance under either policy — then reads the node's posting list
+    /// once if any is, as one [`Span`] carrying the fresh origin words.
     // cplx: bound nq*c*seg + nq*post — amortized: the dense pair marks admit each
-    // (origin, concept) pair once per query and the reverse read comes on a first
-    // touch, so a query reads a concept's list at most nq + 1 times, each a walk over
-    // the source's segments
+    // (origin, concept) pair once per query, so a query reads a concept's list at
+    // most nq times, each a walk over the source's segments
     fn fetch_block(&mut self, round: &mut Round, from: usize) -> usize {
         let stride = self.ws.dense.stride();
         let origin_sets = round.words.chunks_exact_mut(2 * stride);
@@ -729,8 +827,7 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
             let (up, down) = origins.split_at_mut(stride);
             let row = self.ws.dense.take_pending(node, up, down);
             debug_assert!(origins.iter().any(|&w| w != 0), "a concept pends with an origin");
-            // No live posting here: the posting list and the SDS reverse
-            // coverage are both empty.
+            // No live posting here: the posting list is empty.
             if !self.live.live_here(node) {
                 continue;
             }
@@ -747,15 +844,14 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
                 }
             }
             let words = from..self.ws.span_words.len();
-            let rev = self.kind == QueryKind::Sds && self.ws.dense.touch_first(node);
-            if words.is_empty() && !rev {
+            if words.is_empty() {
                 continue;
             }
             let begin = self.ws.postings_buf.len();
             self.source.postings(node, &mut self.ws.postings_buf);
             let end = self.ws.postings_buf.len();
             // bound: sized — at most one entry per concept of the round, into capacity the workspace retains (cplx: cap nq*c — one per fresh (origin, concept) pair)
-            self.ws.spans.push(Span { begin, end, words, rev });
+            self.ws.spans.push(Span { begin, end, words });
             if end >= FETCH_BLOCK {
                 return i + 1;
             }
@@ -775,13 +871,13 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
         let mut postings = std::mem::take(&mut self.ws.postings_buf);
         let mut spans = std::mem::take(&mut self.ws.spans);
         let mut span_words = std::mem::take(&mut self.ws.span_words);
-        for Span { begin, end, words, rev } in &spans {
+        for Span { begin, end, words } in &spans {
             let hits = postings.get(*begin..*end).unwrap_or_default();
             match span_words.get(words.clone()).unwrap_or_default() {
                 // One origin word, as every RDS span: the hit loop below
                 // specializes to a single word test.
-                &[one] => self.apply_hits(hits, &[one], level, *rev),
-                fwd => self.apply_hits(hits, fwd, level, *rev),
+                &[one] => self.apply_hits(hits, &[one], level),
+                fwd => self.apply_hits(hits, fwd, level),
             }
         }
         postings.clear();
@@ -793,23 +889,30 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
     }
 
     /// Applies one posting list's hits: forward coverage of the origin
-    /// words `fwd`, reverse coverage if `rev`.
+    /// words `fwd`.
     #[inline(always)]
-    fn apply_hits(&mut self, hits: &[DocId], fwd: &[(u32, u64)], level: u32, rev: bool) {
+    fn apply_hits(&mut self, hits: &[DocId], fwd: &[(u32, u64)], level: u32) {
         for &d in hits {
             let slot = match self.ws.dense.slot_of(d) {
                 Some(slot) => slot,
-                None => {
-                    let len = if self.kind == QueryKind::Sds {
-                        packing::narrow_u32(self.source.doc_len(d))
-                    } else {
-                        0
-                    };
-                    self.ws.dense.insert_candidate(d, len)
-                }
+                None => self.insert_row(d),
             };
-            self.ws.dense.apply_to_candidate(slot, fwd, level, rev);
+            self.ws.dense.apply_to_candidate(slot, fwd, level);
         }
+    }
+
+    /// Inserts `doc`'s candidate row; an SDS row reads its document's
+    /// concepts once and takes its exact reverse term off the field.
+    fn insert_row(&mut self, doc: DocId) -> usize {
+        let ws = &mut *self.ws;
+        let reverse = if self.kind == QueryKind::Sds {
+            ws.concepts_buf.clear();
+            self.source.doc_concepts(doc, &mut ws.concepts_buf);
+            ws.dense.reverse_term(&ws.concepts_buf)
+        } else {
+            0.0
+        };
+        ws.dense.insert_candidate(doc, reverse)
     }
 
     /// Expands every entry of the round (see [`Search::expand`]).
@@ -919,7 +1022,7 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
                 debug_assert!(false, "slot of {doc:?} points past the candidate rows");
                 continue;
             };
-            let eps = self.error_estimate(c, lb);
+            let eps = self.error_estimate(c, level);
             if !forced && eps > self.config.error_threshold() {
                 min_unexamined = lb;
                 break;
@@ -956,49 +1059,53 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
         }
     }
 
-    /// Equation 6 (RDS) / Equation 8 (SDS): partial distance plus `l + 1`
-    /// for every uncovered term.
+    /// The forward half of Equations 6/8: partial distance plus `l + 1`
+    /// for every uncovered query concept.
+    fn forward_bound(&self, c: &Candidate, level: u32) -> u64 {
+        c.partial + (self.nq as u64 - c.covered as u64) * (level + 1) as u64
+    }
+
+    /// Equation 6 (RDS) / Equation 8 (SDS): the forward bound, plus for SDS
+    /// the row's exact reverse term — at least Equation 8's reverse half,
+    /// which charges `l + 1` for every document concept no expansion has
+    /// touched yet.
     // bound: proven — nq ≥ 1 (asserted at query entry) and every counter is
     // bounded by nq · max ontology depth, far below the 2^53 f64 mantissa
     fn lower_bound(&self, c: &Candidate, level: u32) -> f64 {
-        let next = (level + 1) as u64;
-        let fwd = c.partial + (self.nq as u64 - c.covered as u64) * next;
+        let fwd = self.forward_bound(c, level);
         match self.kind {
             QueryKind::Rds => fwd as f64,
-            QueryKind::Sds => {
-                let rev = c.rev_sum + (c.doc_len as u64 - c.rev_covered as u64) * next;
-                fwd as f64 / self.nq as f64 + rev as f64 / c.doc_len.max(1) as f64
-            }
+            QueryKind::Sds => fwd as f64 / self.nq as f64 + c.reverse,
         }
     }
 
-    /// The partial (currently known) distance — Equation 5 / 7.
-    // bound: proven — nq ≥ 1 (asserted at query entry); partial and rev_sum
-    // are sums of ≤ nq·doc_len hop counts, far below the 2^53 f64 mantissa
+    /// The partial (currently known) distance — Equation 5; for SDS over
+    /// `nq`, plus the exact reverse term.
+    // bound: proven — nq ≥ 1 (asserted at query entry); partial is a sum
+    // of ≤ nq hop counts, far below the 2^53 f64 mantissa
     fn partial_distance(&self, c: &Candidate) -> f64 {
         match self.kind {
             QueryKind::Rds => c.partial as f64,
-            QueryKind::Sds => {
-                c.partial as f64 / self.nq as f64 + c.rev_sum as f64 / c.doc_len.max(1) as f64
-            }
+            QueryKind::Sds => c.partial as f64 / self.nq as f64 + c.reverse,
         }
     }
 
-    /// Equation 9: `εd = 1 − Dpartial / D⁻`.
-    fn error_estimate(&self, c: &Candidate, lb: f64) -> f64 {
-        if lb <= 0.0 {
+    /// Equation 9, `εd = 1 − Dpartial / D⁻`, over the forward half — what
+    /// the traversal has learnt — alone. The SDS reverse half is exact, so
+    /// counting it would call every row nearly done and probe them all.
+    fn error_estimate(&self, c: &Candidate, level: u32) -> f64 {
+        let fwd = self.forward_bound(c, level);
+        if fwd == 0 {
             return 0.0;
         }
-        1.0 - self.partial_distance(c) / lb
+        1.0 - c.partial as f64 / fwd as f64
     }
 
     /// Whether the candidate's partial information already determines its
-    /// exact distance (Section 5.3, optimization 3).
+    /// exact distance (Section 5.3, optimization 3): every query concept
+    /// is covered (the SDS reverse half is exact from the row's insertion).
     fn is_complete(&self, c: &Candidate) -> bool {
-        match self.kind {
-            QueryKind::Rds => c.covered as usize == self.nq,
-            QueryKind::Sds => c.covered as usize == self.nq && c.rev_covered == c.doc_len,
-        }
+        c.covered as usize == self.nq
     }
 
     /// Smallest possible distance of a document no expansion has seen yet:
@@ -1295,6 +1402,113 @@ mod tests {
             assert_eq!(r.metrics.workspace_bytes, warm, "RDS grew the workspace");
             let r = knds.sds_with(&mut ws, &q2, 4);
             assert_eq!(r.metrics.workspace_bytes, warm, "SDS grew the workspace");
+        }
+    }
+
+    #[test]
+    fn a_candidate_row_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Candidate>(), 24);
+    }
+
+    /// One generated instance, as `tests/equivalence.rs` draws them: a small
+    /// ontology and collection from `seed`, and two query documents taken
+    /// from the collection by the picks.
+    fn generated(
+        seed: u64,
+        pick: u32,
+        other_pick: u32,
+    ) -> (Ontology, SegmentedView, Vec<ConceptId>, Vec<ConceptId>) {
+        use cbr_corpus::{CorpusGenerator, CorpusProfile};
+        use cbr_ontology::{GeneratorConfig, OntologyGenerator};
+        let ont = OntologyGenerator::new(GeneratorConfig::small(150).with_seed(seed)).generate();
+        let profile = CorpusProfile::radio_like()
+            .with_num_docs(40)
+            .with_mean_concepts(8.0)
+            .with_seed(seed.wrapping_add(31));
+        let corpus = CorpusGenerator::new(&ont, profile).generate();
+        let source = SegmentedView::from_corpus(&corpus);
+        let doc = |pick: u32| {
+            let d = corpus.get(DocId(pick % corpus.len() as u32));
+            if d.num_concepts() > 0 {
+                d.concepts().to_vec()
+            } else {
+                vec![ConceptId(pick % ont.len() as u32)]
+            }
+        };
+        let (q, other) = (doc(pick), doc(other_pick));
+        (ont, source, q, other)
+    }
+
+    /// The field `ws` holds after its last SDS search against `oracle`, on
+    /// every concept with a live posting.
+    fn assert_field(ws: &KndsWorkspace, source: &SegmentedView, oracle: &[u32], ctx: &str) {
+        let mut postings = Vec::new();
+        for (i, &expect) in oracle.iter().enumerate() {
+            let c = ConceptId::from_index(i);
+            postings.clear();
+            source.postings(c, &mut postings);
+            if !postings.is_empty() {
+                assert_eq!(ws.dense.field_at(c), expect, "{ctx}: f({c:?})");
+            }
+        }
+    }
+
+    /// Runs the SDS `search` for `q` on a cold workspace, on one warm from
+    /// an SDS and an RDS (`unit`) query for `other`, and right after an
+    /// epoch wrap whose new epoch `other` used, and holds each field the
+    /// search leaves behind to `oracle`.
+    fn check_field(
+        search: impl Fn(&mut KndsWorkspace, &[ConceptId]) -> QueryResult,
+        unit: &Knds<'_, SegmentedView>,
+        q: &[ConceptId],
+        other: &[ConceptId],
+        oracle: &[u32],
+        ctx: &str,
+    ) {
+        let source = unit.source;
+        let mut ws = KndsWorkspace::new();
+        search(&mut ws, q);
+        assert_field(&ws, source, oracle, &format!("{ctx}, cold"));
+
+        search(&mut ws, other);
+        unit.rds_with(&mut ws, other, 2);
+        search(&mut ws, q);
+        assert_field(&ws, source, oracle, &format!("{ctx}, warm"));
+
+        let mut ws = KndsWorkspace::new();
+        search(&mut ws, other);
+        ws.force_epoch_wrap();
+        assert_eq!(search(&mut ws, q).metrics.epoch_rollover, 1, "{ctx}: no wrap");
+        assert_field(&ws, source, oracle, &format!("{ctx}, wrapped"));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The distance field an SDS search builds is the valid-path
+        /// distance oracle's, under unit weights (`Levels`) and drawn
+        /// weights (`Buckets`), whether the workspace is cold, warm from
+        /// other queries, or wrapping its epoch counter.
+        #[test]
+        fn the_field_is_the_multi_source_distance(
+            seed in 0u64..400,
+            pick in 0u32..10_000,
+            other_pick in 0u32..10_000,
+            weight_seed in 0u32..1_000,
+            heaviest in 1u32..6,
+        ) {
+            use cbr_ontology::{distance, weighted, EdgeWeights};
+            let (ont, source, q, other) = generated(seed, pick, other_pick);
+            let weights = EdgeWeights::from_fn(&ont, |p, c| {
+                1 + (p.0.wrapping_mul(31) ^ c.0.wrapping_mul(17) ^ weight_seed) % heaviest
+            });
+            let unit = Knds::new(&ont, &source, KndsConfig::default());
+            let heavy = crate::WeightedKnds::new(&ont, &weights, &source, KndsConfig::default());
+            let ctx = format!("seed {seed}");
+            let oracle = distance::multi_source_distances(&ont, &q);
+            check_field(|ws, q| unit.sds_with(ws, q, 3), &unit, &q, &other, &oracle, &ctx);
+            let oracle = weighted::multi_source_distances(&ont, &weights, &q);
+            check_field(|ws, q| heavy.sds_with(ws, q, 3), &unit, &q, &other, &oracle, &ctx);
         }
     }
 }

@@ -17,8 +17,8 @@ pub enum TraceEvent {
         /// Number of states in the frontier.
         frontier: usize,
     },
-    /// A document's candidate entry (the `Md`/`M'd` bookkeeping of
-    /// Equations 5/7) as the level's examination finds it: emitted from the
+    /// A document's candidate entry (the `Md` bookkeeping of Equation 5)
+    /// as the level's examination finds it: emitted from the
     /// one linear pass over the candidate rows, so once per still-unexamined
     /// document per level, in row (first-touch) order, before the level's
     /// first `Examined` event. Tracing adds no ordering pass of its own.
@@ -27,16 +27,17 @@ pub enum TraceEvent {
         doc: DocId,
         /// Query concepts covered so far.
         covered: u32,
-        /// Current partial distance (Equation 5/7 numerator state).
+        /// Current forward partial distance (Equation 5 numerator state).
         partial: u64,
     },
     /// A document was examined: its exact distance was determined.
     Examined {
         /// The document.
         doc: DocId,
-        /// Its lower bound at examination time (Equation 6/8).
+        /// Its lower bound at examination time (Equation 6; for SDS
+        /// Equation 8 with the exact reverse half).
         lower_bound: f64,
-        /// Its error estimate (Equation 9).
+        /// Its error estimate (Equation 9, over the forward half).
         error: f64,
         /// The exact distance.
         exact: f64,

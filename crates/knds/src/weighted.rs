@@ -10,8 +10,9 @@
 //! is only the `Buckets` frontier policy plugged into the one
 //! Algorithm 2 loop of [`crate::engine`]. All its machinery carries over —
 //!
-//! * coverage at first (minimal-distance) pop gives exact `Md`/`M'd`
-//!   entries, because pops are globally distance-ordered;
+//! * coverage at first (minimal-distance) pop gives exact `Md` entries,
+//!   because pops are globally distance-ordered, and the SDS distance
+//!   field is built at this policy's step costs (a Dijkstra ascent);
 //! * after finishing bucket `d`, every uncovered term has distance at
 //!   least `d + 1` (weights are ≥ 1), so the Equation 6/8 lower bounds and
 //!   the Equation 9 error estimate apply verbatim;

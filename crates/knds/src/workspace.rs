@@ -14,9 +14,10 @@
 //! # Dense epoch-stamped tables
 //!
 //! The per-state lookups of Algorithm 2 (BFS dedup, coverage-applied
-//! pairs, the candidate map, Dijkstra tentative distances) live in the
-//! crate-private `DenseTables`: flat arrays sized by `|C|` and `|D|`,
-//! indexed by concept (a concept-major row of origin words), by
+//! pairs, the candidate map, Dijkstra tentative distances, the SDS
+//! distance field) live in the crate-private `DenseTables`: flat arrays
+//! sized by `|C|` and `|D|`, indexed by concept (a concept-major row of
+//! origin words), by
 //! `(origin, concept)` or by `DocId`, with **epoch stamps**
 //! instead of per-query clearing. Every entry carries the epoch of the
 //! query that last wrote it; a stamp that does not match the current
@@ -74,6 +75,9 @@ pub struct KndsWorkspace {
     pub(crate) frontier: Round,
     /// Weighted: the Dijkstra buckets and the round's staged pushes.
     pub(crate) queues: Queues,
+    /// SDS: the distance field's ascent buckets, one per distance (see
+    /// `engine::build_field`).
+    pub(crate) field_queue: Vec<Vec<ConceptId>>,
     /// Examination order buffer: the round's `(lower bound, doc)` min-heap.
     pub(crate) order: Vec<Reverse<(OrdF64, DocId)>>,
     /// The DRC D-Radix build scratch (node/label arenas et al.).
@@ -179,6 +183,7 @@ impl KndsWorkspace {
         self.concepts_buf.clear();
         self.frontier.clear();
         self.queues.clear();
+        self.field_queue.iter_mut().for_each(Vec::clear);
         self.order.clear();
         // The DAG scratch clears itself on the next build; the dense
         // stamp arrays are invalidated by the next epoch bump.
@@ -199,6 +204,8 @@ impl KndsWorkspace {
             + self.concepts_buf.capacity() * size_of::<ConceptId>()
             + self.frontier.footprint_bytes()
             + self.queues.footprint_bytes()
+            + self.field_queue.capacity() * size_of::<Vec<ConceptId>>()
+            + self.field_queue.iter().map(|b| b.capacity() * size_of::<ConceptId>()).sum::<usize>()
             + self.order.capacity() * size_of::<Reverse<(OrdF64, DocId)>>()
             + self.dag.footprint_bytes()
     }
@@ -220,8 +227,8 @@ impl KndsWorkspace {
 /// * **packed state** `(origin, node, descending)` →
 ///   `(origin · |C| + node) · 2 + descending` — one stamped `u32` per
 ///   state in `best` (weighted tentative distances);
-/// * **concept** `node` → one stamp in `touch_stamps` (SDS global first
-///   touch);
+/// * **concept** `node` → one stamped distance in `field` (SDS: the
+///   query's distance field, `f(c) = min_q D(q, c)`);
 /// * **document** `doc` → one bit in `doc_bits` (progressive emission /
 ///   TA scan marks) and one packed `stamp << 32 | row` entry in `slots`
 ///   pointing into the dense candidate rows.
@@ -264,9 +271,8 @@ pub(crate) struct DenseTables {
     pending: Vec<u64>,
     /// Per-document mark bits (emitted / TA-seen), stamped per word.
     doc_bits: Vec<StampedWord>,
-    /// SDS: per-concept first-touch stamps (a pure set; the touch level
-    /// itself is applied to candidates at mark time).
-    touch_stamps: Vec<u32>,
+    /// SDS: the query's distance field, one stamped distance per concept.
+    field: Vec<StampedDist>,
     /// Weighted: per-state best tentative distance, stamped per entry.
     best: Vec<StampedDist>,
     /// Document → candidate row index, packed `stamp << 32 | slot` so one
@@ -319,6 +325,9 @@ pub(crate) fn popcount(w: u64) -> u32 {
     }
 }
 
+/// The distance of a concept the field has not reached.
+pub(crate) const UNREACHED: u32 = u32::MAX;
+
 /// One stamped bitset word: 64 membership bits and the epoch that wrote
 /// them, side by side so a test-and-set touches one cache line instead of
 /// two parallel arrays.
@@ -328,9 +337,9 @@ struct StampedWord {
     stamp: u32,
 }
 
-/// One weighted state's tentative distance and the epoch that wrote it,
-/// side by side: a relaxation is one cache miss into a table of
-/// `2 · nq · |C|` states, not two.
+/// One weighted state's tentative distance (or one concept's field value)
+/// and the epoch that wrote it, side by side: a relaxation is one cache
+/// miss into a table of `2 · nq · |C|` states, not two.
 #[derive(Debug, Default, Clone, Copy)]
 struct StampedDist {
     dist: u32,
@@ -399,7 +408,7 @@ impl DenseTables {
         origins: usize,
         concepts: usize,
         docs: usize,
-        needs_touch: bool,
+        needs_field: bool,
         needs_best: bool,
     ) -> bool {
         self.concepts = concepts;
@@ -413,8 +422,8 @@ impl DenseTables {
         self.clear();
         let states = origins * concepts * 2;
         grow_words(&mut self.doc_bits, docs);
-        if needs_touch && self.touch_stamps.len() < concepts {
-            self.touch_stamps.resize(concepts, 0);
+        if needs_field && self.field.len() < concepts {
+            self.field.resize(concepts, StampedDist::default());
         }
         if needs_best && self.best.len() < states {
             self.best.resize(states, StampedDist::default());
@@ -431,8 +440,8 @@ impl DenseTables {
             for e in &mut self.doc_bits {
                 e.stamp = 0;
             }
-            for s in &mut self.touch_stamps {
-                *s = 0;
+            for e in &mut self.field {
+                e.stamp = 0;
             }
             for e in &mut self.best {
                 e.stamp = 0;
@@ -456,8 +465,8 @@ impl DenseTables {
         if self.pending.len() < concepts.div_ceil(64) {
             self.pending.resize(concepts.div_ceil(64), 0);
         }
-        if self.touch_stamps.len() < concepts {
-            self.touch_stamps.resize(concepts, 0);
+        if self.field.len() < concepts {
+            self.field.resize(concepts, StampedDist::default());
         }
         grow_words(&mut self.doc_bits, docs);
         if self.slots.len() < docs {
@@ -577,19 +586,46 @@ impl DenseTables {
         new
     }
 
-    /// SDS: records the global first touch of `node`; `true` exactly once
-    /// per query per concept.
+    /// Field: lowers `node`'s value to `dist` if that is strictly smaller
+    /// (an entry stamped by another query reads as [`UNREACHED`]); `true`
+    /// if it did.
     #[inline]
-    pub(crate) fn touch_first(&mut self, node: ConceptId) -> bool {
-        let Some(stamp) = self.touch_stamps.get_mut(node.index()) else {
-            debug_assert!(false, "touch table smaller than the ontology");
+    pub(crate) fn lower_field(&mut self, node: ConceptId, dist: u32) -> bool {
+        let Some(e) = self.field.get_mut(node.index()) else {
+            debug_assert!(false, "field smaller than the ontology");
             return false;
         };
-        if *stamp == self.epoch {
+        if dist == UNREACHED || (e.stamp == self.epoch && e.dist <= dist) {
             return false;
         }
-        *stamp = self.epoch;
+        *e = StampedDist { dist, stamp: self.epoch };
         true
+    }
+
+    /// The field value `f(node)`, [`UNREACHED`] if the field did not reach
+    /// it this query.
+    #[inline]
+    pub(crate) fn field_at(&self, node: ConceptId) -> u32 {
+        match self.field.get(node.index()) {
+            Some(e) if e.stamp == self.epoch => e.dist,
+            _ => UNREACHED,
+        }
+    }
+
+    /// SDS: the exact reverse term of Equation 3 for a document with
+    /// concepts `concepts`, `Σ_{c∈d} f(c) / |d|`.
+    // bound: proven — the sum is of ≤ |d| field values, each at most the
+    // valid-path diameter, far below the 2^53 f64 mantissa
+    pub(crate) fn reverse_term(&self, concepts: &[ConceptId]) -> f64 {
+        let sum: u64 = concepts
+            .iter()
+            .map(|&c| {
+                let f = self.field_at(c);
+                debug_assert!(f != UNREACHED, "a live document's concept {c:?} is off the field");
+                u64::from(f)
+            })
+            .sum();
+        sum as f64 / concepts.len().max(1) as f64
     }
 
     /// Weighted relaxation: keeps `dist` iff it strictly improves (or
@@ -629,9 +665,9 @@ impl DenseTables {
     /// Rows and their arena words are retained capacity: pushes stop
     /// allocating once the workspace has seen the collection's reach.
     // flow: workspace-fed
-    pub(crate) fn insert_candidate(&mut self, doc: DocId, doc_len: u32) -> usize {
+    pub(crate) fn insert_candidate(&mut self, doc: DocId, reverse: f64) -> usize {
         let slot = self.cand.len();
-        self.cand.push(Candidate::new(doc_len));
+        self.cand.push(Candidate::new(reverse));
         self.cand_docs.push(doc);
         // The arena was truncated at query begin, so the row's words are
         // freshly zeroed here (capacity, not contents, is retained).
@@ -647,16 +683,9 @@ impl DenseTables {
     /// Applies one posting hit to the row at `slot` in a single row
     /// access: skips examined rows (already in `Sd`, Algorithm 2 line
     /// 11), forward-covers at `level` every origin of `fwd` — its nonzero
-    /// origin words, as `(w, bits)` — the row has not covered yet,
-    /// reverse-covers (SDS) if `rev`.
+    /// origin words, as `(w, bits)` — the row has not covered yet.
     #[inline]
-    pub(crate) fn apply_to_candidate(
-        &mut self,
-        slot: usize,
-        fwd: &[(u32, u64)],
-        level: u32,
-        rev: bool,
-    ) {
+    pub(crate) fn apply_to_candidate(&mut self, slot: usize, fwd: &[(u32, u64)], level: u32) {
         let Some(c) = self.cand.get_mut(slot) else {
             debug_assert!(false, "posting hit without a candidate row");
             return;
@@ -680,10 +709,6 @@ impl DenseTables {
                 c.covered += 1;
                 c.partial += u64::from(level);
             }
-        }
-        if rev {
-            c.rev_covered += 1;
-            c.rev_sum += level as u64;
         }
     }
 
@@ -726,7 +751,7 @@ impl DenseTables {
             + self.origin_rows.capacity() * size_of::<OriginWords>()
             + self.pending.capacity() * size_of::<u64>()
             + self.doc_bits.capacity() * size_of::<StampedWord>()
-            + self.touch_stamps.capacity() * size_of::<u32>()
+            + self.field.capacity() * size_of::<StampedDist>()
             + self.best.capacity() * size_of::<StampedDist>()
             + self.slots.capacity() * size_of::<u64>()
             + self.cand.capacity() * size_of::<Candidate>()
@@ -775,9 +800,10 @@ mod tests {
         let push = Push { node: ConceptId(2), origin: 1, dist: 4, desc: true };
         ws.queues.buckets.push(vec![push; 16]);
         ws.queues.staged.push(vec![push; 4]);
-        ws.dense.touch_first(ConceptId(9));
+        ws.dense.lower_field(ConceptId(9), 2);
+        ws.field_queue.push(vec![ConceptId(9); 4]);
         ws.dense.mark_doc(DocId(3));
-        ws.dense.insert_candidate(DocId(5), 3);
+        ws.dense.insert_candidate(DocId(5), 0.5);
         ws.postings_buf.extend((0..100).map(DocId));
         ws.spans.resize(8, Span::default());
         ws.span_words.extend([(0, 1), (1, 0b11)]);
@@ -806,16 +832,18 @@ mod tests {
             assert!(pushes.is_empty(), "stale {name} pushes leaked");
             assert!(pushes.capacity() > 0, "{name} capacity was freed");
         }
+        assert!(ws.field_queue[0].is_empty(), "stale field pushes leaked");
+        assert!(ws.field_queue[0].capacity() > 0, "field bucket capacity was freed");
         let mut stale = Vec::new();
         ws.dense.take_pending_concepts(&mut stale);
         assert!(stale.is_empty(), "stale pending round leaked");
         // The next query sees no origin of the dirty one seen or pending,
-        // no touch, no distance and no doc mark.
+        // no field value, no distance and no doc mark.
         ws.dense.begin_query(70, 8, 4, false, false);
         for c in 0..8 {
             assert_eq!(ws.dense.push_next(ConceptId(c), true, 0, 0b11), 2, "stale c{c}");
         }
-        assert!(ws.dense.touch_first(ConceptId(9)), "stale touch leaked");
+        assert_eq!(ws.dense.field_at(ConceptId(9)), UNREACHED, "stale field leaked");
         assert!(ws.dense.improve_best(1, ConceptId(1), true, 9), "stale distance leaked");
         assert!(!ws.dense.doc_marked(DocId(3)), "stale doc mark leaked");
         assert_eq!(ws.dense.slot_of(DocId(5)), None, "stale slot leaked");
@@ -829,7 +857,7 @@ mod tests {
         let mut ws = KndsWorkspace::new();
         ws.begin();
         dirty_round(&mut ws, 130);
-        assert!(!ws.dense.touch_stamps.is_empty() && !ws.dense.best.is_empty());
+        assert!(!ws.dense.field.is_empty() && !ws.dense.best.is_empty());
         let footprint = ws.footprint_bytes();
         ws.finish();
         assert_eq!(ws.footprint_bytes(), footprint, "finish must keep capacity");
@@ -845,18 +873,23 @@ mod tests {
         let row = d.origin_row(ConceptId(7)).unwrap();
         assert_eq!(d.fresh_pairs(row, 0, 0b01), 0b01);
         assert_eq!(d.fresh_pairs(row, 0, 0b11), 0b10, "origin 0 already applied");
-        assert!(d.touch_first(ConceptId(9)));
+        assert_eq!(d.field_at(ConceptId(9)), UNREACHED);
+        assert!(d.lower_field(ConceptId(9), 3));
+        assert!(!d.lower_field(ConceptId(9), 3), "equal is not an improvement");
+        assert!(d.lower_field(ConceptId(9), 2), "strict improvement");
+        assert!(!d.lower_field(ConceptId(9), UNREACHED), "unreached lowers nothing");
+        assert_eq!(d.field_at(ConceptId(9)), 2);
         assert!(d.improve_best(1, ConceptId(2), false, 5));
         assert!(!d.improve_best(1, ConceptId(2), false, 5), "equal is not an improvement");
         assert!(d.improve_best(1, ConceptId(2), false, 4), "strict improvement");
         assert!(!d.improve_best(1, ConceptId(2), false, 4), "4 is kept");
         assert!(d.mark_doc(DocId(6)));
         assert!(d.doc_marked(DocId(6)));
-        let slot = d.insert_candidate(DocId(4), 2);
+        let slot = d.insert_candidate(DocId(4), 0.0);
         assert_eq!(d.slot_of(DocId(4)), Some(slot));
-        d.apply_to_candidate(slot, &[(0, 0b01)], 1, false);
+        d.apply_to_candidate(slot, &[(0, 0b01)], 1);
         assert_eq!(d.candidate(slot).map(|c| (c.covered, c.partial)), Some((1, 1)));
-        d.apply_to_candidate(slot, &[(0, 0b11)], 2, false);
+        d.apply_to_candidate(slot, &[(0, 0b11)], 2);
         assert_eq!(
             d.candidate(slot).map(|c| (c.covered, c.partial)),
             Some((2, 3)),
@@ -868,7 +901,7 @@ mod tests {
         assert_eq!(d.push_next(ConceptId(3), true, 0, 0b10), 1, "stale visit leaked");
         let row = d.origin_row(ConceptId(7)).unwrap();
         assert_eq!(d.fresh_pairs(row, 0, 0b01), 0b01, "stale pair leaked");
-        assert!(d.touch_first(ConceptId(9)), "stale touch leaked");
+        assert_eq!(d.field_at(ConceptId(9)), UNREACHED, "stale field leaked");
         assert!(d.improve_best(1, ConceptId(2), false, 9), "stale distance leaked");
         assert!(!d.doc_marked(DocId(6)), "stale doc mark leaked");
         assert_eq!(d.slot_of(DocId(4)), None, "stale slot leaked");
@@ -880,8 +913,8 @@ mod tests {
         let mut d = DenseTables::default();
         d.begin_query(130, 4, 2, false, false);
         assert_eq!(d.stride(), 3);
-        let slot = d.insert_candidate(DocId(1), 0);
-        d.apply_to_candidate(slot, &[(0, 1), (1, 1 << 63), (2, 0b11)], 4, false);
+        let slot = d.insert_candidate(DocId(1), 0.0);
+        d.apply_to_candidate(slot, &[(0, 1), (1, 1 << 63), (2, 0b11)], 4);
         assert_eq!(d.candidate(slot).map(|c| (c.covered, c.partial)), Some((4, 16)));
         assert_eq!(d.push_next(ConceptId(3), false, 2, 0b10), 1, "origin 129");
         assert_eq!(d.push_next(ConceptId(3), false, 2, 0b10), 0, "origin 129 seen");
@@ -907,6 +940,7 @@ mod tests {
         assert!(!d.begin_query(1, 8, 4, true, true));
         d.push_next(ConceptId(1), false, 0, 1);
         d.improve_best(0, ConceptId(2), false, 3);
+        d.lower_field(ConceptId(5), 1);
         d.mark_doc(DocId(3));
         // Prime the counter at the wrap boundary, as the workspace hook
         // does, then open the wrapping query.
@@ -914,6 +948,7 @@ mod tests {
         assert!(d.begin_query(1, 8, 4, true, true), "wrap must be reported");
         assert_eq!(d.push_next(ConceptId(1), false, 0, 1), 1, "pre-wrap visit aliased");
         assert!(d.improve_best(0, ConceptId(2), false, 9), "pre-wrap distance aliased");
+        assert_eq!(d.field_at(ConceptId(5)), UNREACHED, "pre-wrap field value aliased");
         assert!(d.mark_doc(DocId(3)), "pre-wrap doc mark aliased the new epoch");
         assert!(!d.begin_query(1, 8, 4, true, true), "post-wrap queries are ordinary");
     }

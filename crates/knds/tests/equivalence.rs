@@ -4,6 +4,7 @@
 //! under test on randomized workloads.
 
 use cbr_corpus::{Corpus, CorpusGenerator, CorpusProfile};
+use cbr_dradix::brute;
 use cbr_index::{IndexSource, SegmentedView};
 use cbr_knds::{
     baseline, ta, Hooks, Knds, KndsConfig, KndsWorkspace, QueryKind, QueryResult, RankedDoc,
@@ -187,9 +188,10 @@ fn knds_prunes_compared_to_baseline() {
 /// examination it drove (`docs_examined`, `drc_calls`). None of the five
 /// legitimately differs: with every edge at weight 1 a Dijkstra bucket
 /// holds exactly one BFS level, strict-improvement relaxation admits a
-/// state exactly when the visited bit would (first reach is minimal), and
-/// the pending-state count the queue watermark sees is the next level's
-/// size under both.
+/// state exactly when the visited bit would (first reach is minimal), the
+/// pending-state count the queue watermark sees is the next level's size
+/// under both, and both build the same SDS distance field through the one
+/// builder, so the bounds the examination reads are the same.
 fn fingerprint(r: &QueryResult) -> (Vec<(cbr_corpus::DocId, u64)>, [usize; 5]) {
     let m = &r.metrics;
     (
@@ -239,28 +241,73 @@ fn by_bound(a: &(f64, cbr_corpus::DocId), b: &(f64, cbr_corpus::DocId)) -> std::
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
-/// Checks one traced search against what the examination step promises,
-/// level by level: every row still unexamined at the start of a level
-/// reports a `Candidate` event before the first `Examined` one; the
-/// `Examined` events ascend strictly by `(lower_bound, doc)`, carry the
-/// Equation 6/8 bound this function recomputes, and are exactly the
-/// smallest rows of the level; and `ExamineBreak.min_unexamined` is the
-/// minimum recomputed bound over the rows the level left unexamined (∞ if
-/// none). The forward half of a bound comes from the row's `Candidate`
-/// event; the SDS reverse half (Equation 8), which no event carries, from
-/// the valid-path distance oracle and the document's concepts.
-fn check_examination_order(
-    events: &[TraceEvent],
+/// The brute-force distance of every document from `q`, by document
+/// index (`None` for a document the source no longer serves).
+fn exact_distances(
     ont: &Ontology,
     source: &SegmentedView,
     kind: QueryKind,
     q: &[ConceptId],
+) -> Vec<Option<f64>> {
+    let mut concepts = Vec::new();
+    (0..source.num_docs())
+        .map(|i| {
+            let doc = cbr_corpus::DocId::from_index(i);
+            if !source.is_live(doc) {
+                return None;
+            }
+            concepts.clear();
+            source.doc_concepts(doc, &mut concepts);
+            Some(match kind {
+                QueryKind::Rds => match brute::document_query_distance(ont, &concepts, q) {
+                    cbr_dradix::INFINITE => f64::INFINITY,
+                    d => d as f64,
+                },
+                QueryKind::Sds => brute::document_document_distance(ont, &concepts, q),
+            })
+        })
+        .collect()
+}
+
+/// Checks one traced search against the four facts the §5 termination
+/// argument rests on, level by level:
+///
+/// 1. every bound the trace reports is sound — at most the document's
+///    brute-force distance;
+/// 2. no bound is looser than the paper's Equation 6/8 value at that level,
+///    which this function recomputes: the forward half from the row's
+///    `Candidate` event, the SDS reverse half from the valid-path distance
+///    oracle and the document's concepts (`d ≤ l` counted as `d`, the rest
+///    at `l + 1`);
+/// 3. the `Examined` events of a level ascend strictly by `(D⁻, DocId)`,
+///    and `ExamineBreak.min_unexamined` lies between the level's last pop
+///    and what the first two facts allow for the rows left unexamined (∞
+///    if none is left);
+/// 4. at `Terminated`, every live document not in `results` is at or
+///    above `D⁺ₖ`, and `d_minus` is at most the exact distance of every
+///    one of them that was never examined (an examined document that lost
+///    its place to a closer one may sit anywhere above `D⁺ₖ`).
+///
+/// It also checks the trace's shape: every row still unexamined at the
+/// start of a level reports a `Candidate` event, once, before the first
+/// `Examined` one, and an examined document is never a row again.
+fn check_bounds(
+    events: &[TraceEvent],
+    g: &Generated,
+    kind: QueryKind,
+    q: &[ConceptId],
+    results: &[RankedDoc],
     ctx: &str,
 ) {
+    let (ont, source) = (&g.ont, &g.source);
     let nq = q.len() as u64;
+    let exact = exact_distances(ont, source, kind, q);
+    let exact_of = |doc: cbr_corpus::DocId| {
+        exact[doc.index()].unwrap_or_else(|| panic!("{ctx}: dead document {doc:?} in the trace"))
+    };
     let to_query = multi_source_distances(ont, q);
     let mut concepts = Vec::new();
-    let mut bound = |level: u32, doc: cbr_corpus::DocId, covered: u32, partial: u64| -> f64 {
+    let mut paper = |level: u32, doc: cbr_corpus::DocId, covered: u32, partial: u64| -> f64 {
         let next = (level + 1) as u64;
         let fwd = partial + (nq - covered as u64) * next;
         if kind == QueryKind::Rds {
@@ -277,7 +324,8 @@ fn check_examination_order(
     };
 
     let mut level = 0u32;
-    let mut rows: Vec<(f64, cbr_corpus::DocId)> = Vec::new();
+    // The level's rows: (Equation 6/8 value, exact distance, doc).
+    let mut rows: Vec<(f64, f64, cbr_corpus::DocId)> = Vec::new();
     let mut examined: Vec<(f64, cbr_corpus::DocId)> = Vec::new();
     let mut ever_examined = std::collections::HashSet::new();
     for e in events {
@@ -293,17 +341,20 @@ fn check_examination_order(
                     "{ctx}: level {level}: candidate after an examination"
                 );
                 assert!(!ever_examined.contains(&doc), "{ctx}: examined {doc:?} is a row again");
-                assert!(rows.iter().all(|r| r.1 != doc), "{ctx}: level {level}: {doc:?} twice");
-                rows.push((bound(level, doc, covered, partial), doc));
+                assert!(rows.iter().all(|r| r.2 != doc), "{ctx}: level {level}: {doc:?} twice");
+                rows.push((paper(level, doc, covered, partial), exact_of(doc), doc));
             }
             TraceEvent::Examined { doc, lower_bound, .. } => {
-                let row = rows.iter().find(|r| r.1 == doc);
-                let row = row.unwrap_or_else(|| panic!("{ctx}: level {level}: {doc:?} has no row"));
-                assert_eq!(
-                    lower_bound.to_bits(),
-                    row.0.to_bits(),
-                    "{ctx}: level {level}: bound of {doc:?}: {lower_bound} vs {}",
-                    row.0
+                let row = rows.iter().find(|r| r.2 == doc);
+                let &(eq, exact, _) =
+                    row.unwrap_or_else(|| panic!("{ctx}: level {level}: {doc:?} has no row"));
+                assert!(
+                    lower_bound <= exact,
+                    "{ctx}: level {level}: bound {lower_bound} of {doc:?} above its distance {exact}"
+                );
+                assert!(
+                    lower_bound >= eq,
+                    "{ctx}: level {level}: bound {lower_bound} of {doc:?} below Equation 6/8's {eq}"
                 );
                 if let Some(prev) = examined.last() {
                     assert!(
@@ -316,22 +367,38 @@ fn check_examination_order(
                 ever_examined.insert(doc);
             }
             TraceEvent::ExamineBreak { min_unexamined, .. } => {
-                let left = rows.iter().filter(|r| !examined.iter().any(|x| x.1 == r.1));
-                let least = left.min_by(|a, b| by_bound(a, b));
-                if let (Some(last), Some(least)) = (examined.last(), least) {
+                let left = rows.iter().filter(|r| !examined.iter().any(|x| x.1 == r.2));
+                let (eq, exact) = left
+                    .fold((f64::INFINITY, f64::INFINITY), |(eq, ex), r| (eq.min(r.0), ex.min(r.1)));
+                assert!(
+                    eq <= min_unexamined && min_unexamined <= exact,
+                    "{ctx}: level {level}: min_unexamined {min_unexamined} outside [{eq}, {exact}]"
+                );
+                if let Some(&(last, doc)) = examined.last() {
                     assert!(
-                        by_bound(last, least).is_lt(),
-                        "{ctx}: level {level}: examined {last:?} past the smaller {least:?}"
+                        last <= min_unexamined,
+                        "{ctx}: level {level}: examined {doc:?} at {last} past {min_unexamined}"
                     );
                 }
-                let expect = least.map_or(f64::INFINITY, |r| r.0);
-                assert_eq!(
-                    min_unexamined.to_bits(),
-                    expect.to_bits(),
-                    "{ctx}: level {level}: min_unexamined {min_unexamined} vs {expect}"
-                );
             }
-            TraceEvent::Terminated { .. } | TraceEvent::Exhausted { .. } => {}
+            TraceEvent::Terminated { d_minus, threshold, .. } => {
+                for (i, exact) in exact.iter().enumerate() {
+                    let doc = cbr_corpus::DocId::from_index(i);
+                    let Some(exact) = *exact else { continue };
+                    if results.iter().any(|r| r.doc == doc) {
+                        continue;
+                    }
+                    assert!(
+                        threshold <= exact,
+                        "{ctx}: {doc:?} at {exact} left out below D⁺ₖ {threshold}"
+                    );
+                    assert!(
+                        ever_examined.contains(&doc) || d_minus <= exact,
+                        "{ctx}: terminated at D⁻ {d_minus} above unexamined {doc:?} at {exact}"
+                    );
+                }
+            }
+            TraceEvent::Exhausted { .. } => {}
         }
     }
 }
@@ -345,32 +412,33 @@ fn distance_bits(results: &[RankedDoc]) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The examination step of the one Algorithm 2 loop, under both
-    /// frontier policies, RDS and SDS, error thresholds from "probe
-    /// everything" to "probe nothing early" and queue watermarks from
-    /// "forced every round" to the default — so rounds with a full heap,
-    /// rounds with a filling one and forced rounds are all hit: rows are
-    /// examined in ascending `(D⁻, DocId)`, the bound handed to the
-    /// termination test is the true minimum over what was left, and the
-    /// results are the full scan's to the bit.
+    /// The bounds of the one Algorithm 2 loop, under both frontier
+    /// policies, RDS and SDS, error thresholds from "probe everything" to
+    /// "probe nothing early" and queue watermarks from "forced every
+    /// round" to the default — so rounds with a full heap, rounds with a
+    /// filling one and forced rounds are all hit: every bound is sound and
+    /// no looser than Equation 6/8, rows are examined in ascending
+    /// `(D⁻, DocId)`, termination leaves out no document below `D⁻` (see
+    /// [`check_bounds`]), and the results are the full scan's to the bit.
     #[test]
-    fn examination_is_ordered_and_reports_the_true_minimum(
+    fn bounds_are_sound_and_examination_is_ordered(
         seed in 0u64..400,
         query_picks in prop::collection::vec(0u32..10_000, 1..6),
         k in 1usize..9,
         eps_pick in 0usize..4,
         cap_pick in 0usize..3,
     ) {
-        let Generated { ont, source, q, qd } = generated(seed, &query_picks);
-        let weights = EdgeWeights::uniform(&ont);
+        let g = generated(seed, &query_picks);
+        let Generated { ont, source, q, qd } = &g;
+        let weights = EdgeWeights::uniform(ont);
         let (eps, cfg) = picked_config(eps_pick, cap_pick);
-        let unit = Knds::new(&ont, &source, cfg.clone());
-        let weighted = WeightedKnds::new(&ont, &weights, &source, cfg);
+        let unit = Knds::new(ont, source, cfg.clone());
+        let weighted = WeightedKnds::new(ont, &weights, source, cfg);
 
-        for (kind, q) in [(QueryKind::Rds, &q), (QueryKind::Sds, &qd)] {
+        for (kind, q) in [(QueryKind::Rds, q), (QueryKind::Sds, qd)] {
             let expect = match kind {
-                QueryKind::Rds => baseline::rds(&ont, &source, q, k),
-                QueryKind::Sds => baseline::sds(&ont, &source, q, k),
+                QueryKind::Rds => baseline::rds(ont, source, q, k),
+                QueryKind::Sds => baseline::sds(ont, source, q, k),
             };
             for engine in ["unit", "weighted"] {
                 let ctx = format!("{engine} {kind:?} q {q:?} k {k} eps {eps} cap {cap_pick}");
@@ -381,7 +449,7 @@ proptest! {
                     "unit" => unit.run(&mut ws, kind, q, k, hooks),
                     _ => weighted.run(&mut ws, kind, q, k, hooks),
                 };
-                check_examination_order(&events, &ont, &source, kind, q, &ctx);
+                check_bounds(&events, &g, kind, q, &got.results, &ctx);
                 prop_assert_eq!(
                     distance_bits(&got.results),
                     distance_bits(&expect.results),

@@ -88,6 +88,14 @@ done
 # live in member crates (the one brute-force oracle, tests/oracle.rs, in
 # the root package).
 cargo test -q --workspace
+# The SDS lower bound is tighter than the paper's Equation 8 on purpose
+# (DESIGN.md §4), so the proptest that holds every traced bound between
+# Equation 6/8 and the brute-force distance, and the brute-force oracle
+# of every answering path, also run in release at four times their case
+# counts (48 and 64).
+PROPTEST_CASES=192 cargo test --release -q -p cbr-knds --test equivalence \
+    bounds_are_sound_and_examination_is_ordered
+PROPTEST_CASES=256 cargo test --release -q --test oracle
 # Benchmark tripwire: perfbench/ is a package of its own (BENCHMARK.json
 # builds it from source), so nothing above notices when a crate API it
 # compiles against changes. Lint, test and smoke-run it (micro sizes,
