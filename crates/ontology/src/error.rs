@@ -35,6 +35,17 @@ pub enum OntologyError {
         /// The configured cap.
         cap: usize,
     },
+    /// The Dewey path table would not fit its index widths: more than
+    /// `u32::MAX` addresses or components in all, or an address longer
+    /// than `u16::MAX` components.
+    PathTableTooLarge {
+        /// What the table would hold too many of.
+        what: &'static str,
+        /// How many the ontology needs (saturating at `u64::MAX`).
+        needed: u64,
+        /// The most the table can index.
+        limit: u64,
+    },
     /// A Dewey address did not resolve to a node (component out of range).
     BadDeweyAddress(String),
 }
@@ -55,6 +66,9 @@ impl fmt::Display for OntologyError {
             OntologyError::Empty => write!(f, "ontology has no concepts"),
             OntologyError::TooManyPaths { concept, cap } => {
                 write!(f, "concept {concept} has more than {cap} Dewey addresses")
+            }
+            OntologyError::PathTableTooLarge { what, needed, limit } => {
+                write!(f, "Dewey path table needs {needed} {what}, past its limit of {limit}")
             }
             OntologyError::BadDeweyAddress(a) => write!(f, "Dewey address {a} does not resolve"),
         }

@@ -10,6 +10,8 @@ use crate::dewey::PathTable;
 use crate::error::{OntologyError, Result};
 use crate::hash::FxHashMap;
 use crate::id::ConceptId;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 
 /// A rooted concept DAG with string labels and precomputed depths.
@@ -150,7 +152,9 @@ impl Ontology {
         (0..self.len()).map(ConceptId::from_index)
     }
 
-    /// Concepts in a topological order (every parent before its children).
+    /// Concepts in a topological order (every parent before its children),
+    /// the least ready id first: ascending ids wherever every parent's id
+    /// is below its children's, as in every generated ontology.
     ///
     /// Both D-Radix tuning passes (Section 4.3) and path-count computations
     /// rely on this order.
@@ -216,17 +220,10 @@ impl Ontology {
 
     /// The number of distinct root-to-`c` paths for every concept, computed
     /// in one topological pass (`paths(root) = 1`, `paths(v) = Σ paths(u)`
-    /// over parents `u`). Saturates at `u64::MAX`.
+    /// over parents `u`): the path table's sizing pass. Saturates at
+    /// `u64::MAX`.
     pub fn path_counts(&self) -> Vec<u64> {
-        let mut counts = vec![0u64; self.len()];
-        counts[self.root.index()] = 1;
-        for &c in &self.topo_order {
-            let mine = counts[c.index()];
-            for &child in self.children(c) {
-                counts[child.index()] = counts[child.index()].saturating_add(mine);
-            }
-        }
-        counts
+        crate::dewey::shares(self).iter().map(|s| s.paths).collect()
     }
 }
 
@@ -345,19 +342,21 @@ impl OntologyBuilder {
             _ => return Err(OntologyError::MultipleRoots(roots)),
         };
 
-        // Kahn topological sort (also proves acyclicity).
+        // Kahn topological sort (also proves acyclicity), taking the least
+        // ready id first: where every parent's id is below its children's,
+        // the order is ascending ids and sweeps in it read per-concept
+        // tables front to back.
         let mut indegree = parent_counts.clone();
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(root);
+        let mut ready = BinaryHeap::from([Reverse(root)]);
         let mut topo_order = Vec::with_capacity(n);
-        while let Some(c) = queue.pop_front() {
+        while let Some(Reverse(c)) = ready.pop() {
             topo_order.push(c);
             let lo = child_offsets[c.index()] as usize;
             let hi = child_offsets[c.index() + 1] as usize;
             for &child in &child_targets[lo..hi] {
                 indegree[child.index()] -= 1;
                 if indegree[child.index()] == 0 {
-                    queue.push_back(child);
+                    ready.push(Reverse(child));
                 }
             }
         }
@@ -563,6 +562,22 @@ mod tests {
         let r = b.add_concept("r");
         assert!(b.add_edge(r, ConceptId(5)).is_err());
         assert!(b.add_edge(ConceptId(5), r).is_err());
+    }
+
+    #[test]
+    fn topological_order_takes_the_least_ready_id() {
+        // Every parent below its children: the order is the ids.
+        let ont =
+            crate::OntologyGenerator::new(crate::GeneratorConfig::snomed_like(2_000)).generate();
+        assert!(ont.topological_order().iter().copied().eq(ont.concepts()));
+        // root(0) -> c3 -> c1, root -> c2: c1 waits for c3, c2 does not.
+        let mut b = OntologyBuilder::new();
+        let ids: Vec<ConceptId> = (0..4).map(|i| b.add_concept(format!("n{i}"))).collect();
+        b.add_edge(ids[0], ids[3]).unwrap();
+        b.add_edge(ids[3], ids[1]).unwrap();
+        b.add_edge(ids[0], ids[2]).unwrap();
+        let ont = b.build().unwrap();
+        assert_eq!(ont.topological_order(), &[ids[0], ids[2], ids[3], ids[1]]);
     }
 
     #[test]

@@ -96,6 +96,11 @@ cargo test -q --workspace
 PROPTEST_CASES=192 cargo test --release -q -p cbr-knds --test equivalence \
     bounds_are_sound_and_examination_is_ordered
 PROPTEST_CASES=256 cargo test --release -q --test oracle
+# The Dewey path table of the benchmark's 60,000-concept ontology equals
+# the enumerate-and-sort reference builder's, address for address and rank
+# for rank. Ignored by the debug suite, where the reference takes seconds.
+cargo test --release -q -p cbr-ontology --lib -- --ignored --exact \
+    dewey::tests::snomed_like_60k_matches_the_reference
 # Benchmark tripwire: perfbench/ is a package of its own (BENCHMARK.json
 # builds it from source), so nothing above notices when a crate API it
 # compiles against changes. Lint, test and smoke-run it (micro sizes,
