@@ -8,12 +8,7 @@
 //! Figure 6 — each itself minimizing over the concepts' Dewey address
 //! pairs. These functions double as the test oracle for DRC.
 
-use cbr_ontology::{concept_distance, ConceptId, Ontology, PathTable};
-
-/// `Ddc(d, c)` by brute force (Equation 1).
-pub fn document_concept_distance(paths: &PathTable, doc: &[ConceptId], c: ConceptId) -> u32 {
-    doc.iter().map(|&dc| concept_distance(paths, dc, c)).min().unwrap_or(u32::MAX)
-}
+use cbr_ontology::{document_concept_distance, ConceptId, Ontology};
 
 /// `Ddq(d, q)` by brute force (Equation 2). Mirrors
 /// [`Drc::document_query_distance`](crate::Drc::document_query_distance).

@@ -290,7 +290,8 @@ impl DRadixDag {
         weights: &cbr_ontology::EdgeWeights,
     ) -> DRadixDag {
         let mut dag = DRadixDag::new();
-        dag.build_weighted_into(ont, doc, query, weights);
+        dag.pin(ont, Some(weights), Side::Query, query);
+        dag.overlay(ont, Some(weights), Side::Doc, doc);
         dag
     }
 
@@ -302,18 +303,6 @@ impl DRadixDag {
     pub fn build_into(&mut self, ont: &Ontology, doc: &[ConceptId], query: &[ConceptId]) {
         self.pin(ont, None, Side::Query, query);
         self.overlay(ont, None, Side::Doc, doc);
-    }
-
-    /// Weighted counterpart of [`build_into`](Self::build_into).
-    pub fn build_weighted_into(
-        &mut self,
-        ont: &Ontology,
-        doc: &[ConceptId],
-        query: &[ConceptId],
-        weights: &cbr_ontology::EdgeWeights,
-    ) {
-        self.pin(ont, Some(weights), Side::Query, query);
-        self.overlay(ont, Some(weights), Side::Doc, doc);
     }
 
     /// Builds `T(∅, set)` — the pair's half on `side`, the other side empty
@@ -621,51 +610,6 @@ impl DRadixDag {
                 Some((n.concept, target.concept, self.label(e), e.weight))
             })
         })
-    }
-
-    /// Renders the DAG in Graphviz DOT, Figure 5(g)-style: every node shows
-    /// its concept label with the `(document distance, query distance)`
-    /// pair, and edges carry their Dewey labels.
-    pub fn to_dot(&self, ont: &Ontology) -> String {
-        use std::fmt::Write as _;
-        let fmt_dist = |d: u32| {
-            if d == UNSET {
-                "∞".to_string()
-            } else {
-                d.to_string()
-            }
-        };
-        let mut out =
-            String::from("digraph dradix {\n  rankdir=TB;\n  node [fontsize=10, shape=ellipse];\n");
-        let mut nodes: Vec<&Node> = self.active().iter().collect();
-        nodes.sort_by_key(|n| n.concept);
-        for n in &nodes {
-            let _ = writeln!(
-                out,
-                "  c{} [label=\"{} ({}, {})\"];",
-                n.concept.0,
-                cbr_ontology::dot::escape_label(ont.label(n.concept)),
-                fmt_dist(n.doc_dist),
-                fmt_dist(n.query_dist)
-            );
-        }
-        for n in &nodes {
-            for e in &n.edges {
-                let Some(target) = self.node(e.target_ix()) else {
-                    continue;
-                };
-                let label: Vec<String> = self.label(e).iter().map(|c| c.to_string()).collect();
-                let _ = writeln!(
-                    out,
-                    "  c{} -> c{} [label=\"{}\"];",
-                    n.concept.0,
-                    target.concept.0,
-                    label.join(".")
-                );
-            }
-        }
-        out.push_str("}\n");
-        out
     }
 
     // --- construction internals -------------------------------------------
@@ -1251,7 +1195,8 @@ impl DRadixDag {
     }
 
     /// Compares up to `cap` tuned nearest-distances per side against the
-    /// brute-force Rada oracle ([`crate::brute`]). Only valid for
+    /// brute-force Rada oracle
+    /// ([`cbr_ontology::document_concept_distance`]). Only valid for
     /// unit-weight builds after [`tune`](Self::tune).
     pub fn spot_check(
         &self,
@@ -1263,7 +1208,7 @@ impl DRadixDag {
         let paths = ont.path_table();
         let mut v = Vec::new();
         for &qc in query.iter().take(cap) {
-            let brute = crate::brute::document_concept_distance(paths, doc, qc);
+            let brute = cbr_ontology::document_concept_distance(paths, doc, qc);
             match self.doc_distance(qc) {
                 None => v.push(DagViolation::MemberMissing { concept: qc }),
                 Some(tuned) if tuned != brute => v.push(DagViolation::DistanceMismatch {
@@ -1276,7 +1221,7 @@ impl DRadixDag {
             }
         }
         for &dc in doc.iter().take(cap) {
-            let brute = crate::brute::document_concept_distance(paths, query, dc);
+            let brute = cbr_ontology::document_concept_distance(paths, query, dc);
             match self.query_distance(dc) {
                 None => v.push(DagViolation::MemberMissing { concept: dc }),
                 Some(tuned) if tuned != brute => v.push(DagViolation::DistanceMismatch {
@@ -1410,6 +1355,10 @@ mod tests {
         }
         assert_eq!(dag.stats().nodes, 11);
         assert_eq!(dag.stats().addresses, 10, "Table 1 lists 6 + 4 addresses");
+        // The compressed edge from the root A towards G carries label 1.1.1.
+        let (a, g) = (fig.concept("A"), fig.concept("G"));
+        let label = dag.edges().find(|&(from, to, ..)| (from, to) == (a, g)).map(|e| e.2);
+        assert_eq!(label, Some(&[1u32, 1, 1][..]));
     }
 
     #[test]
@@ -1465,21 +1414,6 @@ mod tests {
         let (fig, dag) = example_dag();
         assert_eq!(dag.doc_distance(fig.concept("M")), None);
         assert_eq!(dag.query_distance(fig.concept("M")), None);
-    }
-
-    #[test]
-    fn dot_export_renders_figure5_style() {
-        let (fig, mut dag) = example_dag();
-        dag.tune();
-        let dot = dag.to_dot(&fig.ontology);
-        assert!(dot.starts_with("digraph dradix"));
-        // Figure 5(g): node I carries (4, 0).
-        let i = fig.concept("I").0;
-        assert!(dot.contains(&format!("c{i} [label=\"I (4, 0)\"]")), "{dot}");
-        // The compressed edge from the root towards G carries label 1.1.1.
-        let a = fig.concept("A").0;
-        let g = fig.concept("G").0;
-        assert!(dot.contains(&format!("c{a} -> c{g} [label=\"1.1.1\"]")), "{dot}");
     }
 
     #[test]

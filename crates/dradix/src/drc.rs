@@ -196,7 +196,10 @@ impl<'a> Drc<'a> {
     /// Equation 3 generalized with per-concept weights (Melton et al.'s
     /// original inter-patient measure; the paper fixes all weights to 1).
     /// `weights[c.index()]` scales concept `c`'s contribution on both
-    /// sides; normalizers become weight sums.
+    /// sides; normalizers become weight sums. A concept without a weight
+    /// weighs 1. A side that holds a negative or non-finite weight, or
+    /// whose weights sum to 0 or overflow, is infinitely far, as an empty
+    /// document is; so the result is never NaN.
     pub fn document_document_distance_weighted(
         &mut self,
         d1: &[ConceptId],
@@ -211,31 +214,32 @@ impl<'a> Drc<'a> {
         let dag = self.probe(d1, d2);
         let w = |c: ConceptId| weights.map_or(1.0, |ws| ws.get(c.index()).copied().unwrap_or(1.0));
 
-        // Member concepts are materialized by construction; a miss means a
-        // corrupt DAG (caught by the debug validators), so the release path
-        // degrades to "infinitely far" instead of panicking.
-        let mut sum_d2 = 0.0; // Σ_{c ∈ d2} Ddc(d1, c) — distances from d1 side
-        let mut norm_d2 = 0.0;
-        for &c in d2 {
-            let Some(d) = dag.doc_distance(c) else {
-                debug_assert!(false, "d2 concept {c:?} missing from the DAG");
-                return f64::INFINITY;
-            };
-            sum_d2 += w(c) * d as f64;
-            norm_d2 += w(c);
-        }
-        let mut sum_d1 = 0.0; // Σ_{c ∈ d1} Ddc(d2, c) — distances from d2 side
-        let mut norm_d1 = 0.0;
-        for &c in d1 {
-            let Some(d) = dag.query_distance(c) else {
-                debug_assert!(false, "d1 concept {c:?} missing from the DAG");
-                return f64::INFINITY;
-            };
-            sum_d1 += w(c) * d as f64;
-            norm_d1 += w(c);
-        }
-        // bound: proven — norms sum default-1 weights over non-empty concept sets
-        sum_d1 / norm_d1 + sum_d2 / norm_d2
+        // One side's weighted mean of its concepts' distances to the other
+        // side. Member concepts are materialized by construction; a miss
+        // means a corrupt DAG (caught by the debug validators), so the
+        // release path degrades to "infinitely far" instead of panicking.
+        let mean = |set: &[ConceptId], dist: fn(&DRadixDag, ConceptId) -> Option<u32>| {
+            let (mut sum, mut norm) = (0.0, 0.0);
+            for &c in set {
+                let Some(d) = dist(dag, c) else {
+                    debug_assert!(false, "concept {c:?} missing from the DAG");
+                    return f64::INFINITY;
+                };
+                let wc = w(c);
+                if !(wc >= 0.0 && wc.is_finite()) {
+                    return f64::INFINITY;
+                }
+                sum += wc * d as f64;
+                norm += wc;
+            }
+            if norm > 0.0 && norm.is_finite() {
+                sum / norm
+            } else {
+                f64::INFINITY
+            }
+        };
+        // d1's distances are read from the d2 ("query") side and vice versa.
+        mean(d1, DRadixDag::query_distance) + mean(d2, DRadixDag::doc_distance)
     }
 }
 
@@ -314,6 +318,15 @@ mod tests {
         let a = drc.document_document_distance(&d, &q);
         let b = drc.document_document_distance_weighted(&d, &q, Some(&unit));
         assert!((a - b).abs() < 1e-12);
+        // A side without usable weights is infinitely far, never NaN.
+        for bad in [0.0, f64::NAN, -1.0, f64::INFINITY, f64::MAX] {
+            let ws = vec![bad; fig.ontology.len()];
+            assert_eq!(
+                drc.document_document_distance_weighted(&d, &q, Some(&ws)),
+                f64::INFINITY,
+                "all weights {bad}"
+            );
+        }
     }
 
     #[test]

@@ -12,77 +12,6 @@
 use crate::error::OntologyError;
 use crate::graph::Ontology;
 use crate::id::ConceptId;
-use std::cmp::Ordering;
-use std::fmt;
-
-/// An owned Dewey address: the sequence of 1-based child ordinals along one
-/// root-to-concept path. Displayed in the paper's dotted form (`1.1.1.2`).
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct DeweyAddress(Vec<u32>);
-
-impl DeweyAddress {
-    /// Creates an address from raw components.
-    pub fn new(components: Vec<u32>) -> Self {
-        DeweyAddress(components)
-    }
-
-    /// The components of the address.
-    #[inline]
-    pub fn components(&self) -> &[u32] {
-        &self.0
-    }
-
-    /// Number of components — equal to the depth of the path's endpoint.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether this is the root's empty address.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Parses the dotted notation used throughout the paper (`"1.1.1.2"`).
-    /// An empty string parses to the root address.
-    pub fn parse(s: &str) -> Option<Self> {
-        if s.is_empty() {
-            return Some(DeweyAddress(Vec::new()));
-        }
-        s.split('.')
-            .map(|part| part.parse::<u32>().ok().filter(|&c| c > 0))
-            .collect::<Option<Vec<u32>>>()
-            .map(DeweyAddress)
-    }
-}
-
-impl fmt::Display for DeweyAddress {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for c in &self.0 {
-            if !first {
-                write!(f, ".")?;
-            }
-            write!(f, "{c}")?;
-            first = false;
-        }
-        Ok(())
-    }
-}
-
-impl fmt::Debug for DeweyAddress {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{self}")
-    }
-}
-
-/// Compares two component slices lexicographically, shorter-prefix-first —
-/// the order `Pd`/`Pq` are consumed in by Algorithm 1.
-#[inline]
-pub fn compare_components(a: &[u32], b: &[u32]) -> Ordering {
-    a.cmp(b)
-}
 
 /// Length of the longest common prefix of two component slices.
 #[inline]
@@ -225,20 +154,6 @@ impl PathTable {
         let total: u64 = self.addr_ranges.iter().map(|&(_, len)| len as u64).sum();
         total as f64 / self.addr_ranges.len() as f64
     }
-
-    /// Collects the lexicographically sorted address list for a set of
-    /// concepts — the `Pd` / `Pq` inputs of Algorithm 1. Each entry pairs an
-    /// address with the concept it leads to.
-    pub fn sorted_address_list(&self, concepts: &[ConceptId]) -> Vec<(&[u32], ConceptId)> {
-        let mut out: Vec<(&[u32], ConceptId)> = Vec::new();
-        for &c in concepts {
-            for addr in self.addresses(c) {
-                out.push((addr, c));
-            }
-        }
-        out.sort_unstable_by(|a, b| a.0.cmp(b.0).then_with(|| a.1.cmp(&b.1)));
-        out
-    }
 }
 
 /// One concept's share of the path table: its addresses, their
@@ -314,24 +229,10 @@ mod tests {
     }
 
     #[test]
-    fn dewey_display_and_parse() {
-        let a = DeweyAddress::parse("1.1.1.2").unwrap();
-        assert_eq!(a.components(), &[1, 1, 1, 2]);
-        assert_eq!(a.to_string(), "1.1.1.2");
-        assert_eq!(a.len(), 4);
-        assert!(DeweyAddress::parse("").unwrap().is_empty());
-        assert!(DeweyAddress::parse("1..2").is_none());
-        assert!(DeweyAddress::parse("0.1").is_none(), "components are 1-based");
-        assert!(DeweyAddress::parse("a.b").is_none());
-    }
-
-    #[test]
     fn lcp_and_ordering() {
         assert_eq!(longest_common_prefix(&[1, 1, 2], &[1, 1, 3]), 2);
         assert_eq!(longest_common_prefix(&[1], &[2]), 0);
         assert_eq!(longest_common_prefix(&[1, 2], &[1, 2]), 2);
-        assert_eq!(compare_components(&[1, 1], &[1, 1, 1]), Ordering::Less);
-        assert_eq!(compare_components(&[1, 2], &[1, 1, 9]), Ordering::Greater);
     }
 
     #[test]
@@ -345,6 +246,22 @@ mod tests {
         assert_eq!(leaf_addrs, vec![&[1u32, 1][..], &[2u32, 1][..]]);
         assert_eq!(pt.total_addresses(), 5);
         assert_eq!(pt.num_concepts(), 4);
+        // Two concepts' addresses merged by rank come out in
+        // lexicographic order, prefixes first: the order `insert_set` sorts by.
+        let mut merged: Vec<(u32, &[u32], ConceptId)> = [ConceptId(3), ConceptId(1)]
+            .into_iter()
+            .flat_map(|c| pt.addresses_ranked(c).map(move |(rank, a)| (rank, a, c)))
+            .collect();
+        merged.sort_unstable_by_key(|&(rank, ..)| rank);
+        let merged: Vec<(&[u32], ConceptId)> = merged.iter().map(|&(_, a, c)| (a, c)).collect();
+        assert_eq!(
+            merged,
+            vec![
+                (&[1u32][..], ConceptId(1)),
+                (&[1, 1][..], ConceptId(3)),
+                (&[2, 1][..], ConceptId(3))
+            ]
+        );
     }
 
     #[test]
@@ -390,17 +307,6 @@ mod tests {
         assert!(PathTable::build_capped(&ont, 16).is_err());
         let pt = PathTable::build_capped(&ont, 64).unwrap();
         assert_eq!(pt.path_count(bottom), 64);
-    }
-
-    #[test]
-    fn sorted_address_list_merges_concept_sets() {
-        let ont = diamond();
-        let pt = ont.path_table();
-        let list = pt.sorted_address_list(&[ConceptId(3), ConceptId(1)]);
-        let addrs: Vec<&[u32]> = list.iter().map(|&(a, _)| a).collect();
-        assert_eq!(addrs, vec![&[1u32][..], &[1u32, 1][..], &[2u32, 1][..]]);
-        assert_eq!(list[0].1, ConceptId(1));
-        assert_eq!(list[1].1, ConceptId(3));
     }
 
     /// The builder this module used before the preorder walk: every

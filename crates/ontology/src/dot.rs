@@ -69,11 +69,9 @@ pub fn neighborhood_dot(
 }
 
 /// Escapes a string for use inside a DOT double-quoted label.
-pub fn escape_label(s: &str) -> String {
+fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
-
-pub(crate) use escape_label as escape;
 
 #[cfg(test)]
 mod tests {

@@ -5,8 +5,8 @@
 //!
 //! * a rooted, labeled **concept DAG** ([`Ontology`]) representing an `is-a`
 //!   hierarchy such as SNOMED-CT (Section 3.1 of the paper);
-//! * **Dewey path addresses** ([`DeweyAddress`]) for every root-to-concept
-//!   path, materialized in a [`PathTable`];
+//! * **Dewey path addresses** for every root-to-concept path, materialized
+//!   in a [`PathTable`];
 //! * the **valid-path semantic distance** between concepts
 //!   ([`concept_distance`]): the length of the shortest path that passes
 //!   through a common ancestor of the two concepts (Rada et al., restricted
@@ -48,11 +48,10 @@ pub mod hash;
 pub mod ic;
 pub mod id;
 pub mod stats;
-pub mod subset;
 pub mod validate;
 pub mod weighted;
 
-pub use dewey::{DeweyAddress, PathTable};
+pub use dewey::PathTable;
 pub use distance::{concept_distance, concept_distance_graph, document_concept_distance};
 pub use error::{OntologyError, Result};
 pub use generator::{GeneratorConfig, OntologyGenerator};

@@ -13,10 +13,17 @@
 # micro scale), a run of every example, the whole workspace's tests, and the
 # benchmark tripwire (fmt, clippy, tests and a smoke run of perfbench/,
 # which is outside the workspace and compiles against the crates' public
-# API) with the seed-2014 result digests of its read-only workloads. Run
+# API) with the seed-2014 result digests of its read-only workloads, and
+# last a check that the run left the working tree as it found it. Run
 # from the repository root. Every step must pass before merging.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# The run must leave the tree as it found it: a step that rewrites a
+# tracked file (a lockfile an `--offline` build re-resolves) or leaves an
+# untracked one that .gitignore does not cover fails the last check.
+tree_state() { git status --porcelain && git diff HEAD --binary | sha256sum; }
+tree_before="$(tree_state)"
 
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
@@ -122,3 +129,8 @@ for workload in patient_sds radio_rds scale_rds; do
         exit 1
     }
 done
+[ "$(tree_state)" = "$tree_before" ] || {
+    echo "tree: this run changed the working tree:" >&2
+    git status --short >&2
+    exit 1
+}
