@@ -99,13 +99,13 @@ proptest! {
         );
     }
 
-    /// What the pin exists for, as a count: `n` probes of one query
-    /// through one `Drc` stage the query's addresses once and each
-    /// document's once — `|Pq| + Σ|Pdᵢ|`, not `n·|Pq| + Σ|Pdᵢ|` — and
-    /// resuming each insertion from the previous address's walk keeps
-    /// the descent within its per-pop bound.
+    /// Every probe builds its pair from scratch, resumed along the sorted
+    /// batch: `n` probes of one query through one `Drc` each stage that
+    /// pair's `|Pq| + |Pd|` addresses, once, and resuming each insertion
+    /// from the previous address's walk keeps the descent within its
+    /// per-pop bound.
     #[test]
-    fn pinned_probes_stage_the_query_once(
+    fn each_probe_stages_its_pair_once(
         seed in 0u64..200,
         doc_picks in prop::collection::vec(prop::collection::vec(0u32..10_000, 1..6), 1..6),
         query_picks in prop::collection::vec(0u32..10_000, 1..4),
@@ -116,19 +116,16 @@ proptest! {
         let depth = max_depth(&ont);
 
         let mut drc = Drc::new(&ont);
-        let mut obs = DagWork::default();
         for doc in &docs {
-            obs = drc.probe(doc, &query).work();
+            let obs: DagWork = drc.probe(doc, &query).work();
+            prop_assert_eq!(obs.addrs, total_addresses(&ont, &query) + total_addresses(&ont, doc));
+            prop_assert!(
+                obs.radix_steps <= obs.suffix_pops * (depth + 2),
+                "radix_steps {} vs bound pops·(depth+2) = {}",
+                obs.radix_steps,
+                obs.suffix_pops * (depth + 2)
+            );
         }
-
-        let staged: u64 = docs.iter().map(|d| total_addresses(&ont, d)).sum();
-        prop_assert_eq!(obs.addrs, total_addresses(&ont, &query) + staged);
-        prop_assert!(
-            obs.radix_steps <= obs.suffix_pops * (depth + 2),
-            "radix_steps {} vs bound pops·(depth+2) = {}",
-            obs.radix_steps,
-            obs.suffix_pops * (depth + 2)
-        );
     }
 
     /// kNDS under the level policy: the one search loop runs one BFS

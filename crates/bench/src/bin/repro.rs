@@ -27,7 +27,6 @@
 
 use cbr_bench::{fmt_duration, Scale, Table, Timing, Workbench};
 use cbr_corpus::CorpusStats;
-use cbr_dradix::dag::Side;
 use cbr_dradix::{brute, DRadixDag, DagScratch, Drc};
 use cbr_knds::{baseline, ta, Hooks, Knds, KndsConfig, KndsWorkspace, QueryKind, QueryMetrics};
 use cbr_ontology::{ConceptId, OntologyStats};
@@ -220,20 +219,21 @@ fn table3(wb: &Workbench) {
 /// Figure 6: distance-calculation time vs query size, BL vs DRC (SDS
 /// document-document distance). The paper's figure is the cost of one
 /// cold pair, so its DRC column builds each pair's DAG whole (warm
-/// capacity, no pinned query); `DRC pinned` is what the second and later
-/// probes of a query cost, which is what kNDS pays.
+/// capacity). `join / calc` is the same pair through
+/// `baseline::document_distance`, one exact probe each way from ancestor
+/// closures — the distance the search engine computes instead of DRC.
 fn fig6(wb: &Workbench) {
     println!("== Figure 6: distance calculation time vs query size nq (SDS) ==");
     println!("paper shape: BL grows quadratically with nq; DRC grows n·log n and");
     println!("wins by orders of magnitude at large nq on both collections.\n");
     let sweep = [1usize, 3, 5, 10, 30, 100];
     for coll in &wb.collections {
-        let mut t = Table::new(&["nq", "BL / calc", "DRC / calc", "speedup", "DRC pinned"]);
+        let mut t = Table::new(&["nq", "BL / calc", "DRC / calc", "speedup", "join / calc"]);
         let docs_per_query = 3;
         let n_queries = wb.scale.queries_per_point;
         let mut rng = StdRng::seed_from_u64(wb.scale.seed ^ 0x6);
         let mut scratch = DagScratch::new();
-        let mut drc = Drc::new(&wb.ontology);
+        let mut ws = KndsWorkspace::new();
         // Force path-table materialization outside the timings.
         let _ = wb.ontology.path_table();
         for &nq in &sweep {
@@ -275,17 +275,14 @@ fn fig6(wb: &Workbench) {
             }
             let dd = t0.elapsed() / (n_queries * docs_per_query) as u32;
 
-            let mut pinned = Duration::ZERO;
+            let t0 = Instant::now();
             for (qi, q) in queries.iter().enumerate() {
-                // The query's first probe pins it; time the ones that follow.
-                sink += drc.document_document_distance(targets[qi * docs_per_query], q);
-                let t0 = Instant::now();
                 for ti in 0..docs_per_query {
-                    sink += drc.document_document_distance(targets[qi * docs_per_query + ti], q);
+                    let target = targets[qi * docs_per_query + ti];
+                    sink += baseline::document_distance(&wb.ontology, &mut ws, target, q);
                 }
-                pinned += t0.elapsed();
             }
-            let pinned = pinned / (n_queries * docs_per_query) as u32;
+            let join = t0.elapsed() / (n_queries * docs_per_query) as u32;
             std::hint::black_box(sink);
 
             t.row(vec![
@@ -293,7 +290,7 @@ fn fig6(wb: &Workbench) {
                 fmt_duration(bl),
                 fmt_duration(dd),
                 format!("{:.1}x", bl.as_secs_f64() / dd.as_secs_f64().max(1e-12)),
-                fmt_duration(pinned),
+                fmt_duration(join),
             ]);
         }
         println!("-- Figure 6 ({}) --", coll.name);
@@ -347,7 +344,7 @@ fn fig7(wb: &Workbench) {
     // 7(g)-(h): SDS sweeps.
     for coll in &wb.collections {
         let queries = coll.sds_queries(wb.scale.queries_per_point, wb.scale.seed ^ 0x71);
-        let mut t = Table::new(&["εθ", "time", "examined", "DRC calls"]);
+        let mut t = Table::new(&["εθ", "time", "examined", "probes"]);
         for &eps in &eps_sweep {
             let timing = run_knds_sds(wb, coll, &queries, k, eps);
             t.row(vec![
@@ -477,10 +474,10 @@ fn ablation(wb: &Workbench) {
     let k = 10;
     let nq = 5;
 
-    // (b) Queue watermark sensitivity (forces early DRC rounds).
+    // (b) Queue watermark sensitivity (forces early examination rounds).
     let coll = wb.collection("PATIENT");
     let queries = coll.sds_queries(wb.scale.queries_per_point, wb.scale.seed ^ 0xA1);
-    let mut t = Table::new(&["queue cap", "time", "DRC calls", "forced rounds"]);
+    let mut t = Table::new(&["queue cap", "time", "probes", "forced rounds"]);
     for cap in [100usize, 1_000, 10_000, 50_000] {
         let cfg = KndsConfig::default().with_error_threshold(coll.default_eps).with_queue_cap(cap);
         let engine = Knds::new(&wb.ontology, &coll.source, cfg);
@@ -512,7 +509,11 @@ fn ablation(wb: &Workbench) {
         format!("incl. {:.2} ms/query list materialization", tat.distance_calc.as_secs_f64() * 1e3),
     ]);
     let slow = run_baseline_rds(wb, coll, &queries, k);
-    t.row(vec!["full scan".into(), format!("{:.2} ms", slow.ms()), "DRC on every doc".into()]);
+    t.row(vec![
+        "full scan".into(),
+        format!("{:.2} ms", slow.ms()),
+        "exact probe on every doc".into(),
+    ]);
     println!("-- (c) RDS method comparison (RADIO, nq = {nq}, k = {k}) --");
     println!("{}", t.render());
 
@@ -596,10 +597,8 @@ fn ablation(wb: &Workbench) {
 
     // (h) The phases of one DRC probe (Section 4.3) over prefixes of the
     // largest PATIENT record: `construct` builds the whole D-Radix into a
-    // retained DAG (`fresh DAG`: into a new one) and is `pin` (the query's
-    // half, once a query) plus `overlay` (roll back, insert one document);
-    // `tune` is the distance pass. A pinned probe — every kNDS probe after
-    // a query's first — costs overlay + tune.
+    // retained DAG (`fresh DAG`: into a new one); `tune` is the distance
+    // pass.
     const REPS: u32 = 50;
     let coll = wb.collection("PATIENT");
     let queries = coll.query_documents(wb.scale.queries_per_point, nq, wb.scale.seed ^ 0xA8);
@@ -610,10 +609,10 @@ fn ablation(wb: &Workbench) {
     let mut dag = DRadixDag::new();
     let ops = (queries.len() as u32 * REPS).max(1) as f64;
     let each = |d: Duration| format!("{:.2} µs", d.as_secs_f64() * 1e6 / ops);
-    let mut t = Table::new(&["|d|", "fresh DAG", "construct", "pin", "overlay", "tune"]);
+    let mut t = Table::new(&["|d|", "fresh DAG", "construct", "tune"]);
     for size in [10usize, 30, 60] {
         let Some(doc) = record.get(..size) else { continue };
-        let [mut fresh, mut construct, mut pin, mut overlay, mut tune] = [Duration::ZERO; 5];
+        let [mut fresh, mut construct, mut tune] = [Duration::ZERO; 3];
         for q in &queries {
             for _ in 0..REPS {
                 let t0 = Instant::now();
@@ -623,24 +622,14 @@ fn ablation(wb: &Workbench) {
             for _ in 0..REPS {
                 let t0 = Instant::now();
                 dag.build_into(ont, doc, q);
-                construct += t0.elapsed();
-            }
-            for _ in 0..REPS {
-                let t0 = Instant::now();
-                dag.pin(ont, None, Side::Query, q);
-                pin += t0.elapsed();
-            }
-            for _ in 0..REPS {
-                let t0 = Instant::now();
-                dag.overlay(ont, None, Side::Doc, doc);
                 let built = Instant::now();
                 dag.tune();
                 tune += built.elapsed();
-                overlay += built - t0;
+                construct += built - t0;
             }
         }
         black_box(dag.stats());
-        let cells = [fresh, construct, pin, overlay, tune].map(each);
+        let cells = [fresh, construct, tune].map(each);
         t.row(std::iter::once(size.to_string()).chain(cells).collect());
     }
     println!("-- (h) DRC phases per probe (PATIENT, nq = {nq}) --");
@@ -764,12 +753,12 @@ fn effectiveness(wb: &Workbench) {
 /// spends its time (ontology traversal + candidate bookkeeping,
 /// index access, exact-distance computation). The paper's Table 5
 /// analogue, and the compass for hot-loop work: a point dominated by
-/// DRC probes will not move however fast the BFS bookkeeping gets.
+/// exact probes will not move however fast the BFS bookkeeping gets.
 fn phases(wb: &Workbench) {
     println!("== Phase breakdown (warm workspace, default εθ) ==\n");
     for coll in &wb.collections {
         let mut t =
-            Table::new(&["kind", "nq", "k", "total", "traversal", "index", "distance", "DRC/q"]);
+            Table::new(&["kind", "nq", "k", "total", "traversal", "index", "distance", "probes/q"]);
         let mut points: Vec<(&str, usize, usize, Vec<Vec<ConceptId>>)> = Vec::new();
         for nq in [1usize, 3, 5, 10] {
             let q = coll.rds_queries(wb.scale.queries_per_point, nq, wb.scale.seed ^ 0x80);

@@ -244,7 +244,7 @@ impl Collection {
 pub struct Timing {
     /// Mean total per query.
     pub total: Duration,
-    /// Mean DRC / exact-distance time per query.
+    /// Mean exact-distance time per query.
     pub distance_calc: Duration,
     /// Mean traversal time per query.
     pub traversal: Duration,
@@ -252,7 +252,7 @@ pub struct Timing {
     pub io: Duration,
     /// Mean documents examined per query.
     pub docs_examined: f64,
-    /// Mean DRC probes per query.
+    /// Mean exact probes per query.
     pub drc_calls: f64,
     /// Mean fraction of examined documents that entered the top-k.
     pub examination_precision: f64,

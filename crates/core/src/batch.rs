@@ -4,7 +4,7 @@
 //! scale-out; the single-machine analogue is running many queries
 //! concurrently over the shared immutable indexes. Query latencies vary
 //! wildly (a selective query terminates in two BFS levels, a broad one
-//! probes DRC hundreds of times), so static chunking wastes cores — a
+//! makes hundreds of exact probes), so static chunking wastes cores — a
 //! shared work queue keeps them busy.
 //!
 //! Workers and queues go through the [`sched::sync`] facade so the

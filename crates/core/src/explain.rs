@@ -8,7 +8,7 @@
 
 use crate::engine::{Engine, EngineError};
 use cbr_corpus::DocId;
-use cbr_ontology::{concept_distance, ConceptId};
+use cbr_ontology::{distance::multi_source_distances, ConceptId};
 
 /// One query concept's best match inside a document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +35,8 @@ pub struct Explanation {
 impl Engine {
     /// Explains the RDS distance between `doc` and `query`: each eligible
     /// query concept paired with the document concept realizing its
-    /// minimum distance.
+    /// minimum distance, read off the query concept's distances to the
+    /// whole ontology (one graph search each, no Dewey address).
     pub fn explain_rds(&self, doc: DocId, query: &[ConceptId]) -> Result<Explanation, EngineError> {
         let q: Vec<ConceptId> = query.iter().copied().filter(|&c| self.eligible(c)).collect();
         if q.is_empty() {
@@ -45,13 +46,13 @@ impl Engine {
         if concepts.is_empty() {
             return Err(EngineError::EmptyDocument(doc));
         }
-        let paths = self.ontology().path_table();
         let mut matches = Vec::with_capacity(q.len());
         let mut total = 0u64;
         for &qc in &q {
+            let from_qc = multi_source_distances(self.ontology(), &[qc]);
             let (nearest, distance) = concepts
                 .iter()
-                .map(|&dc| (dc, concept_distance(paths, dc, qc)))
+                .map(|&dc| (dc, from_qc[dc.index()]))
                 .min_by_key(|&(dc, dist)| (dist, dc))
                 .expect("document is non-empty");
             total += distance as u64;

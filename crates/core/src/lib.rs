@@ -15,9 +15,10 @@
 //!   `k` documents minimizing Melton's symmetric inter-patient distance
 //!   (Equation 3).
 //!
-//! Under the hood: Dewey-addressed concept DAGs (`cbr-ontology`), the
-//! D-Radix/DRC distance algorithm (`cbr-dradix`, Section 4) and the kNDS
-//! branch-and-bound search (`cbr-knds`, Section 5).
+//! Under the hood: concept DAGs (`cbr-ontology`), the kNDS
+//! branch-and-bound search (`cbr-knds`, Section 5), whose exact distances
+//! come from ancestor closures, and the paper's D-Radix/DRC distance
+//! algorithm (`cbr-dradix`, Section 4), kept as its reference.
 //!
 //! ## Quickstart
 //!

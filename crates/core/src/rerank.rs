@@ -3,7 +3,7 @@
 //! Section 7 names "exploring other semantic distances" as future work;
 //! the related work (Section 2) surveys the information-content family.
 //! This module lets the engine re-order an RDS candidate list under any of
-//! those measures without giving up the kNDS/DRC machinery: the shortest
+//! those measures without giving up the kNDS machinery: the shortest
 //! path distance retrieves a candidate set, an IC measure re-scores it.
 //!
 //! Document-query scores use the **best-match average** aggregation common

@@ -18,7 +18,6 @@
 
 use crate::engine::EngineError;
 use cbr_corpus::{ConceptFilter, Corpus, DocId};
-use cbr_dradix::Drc;
 use cbr_index::{IndexSource, SegmentedView};
 use cbr_knds::{baseline, Hooks, Knds, KndsConfig, KndsWorkspace, QueryKind, QueryResult};
 use cbr_ontology::{ConceptId, Ontology};
@@ -162,8 +161,8 @@ impl EngineSnapshot {
     }
 
     /// [`EngineSnapshot::rds`] over a caller-owned [`KndsWorkspace`]: all
-    /// per-query maps and buffers (candidate table, BFS frontier, DRC DAG
-    /// scratch) are borrowed from `ws` and returned clean, so a long-lived
+    /// per-query maps and buffers (candidate table, BFS frontier, distance
+    /// fields) are borrowed from `ws` and returned clean, so a long-lived
     /// caller — a service worker, a batch thread — stops allocating once
     /// the workspace is warm. Results are identical to
     /// [`EngineSnapshot::rds`].
@@ -235,19 +234,40 @@ impl EngineSnapshot {
         self.sds_with(ws, &concepts, k)
     }
 
-    /// Exact `Ddq` between one document and a query (Equation 2).
+    /// Exact `Ddq` between one document and a query (Equation 2), by the
+    /// exact probe kNDS examines with ([`baseline::query_distance`]).
     pub fn query_distance(&self, doc: DocId, query: &[ConceptId]) -> Result<f64, EngineError> {
-        let q = self.eligible_query(query)?;
-        let concepts = self.document_concepts(doc)?;
-        let d = Drc::new(&self.ontology).document_query_distance(&concepts, &q);
-        Ok(if d == cbr_dradix::INFINITE { f64::INFINITY } else { d as f64 })
+        self.query_distance_with(&mut KndsWorkspace::new(), doc, query)
     }
 
-    /// Exact symmetric `Ddd` between two documents (Equation 3).
+    /// [`EngineSnapshot::query_distance`] over a caller-owned workspace.
+    pub fn query_distance_with(
+        &self,
+        ws: &mut KndsWorkspace,
+        doc: DocId,
+        query: &[ConceptId],
+    ) -> Result<f64, EngineError> {
+        let q = self.eligible_query(query)?;
+        let concepts = self.document_concepts(doc)?;
+        Ok(baseline::query_distance(&self.ontology, ws, &concepts, &q))
+    }
+
+    /// Exact symmetric `Ddd` between two documents (Equation 3), by one
+    /// exact probe each way ([`baseline::document_distance`]).
     pub fn document_distance(&self, a: DocId, b: DocId) -> Result<f64, EngineError> {
+        self.document_distance_with(&mut KndsWorkspace::new(), a, b)
+    }
+
+    /// [`EngineSnapshot::document_distance`] over a caller-owned workspace.
+    pub fn document_distance_with(
+        &self,
+        ws: &mut KndsWorkspace,
+        a: DocId,
+        b: DocId,
+    ) -> Result<f64, EngineError> {
         let ca = self.document_concepts(a)?;
         let cb = self.document_concepts(b)?;
-        Ok(Drc::new(&self.ontology).document_document_distance(&ca, &cb))
+        Ok(baseline::document_distance(&self.ontology, ws, &ca, &cb))
     }
 
     /// Exhaustive (no-pruning) RDS — exposed for benchmarking and

@@ -23,8 +23,8 @@
 //!
 //! # Reuse
 //!
-//! DRC runs at query time for every probed document. To keep that loop
-//! allocation-free, one `DRadixDag` value is reusable: a build clears the
+//! The paper runs DRC at query time for every probed document. To keep
+//! a run of probes allocation-free, one `DRadixDag` value is reusable: a build clears the
 //! logical content but keeps every backing allocation — the node arena (a
 //! high-water mark tracks the live prefix, and each recycled slot keeps
 //! its edge `Vec`), the label arena (edge labels are ranges into one flat
@@ -33,32 +33,20 @@
 //! the structure reaches steady state and builds allocate nothing.
 //!
 //! Bookkeeping (concept → node slot, doc/query membership) is
-//! epoch-stamped and sized by `|C|`: "clear" moves a table to a fresh
-//! epoch in O(1), and every lookup on the probe path is a single array
-//! read — no hashing anywhere in the EXAMINE step.
+//! epoch-stamped and sized by `|C|`: "clear" moves the tables to a fresh
+//! epoch in O(1), and every lookup on the build path is a single array
+//! read — no hashing anywhere.
 //!
-//! **Pin and overlay.** kNDS probes every document against the *same*
-//! query, so that half of the DAG is built once. The radix structure over
-//! a set of addresses is canonical — root, members and branch points,
-//! whatever the insertion order — and `branch(Pq) ⊆ branch(Pd ∪ Pq)`, so
-//! `T(d, q)` is reached by building `T(∅, q)` once (`pin`, checkpointed)
-//! and inserting only `Pd` per probe (`overlay`). The next overlay first
-//! rolls back: it truncates the node watermark and the label arena,
-//! un-stamps the concept slots of the nodes the last overlay added, copies
-//! the checkpointed rows (tuning and splits touch pinned nodes too) back
-//! over the pinned prefix, and zeroes its own members' distance on pinned
-//! nodes. Membership has one epoch per side; the slot table's lasts as
-//! long as the pin. A probe thus costs `O(|Pd|·log|Pd| + |Pq|)`. Every
-//! build takes this path ([`build_into`](DRadixDag::build_into) is "pin
-//! `query`, overlay `doc`"); a pin holds for one ontology and weighting,
-//! so keeping one across probes is [`Drc`](crate::Drc)'s call.
+//! Every build is from scratch, as Algorithm 1 is: `Pd` and `Pq` are
+//! staged together and inserted in one sorted batch.
 //!
-//! **Resume.** A batch is inserted in sorted order, so each address shares
-//! a prefix with the one before. Insertion keeps the `(node, depth)` stack
-//! of the previous address's own walk (a split pushes its midpoint, the
-//! displaced-edge work items nothing), pops it to the longest common
-//! prefix with the next address and resumes there: nodes are never
-//! removed within a batch, so a walk from the root would reach that node.
+//! **Resume.** The batch is inserted in sorted order, so each address
+//! shares a prefix with the one before. Insertion keeps the `(node,
+//! depth)` stack of the previous address's own walk (a split pushes its
+//! midpoint, the displaced-edge work items nothing), pops it to the
+//! longest common prefix with the next address and resumes there: nodes
+//! are never removed within a batch, so a walk from the root would reach
+//! that node.
 
 use cbr_index::packing;
 use cbr_ontology::{ConceptId, Ontology};
@@ -81,24 +69,6 @@ struct Node {
     edges: Vec<Edge>,
     /// Number of incoming edges (for the topological pass).
     indegree: u32,
-}
-
-impl Node {
-    /// Copies what builds and tuning change from `src`, keeping edge capacity.
-    fn restore_from(&mut self, src: &Node) {
-        self.doc_dist = src.doc_dist;
-        self.query_dist = src.query_dist;
-        self.edges.clone_from(&src.edges);
-        self.indegree = src.indegree;
-    }
-}
-
-/// One of a pair's two concept sets: its membership table and distance.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Side {
-    Doc,
-    Query,
 }
 
 /// A compressed edge: the Dewey components between two materialized nodes,
@@ -168,11 +138,8 @@ pub struct DagStats {
     pub addresses: usize,
 }
 
-/// Iterations of the three build loops since the last
-/// [`pin`](DRadixDag::pin), which the C05 cross-check holds to their
-/// static bounds. Overlays add to it and never roll it back, so after a
-/// pin and `n` overlays it counts the pinned half's work and all `n`
-/// overlays'.
+/// Iterations of the three build loops since the last build, which the
+/// C05 cross-check holds to their static bounds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DagWork {
     /// Turns of the address-staging loop, one per ranked address staged
@@ -219,15 +186,12 @@ pub struct DRadixDag {
     labels: Vec<u32>,
     addresses_inserted: usize,
     work: DagWork,
-    // --- per-build scratch, cleared (not freed) by `pin` -----------------
+    // --- per-build scratch, cleared (not freed) by every build -----------
     /// Membership stamps: concept is in the current document (resp. query)
-    /// set iff its stamp equals that side's epoch. One epoch per side, so
-    /// an overlay replaces its side's members and leaves the pin's alone.
+    /// set iff its stamp equals `epoch`.
     doc_stamps: Vec<u32>,
     query_stamps: Vec<u32>,
-    doc_epoch: u32,
-    query_epoch: u32,
-    /// Epoch of `concept_slots`: lasts as long as the pin.
+    /// The build's epoch, of `concept_slots` and both membership tables.
     epoch: u32,
     /// `(start, len, concept)` ranges of the addresses to insert, sorted
     /// lexicographically by label content before insertion. The leading
@@ -245,22 +209,6 @@ pub struct DRadixDag {
     suffix_work: Vec<(u32, ConceptId, u32, u32, Option<u32>)>,
     /// `(node, depth)` along the previous address's own walk, root first.
     walk: Vec<(u32, u32)>,
-    /// Checkpoint of the pinned half: the first `base_live` rows as
-    /// [`pin`](Self::pin) left them, and the watermarks to roll back to.
-    base: Vec<Node>,
-    base_live: usize,
-    base_labels: usize,
-    base_addresses: usize,
-}
-
-/// Moves a stamped table to a fresh epoch — an O(1) clear — zeroing it on
-/// wrap-around, so stamps from 2³² epochs ago cannot alias the new count.
-fn advance<T: Default>(epoch: &mut u32, table: &mut [T]) {
-    *epoch = epoch.wrapping_add(1);
-    if *epoch == 0 {
-        table.iter_mut().for_each(|e| *e = T::default());
-        *epoch = 1;
-    }
 }
 
 impl DRadixDag {
@@ -290,43 +238,36 @@ impl DRadixDag {
         weights: &cbr_ontology::EdgeWeights,
     ) -> DRadixDag {
         let mut dag = DRadixDag::new();
-        dag.pin(ont, Some(weights), Side::Query, query);
-        dag.overlay(ont, Some(weights), Side::Doc, doc);
+        dag.build_priced(ont, Some(weights), doc, query);
         dag
     }
 
     /// Rebuilds `self` for a new `(doc, query)` pair, reusing every
     /// backing allocation of the previous build. Equivalent to
     /// [`DRadixDag::build`] but allocation-free once the value has warmed
-    /// up. Every build is "pin `query`, overlay `doc`"; this entry point
-    /// trusts no earlier pin and always re-pins.
+    /// up.
     pub fn build_into(&mut self, ont: &Ontology, doc: &[ConceptId], query: &[ConceptId]) {
-        self.pin(ont, None, Side::Query, query);
-        self.overlay(ont, None, Side::Doc, doc);
+        self.build_priced(ont, None, doc, query);
     }
 
-    /// Builds `T(∅, set)` — the pair's half on `side`, the other side empty
-    /// — from scratch and checkpoints it, for [`overlay`](Self::overlay)s to
-    /// complete and roll back in `O(|nodes|)`. Public for `repro ablation`'s
-    /// phase table.
-    #[doc(hidden)]
-    pub fn pin(
+    /// Algorithm 1's construction phase (lines 4–14) under `weights` (unit
+    /// when `None`): clears the logical content, keeping all capacity,
+    /// stamps both sets' members, then stages the Dewey addresses of
+    /// `d ∪ q` and inserts them in one lexicographically sorted batch.
+    pub(crate) fn build_priced(
         &mut self,
         ont: &Ontology,
         weights: Option<&cbr_ontology::EdgeWeights>,
-        side: Side,
-        set: &[ConceptId],
+        doc: &[ConceptId],
+        query: &[ConceptId],
     ) {
         // Clear the logical content, keep all capacity: the watermark drops
         // to zero (recycled slots keep their edge `Vec`s), the label arena
-        // empties in place, each stamped table moves to a fresh epoch.
+        // empties in place, the stamped tables move to a fresh epoch.
         self.live = 0;
         self.labels.clear();
         self.addresses_inserted = 0;
         self.work = DagWork::default();
-        advance(&mut self.epoch, &mut self.concept_slots);
-        advance(&mut self.doc_epoch, &mut self.doc_stamps);
-        advance(&mut self.query_epoch, &mut self.query_stamps);
         // Size the stamped tables by |C| once; later builds over the same
         // ontology find them already large enough.
         if self.concept_slots.len() < ont.len() {
@@ -334,97 +275,25 @@ impl DRadixDag {
             self.doc_stamps.resize(ont.len(), 0);
             self.query_stamps.resize(ont.len(), 0);
         }
-        // Initialize with the root (Algorithm 1 line 4).
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stamps from 2³² builds ago would alias the new count.
+            self.concept_slots.iter_mut().for_each(|e| *e = 0);
+            self.doc_stamps.iter_mut().for_each(|e| *e = 0);
+            self.query_stamps.iter_mut().for_each(|e| *e = 0);
+            self.epoch = 1;
+        }
+        stamp_members(&mut self.doc_stamps, self.epoch, doc);
+        stamp_members(&mut self.query_stamps, self.epoch, query);
+        // Initialize with the root (Algorithm 1 line 4), born with its
+        // member distances.
         self.slot_for(ont.root());
-        self.insert_set(ont, weights, side, set);
-        // cplx: bound p*depth — one checkpoint row per pinned radix node
-        for (i, n) in self.nodes.iter().take(self.live).enumerate() {
-            match self.base.get_mut(i) {
-                Some(row) => row.restore_from(n),
-                // bound: sized — one checkpoint row per pinned radix node (cplx: cap p*depth — the node arena's own bound)
-                None => self.base.push(n.clone()),
-            }
-        }
-        self.base_live = self.live;
-        self.base_labels = self.labels.len();
-        self.base_addresses = self.addresses_inserted;
-    }
-
-    /// Completes the pinned half to `T(d, q)` with `set` on `side` — the
-    /// side the [`pin`](Self::pin) that must precede left empty — first
-    /// rolling back whatever the previous overlay and its tuning left.
-    #[doc(hidden)]
-    pub fn overlay(
-        &mut self,
-        ont: &Ontology,
-        weights: Option<&cbr_ontology::EdgeWeights>,
-        side: Side,
-        set: &[ConceptId],
-    ) {
-        if self.base_live == 0 {
-            debug_assert!(false, "overlay completes a pin; there is none");
-            return;
-        }
-        // Un-stamp the slots of the nodes the last overlay added (the slot
-        // epoch lives as long as the pin), then restore the pinned rows.
-        // cplx: bound p*depth — the radix nodes the previous overlay added
-        for n in self.nodes.iter().take(self.live).skip(self.base_live) {
-            if let Some(e) = self.concept_slots.get_mut(n.concept.index()) {
-                *e = 0;
-            }
-        }
-        // cplx: bound p*depth — one checkpoint row per pinned radix node
-        for (n, row) in self.nodes.iter_mut().zip(&self.base).take(self.base_live) {
-            n.restore_from(row);
-        }
-        self.live = self.base_live;
-        self.labels.truncate(self.base_labels);
-        self.addresses_inserted = self.base_addresses;
-        self.insert_set(ont, weights, side, set);
-        #[cfg(debug_assertions)]
-        {
-            let structure = self.validate_structure();
-            debug_assert!(
-                structure.is_ok(),
-                "D-Radix structural invariant violated: {structure:?}"
-            );
-        }
-    }
-
-    /// Makes `set` the members of `side` and inserts their addresses into
-    /// whatever the DAG already holds (Algorithm 1 lines 6–14, one list).
-    fn insert_set(
-        &mut self,
-        ont: &Ontology,
-        weights: Option<&cbr_ontology::EdgeWeights>,
-        side: Side,
-        set: &[ConceptId],
-    ) {
+        // Stage every address of d ∪ q into the label arena, then insert in
+        // lexicographic order (a concept in both sets re-inserts as a no-op).
         let paths = ont.path_table();
-        let (stamps, epoch) = match side {
-            Side::Doc => (&mut self.doc_stamps, &mut self.doc_epoch),
-            Side::Query => (&mut self.query_stamps, &mut self.query_epoch),
-        };
-        advance(epoch, stamps);
-        // cplx: bound p — one side of d ∪ q
-        for &c in set {
-            match stamps.get_mut(c.index()) {
-                Some(s) => *s = *epoch,
-                None => debug_assert!(false, "member concept outside the ontology"),
-            }
-        }
-        // Stage every address of the set into the label arena, then insert in
-        // lexicographic order (one the DAG already holds re-inserts as a no-op).
         let mut longest = 0;
-        // cplx: bound p — one side of d ∪ q
-        for &c in set {
-            // A member already held (root or pinned node) was born at ∞ on this side.
-            if let Some(n) = self.slot_of(c).and_then(|n| self.nodes.get_mut(n as usize)) {
-                match side {
-                    Side::Doc => n.doc_dist = 0,
-                    Side::Query => n.query_dist = 0,
-                }
-            }
+        // cplx: bound p — the concepts of d ∪ q
+        for &c in doc.iter().chain(query) {
             // cplx: counter addrs
             for (rank, addr) in paths.addresses_ranked(c) {
                 self.work.bump_addrs();
@@ -437,14 +306,13 @@ impl DRadixDag {
             }
         }
         let mut addr_buf = std::mem::take(&mut self.addr_buf);
-        // Rank order IS address order; equal ranks (a concept listed twice)
+        // Rank order IS address order; equal ranks (a concept in both sets)
         // are identical insertions, so any order among them will do.
         addr_buf.sort_unstable_by_key(|&(rank, ..)| rank);
-        // The walk restarts at the root — slot 0 — with every batch. Sized up
-        // front: the pinned side flips build orders, not what a pair retains.
+        // The walk starts at the root — slot 0.
         self.walk.clear();
         self.walk.reserve(longest + 1);
-        // bound: sized — one entry per batch
+        // bound: sized — one entry per build
         self.walk.push((0, 0));
         let mut prev = (0, 0);
         for &(_, start, len, concept) in &addr_buf {
@@ -453,6 +321,14 @@ impl DRadixDag {
         }
         addr_buf.clear();
         self.addr_buf = addr_buf;
+        #[cfg(debug_assertions)]
+        {
+            let structure = self.validate_structure();
+            debug_assert!(
+                structure.is_ok(),
+                "D-Radix structural invariant violated: {structure:?}"
+            );
+        }
     }
 
     /// Runs the tuning phase (Algorithm 1 lines 19–27): a bottom-up pass in
@@ -508,13 +384,13 @@ impl DRadixDag {
     /// Whether `c` is a document-side member of the current build.
     #[inline]
     fn is_doc_member(&self, c: ConceptId) -> bool {
-        self.doc_stamps.get(c.index()).is_some_and(|&s| s == self.doc_epoch)
+        self.doc_stamps.get(c.index()).is_some_and(|&s| s == self.epoch)
     }
 
     /// Whether `c` is a query-side member of the current build.
     #[inline]
     fn is_query_member(&self, c: ConceptId) -> bool {
-        self.query_stamps.get(c.index()).is_some_and(|&s| s == self.query_epoch)
+        self.query_stamps.get(c.index()).is_some_and(|&s| s == self.epoch)
     }
 
     /// Distance of radix node `c` from the nearest *document* concept
@@ -566,14 +442,14 @@ impl DRadixDag {
         }
     }
 
-    /// Work done since the last pin (see [`DagWork`]).
+    /// Work done by the last build (see [`DagWork`]).
     pub fn work(&self) -> DagWork {
         self.work
     }
 
     /// Approximate heap footprint of the retained allocations, in bytes.
-    /// Used by the workspace-reuse metrics to assert that steady-state
-    /// queries stop growing their scratch.
+    /// Used by the scratch-reuse tests to assert that steady-state
+    /// rebuilds stop growing it.
     pub fn footprint_bytes(&self) -> usize {
         use std::mem::size_of;
         self.nodes.capacity() * size_of::<Node>()
@@ -586,8 +462,6 @@ impl DRadixDag {
             + self.topo_queue.capacity() * size_of::<u32>()
             + self.suffix_work.capacity() * size_of::<(u32, ConceptId, u32, u32, Option<u32>)>()
             + self.walk.capacity() * size_of::<(u32, u32)>()
-            + self.base.capacity() * size_of::<Node>()
-            + self.base.iter().map(|n| n.edges.capacity() * size_of::<Edge>()).sum::<usize>()
     }
 
     /// Whether concept `c` is materialized as a node.
@@ -634,7 +508,7 @@ impl DRadixDag {
             slot.indegree = 0;
         } else {
             // Born with a `Vec`'s first growth step: which node a slot holds
-            // flips with the pinned side, and a leaf's slot must fit a branch.
+            // changes from pair to pair, and a leaf's slot must fit a branch.
             let edges = Vec::with_capacity(4);
             self.nodes.push(Node { concept, doc_dist, query_dist, edges, indegree: 0 });
         }
@@ -849,6 +723,17 @@ impl DRadixDag {
     }
 }
 
+/// Stamps `set`'s concepts members of one side for the build at `epoch`.
+fn stamp_members(stamps: &mut [u32], epoch: u32, set: &[ConceptId]) {
+    // cplx: bound p — one side of d ∪ q
+    for &c in set {
+        match stamps.get_mut(c.index()) {
+            Some(s) => *s = epoch,
+            None => debug_assert!(false, "member concept outside the ontology"),
+        }
+    }
+}
+
 /// Walks `comps` child ordinals down from `from`, returning the endpoint,
 /// or `None` if some component does not name a child (corrupt label).
 fn resolve_relative(ont: &Ontology, from: ConceptId, comps: &[u32]) -> Option<ConceptId> {
@@ -1057,12 +942,9 @@ impl DRadixDag {
     /// Pushes a violation for every member concept that is missing or whose
     /// own-side distance is nonzero.
     fn check_members(&self, v: &mut Vec<DagViolation>) {
-        for (stamps, epoch, doc_side) in [
-            (&self.doc_stamps, self.doc_epoch, true),
-            (&self.query_stamps, self.query_epoch, false),
-        ] {
+        for (stamps, doc_side) in [(&self.doc_stamps, true), (&self.query_stamps, false)] {
             for (i, &s) in stamps.iter().enumerate() {
-                if s != epoch {
+                if s != self.epoch {
                     continue;
                 }
                 let c = ConceptId::from_index(i);
@@ -1324,14 +1206,6 @@ mod tests {
     use super::*;
     use cbr_ontology::fixture;
 
-    impl DRadixDag {
-        /// Test-only hook: the slot, document-side and query-side epochs,
-        /// to prime a wrap-around (also used by `drc`'s tests).
-        pub(crate) fn epochs_mut(&mut self) -> [&mut u32; 3] {
-            [&mut self.epoch, &mut self.doc_epoch, &mut self.query_epoch]
-        }
-    }
-
     /// Builds the paper's running example: d = {F,R,T,V}, q = {I,L,U}.
     fn example_dag() -> (fixture::Figure3, DRadixDag) {
         let fig = fixture::figure3();
@@ -1516,15 +1390,35 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "overlay completes a pin"))]
-    fn overlay_without_a_pin_is_refused() {
-        // `overlay` is reachable from outside the crate (`repro ablation`):
-        // on a DAG nothing was pinned into, release builds must return, not
-        // index the empty arenas.
-        let fig = fixture::figure3();
-        let mut dag = DRadixDag::new();
-        dag.overlay(&fig.ontology, None, Side::Doc, &fig.example_document());
-        assert_eq!(dag.stats(), DagStats { nodes: 0, edges: 0, addresses: 0 });
+    fn epoch_wrap_around_keeps_builds_exact() {
+        // The build epoch primed to wrap at the first build or a later one:
+        // distances must not move. The debug validators inside the build
+        // check the stamped tables against the arena every time.
+        use cbr_ontology::{GeneratorConfig, OntologyGenerator};
+        let ont = OntologyGenerator::new(GeneratorConfig::small(120).with_seed(9)).generate();
+        let pick = |salt: u32, n: u32| -> Vec<ConceptId> {
+            let mut v: Vec<ConceptId> = (0..n)
+                .map(|i| ConceptId(salt.wrapping_mul(7919).wrapping_add(i * 104_729) % 120))
+                .collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        let q = pick(11, 5);
+        let docs: Vec<Vec<ConceptId>> = (0..5).map(|i| pick(i + 1, 7)).collect();
+        for back in 0..3 {
+            let mut dag = DRadixDag::new();
+            dag.build_into(&ont, &docs[0], &q); // size the tables
+            dag.epoch = u32::MAX - back;
+            for d in &docs {
+                for (d, q) in [(d, &q), (&q, d)] {
+                    dag.build_into(&ont, d, q);
+                    dag.tune();
+                    let sum: u64 = q.iter().map(|&c| u64::from(dag.doc_distance(c).unwrap())).sum();
+                    assert_eq!(sum, crate::brute::document_query_distance(&ont, d, q));
+                }
+            }
+        }
     }
 
     #[test]

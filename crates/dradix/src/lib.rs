@@ -20,6 +20,10 @@
 //!   distances, quadratic in the concept counts. Used both as the
 //!   experimental comparator (Figure 6) and as the test oracle.
 //!
+//! The search engine (`cbr-knds`) computes its exact distances from
+//! ancestor closures instead and reads no Dewey address; DRC is kept as
+//! the paper's algorithm, for Figure 6, and as a reference for the tests.
+//!
 //! ```
 //! use cbr_ontology::fixture;
 //! use cbr_dradix::Drc;

@@ -98,8 +98,8 @@ fn shape(dag: &DRadixDag) -> Shape {
 }
 
 /// The varying argument of one probe, derived from the run's fixed set so
-/// that overlays share members with the pin (`kind` 1–4), are subsets,
-/// supersets or singletons of it, or are unrelated (0, 5).
+/// that it shares members with it (`kind` 1–4), is a subset, superset or
+/// singleton of it, or is unrelated (0, 5).
 fn varying(ont: &Ontology, fixed: &[ConceptId], kind: u8, picks: &[u32]) -> Vec<ConceptId> {
     let random = pick_concepts(ont, picks);
     let mut v: Vec<ConceptId> = match kind {

@@ -1,28 +1,31 @@
-//! The no-pruning baseline of Section 6.2.
+//! The no-pruning baseline of Section 6.2, and the exact distance of one
+//! pair.
 //!
 //! "This experiment compares kNDS against a baseline method that does not
 //! apply any pruning of documents. In order to isolate the performance
 //! gains achieved because of the documents pruning that kNDS applies, we
 //! used the DRC algorithm as the distance calculation component for both
-//! kNDS and the baseline method." The baseline therefore computes the DRC
-//! distance of **every** document and keeps the k smallest — its cost is
-//! independent of `k` (the flat lines of Figure 9).
+//! kNDS and the baseline method." The baseline therefore computes the
+//! exact distance of **every** document and keeps the k smallest — its
+//! cost is independent of `k` (the flat lines of Figure 9). Its distance
+//! component is kNDS's: the query's closure pinned once, one exact probe
+//! a document (see `engine::build_field`), where the paper runs DRC.
 //!
 //! Like the kNDS engines, the scan can run over a borrowed
-//! [`KndsWorkspace`] (`*_with` variants) so that the forward-index fetch
-//! buffer and the DRC DAG scratch are reused across queries.
+//! [`KndsWorkspace`] (`*_with` variants) so that the fetch buffer and the
+//! distance fields are reused across queries; so can the distances of
+//! one pair, [`query_distance`] and [`document_distance`].
 
-use crate::engine::{QueryResult, RankedDoc};
+use crate::engine::{from_forward, pin_query, probe, Levels, QueryKind, QueryResult, RankedDoc};
 use crate::metrics::QueryMetrics;
 use crate::util::TopK;
 use crate::workspace::KndsWorkspace;
 use cbr_corpus::DocId;
-use cbr_dradix::Drc;
 use cbr_index::IndexSource;
 use cbr_ontology::{ConceptId, Ontology};
 use std::time::Instant;
 
-/// Full-scan RDS: DRC `Ddq` for every document, keep the k smallest.
+/// Full-scan RDS: `Ddq` for every document, keep the k smallest.
 pub fn rds<S: IndexSource>(
     ontology: &Ontology,
     source: &S,
@@ -33,7 +36,7 @@ pub fn rds<S: IndexSource>(
     rds_with(ontology, source, &mut ws, query, k)
 }
 
-/// [`rds`] over a caller-owned workspace (reusable buffers + DAG scratch).
+/// [`rds`] over a caller-owned workspace (reusable buffers and fields).
 pub fn rds_with<S: IndexSource>(
     ontology: &Ontology,
     source: &S,
@@ -41,17 +44,10 @@ pub fn rds_with<S: IndexSource>(
     query: &[ConceptId],
     k: usize,
 ) -> QueryResult {
-    scan(ontology, source, ws, query, k, |drc, doc_concepts, q| {
-        let d = drc.document_query_distance(doc_concepts, q);
-        if d == cbr_dradix::INFINITE {
-            f64::INFINITY
-        } else {
-            d as f64
-        }
-    })
+    scan(ontology, source, ws, QueryKind::Rds, query, k)
 }
 
-/// Full-scan SDS: DRC `Ddd` for every document, keep the k smallest.
+/// Full-scan SDS: `Ddd` for every document, keep the k smallest.
 pub fn sds<S: IndexSource>(
     ontology: &Ontology,
     source: &S,
@@ -62,7 +58,7 @@ pub fn sds<S: IndexSource>(
     sds_with(ontology, source, &mut ws, query_doc, k)
 }
 
-/// [`sds`] over a caller-owned workspace (reusable buffers + DAG scratch).
+/// [`sds`] over a caller-owned workspace (reusable buffers and fields).
 pub fn sds_with<S: IndexSource>(
     ontology: &Ontology,
     source: &S,
@@ -70,23 +66,26 @@ pub fn sds_with<S: IndexSource>(
     query_doc: &[ConceptId],
     k: usize,
 ) -> QueryResult {
-    scan(ontology, source, ws, query_doc, k, |drc, doc_concepts, q| {
-        drc.document_document_distance(doc_concepts, q)
-    })
+    scan(ontology, source, ws, QueryKind::Sds, query_doc, k)
 }
 
+/// The scan: pins the (normalized) query once — for SDS with the query's
+/// field down every live-below concept, which gives each document's
+/// reverse term — then probes every live document.
 fn scan<S: IndexSource>(
     ontology: &Ontology,
     source: &S,
     ws: &mut KndsWorkspace,
+    kind: QueryKind,
     query: &[ConceptId],
     k: usize,
-    mut distance: impl FnMut(&mut Drc<'_>, &[ConceptId], &[ConceptId]) -> f64,
 ) -> QueryResult {
     ws.session(query, k, |ws, q| {
-        let mut drc = Drc::new(ontology).with_scratch(ws.take_dag());
+        let frontier = Levels::default();
         let mut heap = TopK::new(k);
         let mut metrics = QueryMetrics::default();
+        let live = source.live_mask();
+        pin_query(&frontier, ontology, live, kind, q, &mut ws.dense.field, &mut ws.closure);
         let mut buf = std::mem::take(&mut ws.concepts_buf);
 
         for i in 0..source.num_docs() {
@@ -100,7 +99,10 @@ fn scan<S: IndexSource>(
             metrics.io += t.elapsed();
 
             let t = Instant::now();
-            let d = distance(&mut drc, &buf, q);
+            let fwd = probe(&frontier, ontology, &buf, &ws.closure, q, &mut ws.dense.probe);
+            let sds = kind == QueryKind::Sds;
+            let reverse = if sds { ws.dense.field.reverse_term(&buf) } else { 0.0 };
+            let d = fwd.map_or(f64::INFINITY, |fwd| from_forward(kind, q.len(), fwd, reverse));
             metrics.distance_calc += t.elapsed();
             metrics.drc_calls += 1;
             metrics.docs_examined += 1;
@@ -110,7 +112,6 @@ fn scan<S: IndexSource>(
 
         buf.clear();
         ws.concepts_buf = buf;
-        ws.restore_dag(drc.into_scratch());
 
         let results = heap
             .into_sorted()
@@ -118,6 +119,53 @@ fn scan<S: IndexSource>(
             .map(|(doc, distance)| RankedDoc { doc, distance })
             .collect();
         QueryResult { results, metrics }
+    })
+}
+
+/// `Σᵢ Ddc(from, toᵢ)` over `to` by one exact probe: `to`'s closure
+/// pinned, `from`'s field descended over it. `None` if `from` is empty.
+fn one_way(
+    ontology: &Ontology,
+    ws: &mut KndsWorkspace,
+    from: &[ConceptId],
+    to: &[ConceptId],
+) -> Option<u64> {
+    let frontier = Levels::default();
+    let live = cbr_index::LiveMask::ALL_LIVE;
+    pin_query(&frontier, ontology, live, QueryKind::Rds, to, &mut ws.dense.field, &mut ws.closure);
+    probe(&frontier, ontology, from, &ws.closure, to, &mut ws.dense.probe)
+}
+
+/// `Ddq(doc, query)` (Equation 2), the RDS distance of one pair, over a
+/// caller-owned workspace. An empty `doc` is infinitely far; `query` is
+/// summed over as given.
+pub fn query_distance(
+    ontology: &Ontology,
+    ws: &mut KndsWorkspace,
+    doc: &[ConceptId],
+    query: &[ConceptId],
+) -> f64 {
+    one_way(ontology, ws, doc, query).map_or(f64::INFINITY, |d| d as f64)
+}
+
+/// `Ddd(a, b)` (Equation 3), the symmetric SDS distance of one pair: one
+/// exact probe each way, over a caller-owned workspace. Infinite if either
+/// document is empty.
+// bound: proven — each sum is of |a| or |b| valid-path distances, far
+// below the 2^53 f64 mantissa, over a non-empty set
+pub fn document_distance(
+    ontology: &Ontology,
+    ws: &mut KndsWorkspace,
+    a: &[ConceptId],
+    b: &[ConceptId],
+) -> f64 {
+    if a.is_empty() || b.is_empty() {
+        return f64::INFINITY;
+    }
+    let to_b = one_way(ontology, ws, a, b);
+    let to_a = one_way(ontology, ws, b, a);
+    to_a.zip(to_b).map_or(f64::INFINITY, |(to_a, to_b)| {
+        to_a as f64 / a.len() as f64 + to_b as f64 / b.len() as f64
     })
 }
 

@@ -37,7 +37,7 @@ impl KndsConfig {
     ///
     /// `0` makes the engine wait until a document's partial distance equals
     /// its lower bound (typically: all query nodes covered) before probing
-    /// DRC; `1` probes DRC the first time any concept of the document is
+    /// its exact distance; `1` probes the first time any concept of the document is
     /// reached. The paper's sensitivity analysis (Figure 7) finds `0`
     /// optimal for the dense PATIENT collection and `≈0.9` for the sparse
     /// RADIO collection. **Any value returns exact top-k results** — the

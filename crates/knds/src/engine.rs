@@ -41,7 +41,9 @@
 //!    the error estimate `εd = 1 − Dpartial/D⁻` of the forward half
 //!    (Equation 9) stays at or below `εθ`: complete candidates finalize
 //!    from their partial sums (Section 5.3, optimization 3), incomplete
-//!    ones get a DRC probe;
+//!    ones get an exact probe — the document's distance field joined with
+//!    the query's ancestor closure (see `build_field`), where the paper
+//!    runs DRC;
 //! 4. **termination** — once the top-k heap is full and the smallest lower
 //!    bound among unexamined *and unseen* documents reaches the k-th
 //!    distance `D⁺ₖ`, the remaining collection is provably outside the
@@ -66,9 +68,8 @@ use crate::config::KndsConfig;
 use crate::metrics::QueryMetrics;
 use crate::trace::{TraceEvent, TraceSink};
 use crate::util::{OrdF64, TopK};
-use crate::workspace::{DenseTables, KndsWorkspace, UNREACHED};
+use crate::workspace::{DenseTables, Field, KndsWorkspace, UNREACHED};
 use cbr_corpus::DocId;
-use cbr_dradix::Drc;
 use cbr_index::{packing, IndexSource, LiveMask};
 use cbr_ontology::{ConceptId, Ontology};
 use std::cmp::Reverse;
@@ -306,8 +307,7 @@ impl<'a, S: IndexSource> Knds<'a, S> {
 
     /// The single runner behind every entry point of both engines: one
     /// workspace session (query normalized in, workspace returned clean)
-    /// around one search under the caller's frontier policy; even the DRC
-    /// DAG arena is round-tripped through the workspace.
+    /// around one search under the caller's frontier policy.
     pub(crate) fn search<F: Frontier<'a>>(
         &self,
         frontier: F,
@@ -318,21 +318,18 @@ impl<'a, S: IndexSource> Knds<'a, S> {
         hooks: Hooks<'_>,
     ) -> QueryResult {
         ws.session(query, k, |ws, q| {
-            // Open a dense-table epoch sized to this query's geometry (SDS
-            // needs the distance field; only a policy that relaxes needs
-            // the tentative-distance table).
+            // Open a dense-table epoch sized to this query's geometry (only
+            // a policy that relaxes needs the tentative-distance table).
             let rolled = ws.dense.begin_query(
                 q.len(),
                 self.ontology.len(),
                 self.source.num_docs(),
-                kind == QueryKind::Sds,
                 F::TENTATIVE,
             );
             let mut search = Search {
                 ont: self.ontology,
                 source: self.source,
                 live: self.source.live_mask(),
-                drc: frontier.drc(self.ontology).with_scratch(ws.take_dag()),
                 config: &self.config,
                 kind,
                 query: q,
@@ -343,10 +340,7 @@ impl<'a, S: IndexSource> Knds<'a, S> {
                 metrics: QueryMetrics { epoch_rollover: rolled as usize, ..Default::default() },
                 hooks,
             };
-            let result = search.run();
-            let Search { drc, ws, .. } = search;
-            ws.restore_dag(drc.into_scratch());
-            result
+            search.run()
         })
     }
 }
@@ -453,9 +447,6 @@ pub(crate) trait Frontier<'a> {
     /// table for this policy.
     const TENTATIVE: bool;
 
-    /// The DRC calculator for this policy's concept metric.
-    fn drc(&self, ontology: &'a Ontology) -> Drc<'a>;
-
     /// Detaches the policy's buffers from `ws` and seeds distance 0 with
     /// every query concept, ascending from itself.
     fn seed(&mut self, ws: &mut KndsWorkspace, query: &[ConceptId]);
@@ -525,12 +516,8 @@ impl Levels {
     }
 }
 
-impl<'a> Frontier<'a> for Levels {
+impl Frontier<'_> for Levels {
     const TENTATIVE: bool = false;
-
-    fn drc(&self, ontology: &'a Ontology) -> Drc<'a> {
-        Drc::new(ontology)
-    }
 
     fn seed(&mut self, ws: &mut KndsWorkspace, query: &[ConceptId]) {
         self.pending = 0;
@@ -589,39 +576,51 @@ fn enqueue(queue: &mut Vec<Vec<ConceptId>>, dist: u32, node: ConceptId) {
     }
 }
 
-/// Builds the SDS distance field `f(c) = min_{q ∈ query} D(q, c)` into
-/// `ws`'s dense tables: one multi-source valid-path search from every
-/// query concept at once, with no origin bits (Then et al., "The More the
-/// Merrier", PVLDB 2014), over two states a concept — still ascending and
-/// descended — at the frontier policy's own step costs.
+/// The one distance-field routine: builds `field(c) = min_{s ∈ sources}
+/// D(s, c)` from scratch, with the valid-path distance `D` at the
+/// frontier policy's own step costs, on the ancestors of `sources` and on
+/// every concept of `descent`, which must come parents first. One
+/// multi-source search from every source at once, with no origin bits
+/// (Then et al., "The More the Merrier", PVLDB 2014), over two states a
+/// concept — still ascending and descended. It serves two callers:
+///
+/// * **the query's field** (sources: the query; descent: the concepts
+///   with something live at or below them, in the ontology's topological
+///   order — for SDS only), whose ascent also pins the query's closure
+///   `anc*(q)` into `ascended`, in the order it settles;
+/// * **every exact probe** (sources: the document's concepts; descent:
+///   the pinned closure), which then reads `Ddc(d, qᵢ)` off the field
+///   (see [`probe`]).
 ///
 /// The ascending states settle first, from one bucket per distance in
 /// increasing order (Dial's algorithm: a breadth-first search under
 /// `Levels`, a Dijkstra run under `weighted::Buckets`); they reach only
-/// the query's ancestors. The descended states then settle in the
-/// ontology's topological order: a path that ends descending passes its
-/// last parent first, so a concept's field value is `min(ascending
-/// distance, min over parents p of f(p) + step(p → c))` once its parents
-/// are final — the relaxations a queue would make, at about half the cost
-/// of queueing them (EXPERIMENTS.md, "layer by layer (V)"). A concept
-/// with nothing live at or below it takes no descent, as in the
-/// traversal, and ascents are never pruned, so `f` is exact on every
-/// concept with a live posting.
-// cplx: bound c — amortized: the ascent settles each ancestor of the query once
-// and the descent visits each concept once, its parents' edges once
+/// the ancestors of `sources`. The descended states then settle in
+/// `descent`'s order: a path that ends descending passes its last parent
+/// first, so a concept's value is `min(ascending distance, min over
+/// parents p of field(p) + step(p → c))` once its parents are final — the
+/// relaxations a queue would make, at about half the cost of queueing
+/// them (EXPERIMENTS.md, "layer by layer (V)"). A valid path to `c`
+/// descends only through ancestors of `c`, so the descent is exact on
+/// `c` whenever it holds all of them — as the query's ancestor closure
+/// does for every query concept, and the live-below concepts for every
+/// concept with a live posting (ascents are never pruned).
+// cplx: bound c — amortized: the ascent settles each ancestor of the sources once
+// and the descent visits each of its concepts once, their parents' edges once
 // flow: workspace-fed
 pub(crate) fn build_field<'a, F: Frontier<'a>>(
     frontier: &F,
     ont: &Ontology,
-    live: LiveMask<'_>,
-    query: &[ConceptId],
-    ws: &mut KndsWorkspace,
+    sources: &[ConceptId],
+    descent: impl IntoIterator<Item = ConceptId>,
+    field: &mut Field,
+    mut ascended: Option<&mut Vec<ConceptId>>,
 ) {
-    let mut queue = std::mem::take(&mut ws.field_queue);
-    let dense = &mut ws.dense;
-    for &q in query {
-        if dense.lower_field(q, 0) {
-            enqueue(&mut queue, 0, q);
+    field.clear_field(ont.len());
+    let mut queue = std::mem::take(&mut field.queue);
+    for &s in sources {
+        if field.lower_field(s, 0) {
+            enqueue(&mut queue, 0, s);
         }
     }
     // Ascending: until the descent below, a field value is the concept's
@@ -635,15 +634,19 @@ pub(crate) fn build_field<'a, F: Frontier<'a>>(
         // cplx: bound c — one turn per improved ascending state, at most one per concept
         for &node in &nodes {
             // A push superseded by a shorter ascent is stale.
-            if dense.field_at(node) != d {
+            if field.field_at(node) != d {
                 continue;
+            }
+            if let Some(closure) = ascended.as_deref_mut() {
+                // bound: sized — one entry per ancestor the ascent settles, into capacity the workspace retains (cplx: cap depth*c — the ascent's nest; each ancestor settles once)
+                closure.push(node);
             }
             for &p in ont.parents(node) {
                 let Some(w) = frontier.parent_step(ont, p, node) else {
                     debug_assert!(false, "parent adjacency is symmetric");
                     continue;
                 };
-                if dense.lower_field(p, d + w) {
+                if field.lower_field(p, d + w) {
                     enqueue(&mut queue, d + w, p);
                 }
             }
@@ -654,20 +657,67 @@ pub(crate) fn build_field<'a, F: Frontier<'a>>(
         }
         dist += 1;
     }
-    ws.field_queue = queue;
+    field.queue = queue;
     // Descended: parents before children.
-    // cplx: bound c — one turn per concept
-    for &c in ont.topological_order() {
-        if !live.live_below(c) {
-            continue;
-        }
+    // cplx: bound c — one turn per concept of the descent
+    for c in descent {
         let mut best = UNREACHED;
         for (p, ordinal) in ont.parents_with_ordinals(c) {
             let step = frontier.child_step(p, ordinal as usize - 1);
-            best = best.min(dense.field_at(p).saturating_add(step));
+            best = best.min(field.field_at(p).saturating_add(step));
         }
-        dense.lower_field(c, best);
+        field.lower_field(c, best);
     }
+}
+
+/// Pins the query's ancestor closure `anc*(q)` into `closure`, ordered by
+/// the ontology's topological rank (ids follow the topological order only
+/// where every parent's id is below its children's), while building the
+/// query's `field`: for SDS down every concept with something live at or
+/// below it, for RDS not at all.
+// flow: workspace-fed
+pub(crate) fn pin_query<'a, F: Frontier<'a>>(
+    frontier: &F,
+    ont: &Ontology,
+    live: LiveMask<'_>,
+    kind: QueryKind,
+    query: &[ConceptId],
+    field: &mut Field,
+    closure: &mut Vec<ConceptId>,
+) {
+    let order = if kind == QueryKind::Sds { ont.topological_order() } else { &[] };
+    let descent = order.iter().copied().filter(|&c| live.live_below(c));
+    closure.clear();
+    build_field(frontier, ont, query, descent, field, Some(closure));
+    closure.sort_unstable_by_key(|&c| ont.topological_rank(c));
+}
+
+/// The distance a forward sum `fwd = Σᵢ Ddc(d, qᵢ)` gives: `Ddq` itself
+/// for RDS; for SDS, `fwd / nq` plus the exact `reverse` half — the same
+/// pair of `f64` quotients DRC adds, so distances are bit-identical.
+// bound: proven — nq ≥ 1 (asserted at query entry); fwd is a sum of ≤ nq
+// valid-path distances, far below the 2^53 f64 mantissa
+pub(crate) fn from_forward(kind: QueryKind, nq: usize, fwd: u64, reverse: f64) -> f64 {
+    match kind {
+        QueryKind::Rds => fwd as f64,
+        QueryKind::Sds => fwd as f64 / nq as f64 + reverse,
+    }
+}
+
+/// One exact probe: `Σᵢ Ddc(doc, qᵢ)` over `query` — `Ddq` (Equation 2),
+/// or Equation 3's forward half times `|q|` — from `doc`'s distance field
+/// descended over the query's pinned `closure`; `None` if some query
+/// concept is unreached (an empty document).
+pub(crate) fn probe<'a, F: Frontier<'a>>(
+    frontier: &F,
+    ont: &Ontology,
+    doc: &[ConceptId],
+    closure: &[ConceptId],
+    query: &[ConceptId],
+    field: &mut Field,
+) -> Option<u64> {
+    build_field(frontier, ont, doc, closure.iter().copied(), field, None);
+    field.sum_over(query)
 }
 
 struct Search<'a, 'r, S: IndexSource, F> {
@@ -676,7 +726,6 @@ struct Search<'a, 'r, S: IndexSource, F> {
     /// The source's liveness mask: no posting read where nothing is live
     /// here, no descent where nothing is live below.
     live: LiveMask<'a>,
-    drc: Drc<'a>,
     config: &'r KndsConfig,
     kind: QueryKind,
     /// The normalized (sorted, deduplicated) query and its length.
@@ -694,11 +743,11 @@ struct Search<'a, 'r, S: IndexSource, F> {
 
 impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
     fn run(&mut self) -> QueryResult {
-        if self.kind == QueryKind::Sds {
-            let t = Instant::now();
-            build_field(&self.frontier, self.ont, self.live, self.query, self.ws);
-            self.metrics.traversal += t.elapsed();
-        }
+        let t = Instant::now();
+        let ws = &mut *self.ws;
+        let (field, closure) = (&mut ws.dense.field, &mut ws.closure);
+        pin_query(&self.frontier, self.ont, self.live, self.kind, self.query, field, closure);
+        self.metrics.traversal += t.elapsed();
         self.frontier.seed(self.ws, self.query);
 
         let mut dist: u32 = 0;
@@ -908,7 +957,7 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
         let reverse = if self.kind == QueryKind::Sds {
             ws.concepts_buf.clear();
             self.source.doc_concepts(doc, &mut ws.concepts_buf);
-            ws.dense.reverse_term(&ws.concepts_buf)
+            ws.dense.field.reverse_term(&ws.concepts_buf)
         } else {
             0.0
         };
@@ -1027,9 +1076,9 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
                 min_unexamined = lb;
                 break;
             }
-            let complete = self.is_complete(c);
+            let (complete, reverse) = (self.is_complete(c), c.reverse);
             let partial = self.partial_distance(c);
-            let (exact, via_drc) = self.exact_distance(doc, complete, partial);
+            let (exact, via_drc) = self.exact_distance(doc, complete, partial, reverse);
             if let Some(cand) = self.ws.dense.candidate_mut(slot) {
                 cand.examined = true;
             }
@@ -1081,18 +1130,15 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
 
     /// The partial (currently known) distance — Equation 5; for SDS over
     /// `nq`, plus the exact reverse term.
-    // bound: proven — nq ≥ 1 (asserted at query entry); partial is a sum
-    // of ≤ nq hop counts, far below the 2^53 f64 mantissa
     fn partial_distance(&self, c: &Candidate) -> f64 {
-        match self.kind {
-            QueryKind::Rds => c.partial as f64,
-            QueryKind::Sds => c.partial as f64 / self.nq as f64 + c.reverse,
-        }
+        from_forward(self.kind, self.nq, c.partial, c.reverse)
     }
 
     /// Equation 9, `εd = 1 − Dpartial / D⁻`, over the forward half — what
     /// the traversal has learnt — alone. The SDS reverse half is exact, so
     /// counting it would call every row nearly done and probe them all.
+    // bound: proven — partial and the forward bound are sums of ≤ nq hop
+    // counts, far below the 2^53 f64 mantissa
     fn error_estimate(&self, c: &Candidate, level: u32) -> f64 {
         let fwd = self.forward_bound(c, level);
         if fwd == 0 {
@@ -1119,36 +1165,34 @@ impl<'a, S: IndexSource, F: Frontier<'a>> Search<'a, '_, S, F> {
         }
     }
 
-    /// Exact distance of `doc` and whether DRC was needed: complete partial
-    /// information short-circuits (Section 5.3, optimization 3), otherwise
-    /// a DRC probe runs (rebuilding the workspace's DAG arena in place).
-    /// `complete` and `partial` are precomputed by the caller from the
-    /// candidate entry (see [`Search::is_complete`]).
-    fn exact_distance(&mut self, doc: DocId, complete: bool, partial: f64) -> (f64, bool) {
+    /// Exact distance of `doc` and whether a probe was needed: complete
+    /// partial information short-circuits (Section 5.3, optimization 3),
+    /// otherwise an exact [`probe`] runs. `complete`, `partial` and the
+    /// SDS `reverse` term are the caller's, read off the candidate row
+    /// (see [`Search::is_complete`]).
+    fn exact_distance(
+        &mut self,
+        doc: DocId,
+        complete: bool,
+        partial: f64,
+        reverse: f64,
+    ) -> (f64, bool) {
         if complete {
             self.metrics.exact_from_partial += 1;
             return (partial, false);
         }
 
         let t = Instant::now();
-        self.ws.concepts_buf.clear();
-        self.source.doc_concepts(doc, &mut self.ws.concepts_buf);
+        let ws = &mut *self.ws;
+        ws.concepts_buf.clear();
+        self.source.doc_concepts(doc, &mut ws.concepts_buf);
         self.metrics.io += t.elapsed();
 
         let t = Instant::now();
-        let exact = match self.kind {
-            QueryKind::Rds => {
-                let d = self.drc.document_query_distance(&self.ws.concepts_buf, self.query);
-                if d == cbr_dradix::INFINITE {
-                    f64::INFINITY
-                } else {
-                    d as f64
-                }
-            }
-            QueryKind::Sds => {
-                self.drc.document_document_distance(&self.ws.concepts_buf, self.query)
-            }
-        };
+        let (concepts, closure) = (&ws.concepts_buf, &ws.closure);
+        let fwd =
+            probe(&self.frontier, self.ont, concepts, closure, self.query, &mut ws.dense.probe);
+        let exact = fwd.map_or(f64::INFINITY, |fwd| from_forward(self.kind, self.nq, fwd, reverse));
         self.metrics.distance_calc += t.elapsed();
         self.metrics.drc_calls += 1;
         (exact, true)
@@ -1227,7 +1271,7 @@ mod tests {
     fn rds_distances_match_drc() {
         let (fig, corpus, source) = setup();
         let knds = Knds::new(&fig.ontology, &source, KndsConfig::default());
-        let mut drc = Drc::new(&fig.ontology);
+        let mut drc = cbr_dradix::Drc::new(&fig.ontology);
         let q = fig.example_query();
         let r = knds.rds(&q, 6);
         assert_eq!(r.results.len(), 6);
@@ -1448,7 +1492,7 @@ mod tests {
             postings.clear();
             source.postings(c, &mut postings);
             if !postings.is_empty() {
-                assert_eq!(ws.dense.field_at(c), expect, "{ctx}: f({c:?})");
+                assert_eq!(ws.dense.field.field_at(c), expect, "{ctx}: f({c:?})");
             }
         }
     }

@@ -12,16 +12,19 @@
 //! without any distance precomputation. The algorithm runs a parallel,
 //! valid-path-constrained breadth-first expansion of the ontology from
 //! every query concept, maintains per-document partial distances
-//! (Equations 5/7) and lower bounds (Equations 6/8), and probes the DRC
-//! algorithm for an exact distance only when the **error estimate**
+//! (Equations 5/7) and lower bounds (Equations 6/8), and probes an exact
+//! distance only when the **error estimate**
 //! `εd = 1 − Dpartial/D⁻` (Equation 9) drops to the configured threshold
 //! `εθ`. It terminates when the lower bound of every unexamined document
-//! exceeds the distance of the current k-th result (`D⁻ ≥ D⁺ₖ`).
+//! exceeds the distance of the current k-th result (`D⁻ ≥ D⁺ₖ`). An exact
+//! probe joins the document's distance field with the query's ancestor
+//! closure, where the paper runs DRC (`cbr-dradix`): the same distances,
+//! from one routine that also builds the SDS query's field.
 //!
 //! Baselines from the paper's evaluation live alongside:
 //!
-//! * [`baseline`] — the no-pruning comparator of Section 6.2 (DRC distance
-//!   for *every* document);
+//! * [`baseline`] — the no-pruning comparator of Section 6.2 (the exact
+//!   distance of *every* document), and the exact distance of one pair;
 //! * [`ta`] — a Threshold Algorithm comparator for RDS over
 //!   distance-sorted postings, the Section 4.1 strawman the paper argues
 //!   is impractical for SDS (implemented here to let the benches test that

@@ -1,10 +1,10 @@
 //! Per-query instrumentation.
 //!
 //! The paper's plots split query latency into distance-calculation time
-//! (DRC), ontology-traversal time (kNDS only) and index I/O time
+//! (DRC there, exact probes here), ontology-traversal time (kNDS only) and index I/O time
 //! (Section 6.2). [`QueryMetrics`] captures the same three buckets plus the
 //! counters behind the secondary statistics the paper reports (e.g. the
-//! fraction of DRC-probed documents that end up in the top-k).
+//! fraction of probed documents that end up in the top-k).
 
 use std::fmt;
 use std::time::Duration;
@@ -14,19 +14,21 @@ use std::time::Duration;
 pub struct QueryMetrics {
     /// Time in ontology traversal and candidate bookkeeping.
     pub traversal: Duration,
-    /// Time computing exact distances (DRC probes and partial finalizes).
+    /// Time computing exact distances (exact probes and partial
+    /// finalizes).
     pub distance_calc: Duration,
     /// Time reading the index source — the analogue of the paper's
     /// database access time: each kNDS round's fetch pass, timed as one
     /// block (the posting reads plus the per-state bookkeeping that
-    /// decides which lists to read), and every forward read of a DRC
+    /// decides which lists to read), and every forward read of an exact
     /// probe.
     pub io: Duration,
 
-    /// Exact distances computed via a DRC probe.
+    /// Exact distances computed by a probe — the distance-field join, in
+    /// the place the paper calls DRC (the name is the paper's).
     pub drc_calls: usize,
     /// Exact distances obtained from complete partial information
-    /// (Section 5.3, optimization 3 — no DRC call needed).
+    /// (Section 5.3, optimization 3 — no probe needed).
     pub exact_from_partial: usize,
     /// Documents whose exact distance was computed (`|Sd|`).
     pub docs_examined: usize,

@@ -110,7 +110,7 @@ fn ta_round_robin<S: IndexSource>(
 ) -> QueryResult {
     // TA only needs the per-document marks; the epoch bump replaces the
     // old O(|D|) clear-and-resize of a boolean vector.
-    let rolled = ws.dense.begin_query(0, 0, source.num_docs(), false, false);
+    let rolled = ws.dense.begin_query(0, 0, source.num_docs(), false);
 
     let mut metrics = QueryMetrics { epoch_rollover: rolled as usize, ..QueryMetrics::default() };
 

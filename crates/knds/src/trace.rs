@@ -41,8 +41,9 @@ pub enum TraceEvent {
         error: f64,
         /// The exact distance.
         exact: f64,
-        /// Whether a DRC probe was needed (`false` = finalized from
-        /// complete partial information, Section 5.3 optimization 3).
+        /// Whether an exact probe was needed — the paper's DRC call
+        /// (`false` = finalized from complete partial information,
+        /// Section 5.3 optimization 3).
         via_drc: bool,
     },
     /// The examination loop stopped for this level.

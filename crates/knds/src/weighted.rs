@@ -11,8 +11,10 @@
 //! Algorithm 2 loop of [`crate::engine`]. All its machinery carries over —
 //!
 //! * coverage at first (minimal-distance) pop gives exact `Md` entries,
-//!   because pops are globally distance-ordered, and the SDS distance
-//!   field is built at this policy's step costs (a Dijkstra ascent);
+//!   because pops are globally distance-ordered, and both distance fields
+//!   — the query's and each exact probe's — are built at this policy's
+//!   step costs (a Dijkstra ascent, a descent adding each child edge's
+//!   weight);
 //! * after finishing bucket `d`, every uncovered term has distance at
 //!   least `d + 1` (weights are ≥ 1), so the Equation 6/8 lower bounds and
 //!   the Equation 9 error estimate apply verbatim;
@@ -28,14 +30,13 @@
 //! level's is, and the rows' seen bits mark the states settled.
 //!
 //! Like the unit-weight engine, all per-query state (candidate table,
-//! Dijkstra buckets, coverage maps, DRC scratch) lives in a borrowed
+//! Dijkstra buckets, coverage maps, distance fields) lives in a borrowed
 //! [`KndsWorkspace`]; use the `*_with` entry points to reuse one across
 //! queries.
 
 use crate::config::KndsConfig;
 use crate::engine::{Frontier, Hooks, Knds, QueryKind, QueryResult, Round};
 use crate::workspace::{DenseTables, KndsWorkspace};
-use cbr_dradix::Drc;
 use cbr_index::{packing, IndexSource};
 use cbr_ontology::{ConceptId, EdgeWeights, Ontology};
 
@@ -218,10 +219,6 @@ impl Buckets<'_> {
 
 impl<'a> Frontier<'a> for Buckets<'a> {
     const TENTATIVE: bool = true;
-
-    fn drc(&self, ontology: &'a Ontology) -> Drc<'a> {
-        Drc::with_weights(ontology, self.weights)
-    }
 
     // Staging lists are retained by the workspace across queries.
     // flow: workspace-fed

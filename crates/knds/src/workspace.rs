@@ -2,7 +2,8 @@
 //!
 //! Every kNDS query needs a family of lookup tables and buffers — the
 //! candidate table, the coverage sets, the BFS frontier, posting/concept
-//! fetch buffers, and the DRC DAG scratch. Allocating them per query
+//! fetch buffers, and the two distance fields of the exact probes (see
+//! `engine::build_field`). Allocating them per query
 //! dominates short-query latency and defeats the paper's "no
 //! precomputation, instant admission" story at service scale. A
 //! [`KndsWorkspace`] owns all of that state once: engines borrow it for
@@ -14,8 +15,8 @@
 //! # Dense epoch-stamped tables
 //!
 //! The per-state lookups of Algorithm 2 (BFS dedup, coverage-applied
-//! pairs, the candidate map, Dijkstra tentative distances, the SDS
-//! distance field) live in the crate-private `DenseTables`: flat arrays
+//! pairs, the candidate map, Dijkstra tentative distances, the two
+//! distance fields) live in the crate-private `DenseTables`: flat arrays
 //! sized by `|C|` and `|D|`, indexed by concept (a concept-major row of
 //! origin words), by
 //! `(origin, concept)` or by `DocId`, with **epoch stamps**
@@ -24,10 +25,11 @@
 //! epoch reads as empty. Opening a query bumps one counter — O(1)
 //! regardless of how much the previous query touched — and the arrays are
 //! never memset between queries. The origin rows are the exception: they
-//! carry no stamp, but live in an arena truncated at every query begin.
-//! When the 32-bit counter wraps (once per ~4 billion queries) the stamps
-//! are zeroed wholesale so no entry from the pre-wrap era can alias a
-//! live epoch; the event is surfaced as the
+//! carry no stamp, but live in an arena truncated at every query begin;
+//! and each distance field keeps an epoch of its own, bumped by every
+//! build of it. When the 32-bit counter wraps (once per ~4 billion
+//! queries) the stamps are zeroed wholesale so no entry from the
+//! pre-wrap era can alias a live epoch; the event is surfaced as the
 //! [`epoch_rollover`](crate::QueryMetrics::epoch_rollover) metric and
 //! regression-tested via [`KndsWorkspace::force_epoch_wrap`].
 //!
@@ -42,7 +44,6 @@ use crate::engine::{Candidate, QueryResult, Round, Span};
 use crate::util::OrdF64;
 use crate::weighted::Queues;
 use cbr_corpus::DocId;
-use cbr_dradix::DagScratch;
 use cbr_index::packing;
 use cbr_ontology::ConceptId;
 use std::cmp::Reverse;
@@ -75,13 +76,11 @@ pub struct KndsWorkspace {
     pub(crate) frontier: Round,
     /// Weighted: the Dijkstra buckets and the round's staged pushes.
     pub(crate) queues: Queues,
-    /// SDS: the distance field's ascent buckets, one per distance (see
-    /// `engine::build_field`).
-    pub(crate) field_queue: Vec<Vec<ConceptId>>,
+    /// The query's ancestor closure `anc*(q)` in topological order, pinned
+    /// once a query: what every exact probe descends over.
+    pub(crate) closure: Vec<ConceptId>,
     /// Examination order buffer: the round's `(lower bound, doc)` min-heap.
     pub(crate) order: Vec<Reverse<(OrdF64, DocId)>>,
-    /// The DRC D-Radix build scratch (node/label arenas et al.).
-    pub(crate) dag: DagScratch,
     /// True while a query is in flight (or after a panic left one
     /// unfinished); `begin` resets a dirty workspace before reuse.
     dirty: bool,
@@ -145,9 +144,10 @@ impl KndsWorkspace {
         self.dirty = false;
     }
 
-    /// Pre-sizes the `|C|`- and `|D|`-indexed dense tables for an index
-    /// of `concepts` concepts and `docs` documents, so a pooled or
-    /// per-worker workspace does not grow them inside its first query.
+    /// Pre-sizes the `|C|`- and `|D|`-indexed dense tables, both distance
+    /// fields included, for an index of `concepts` concepts and `docs`
+    /// documents, so a pooled or per-worker workspace does not grow them
+    /// inside its first query.
     /// Origin-dependent tables still size at query begin (once `nq` is
     /// known), which also keeps pooled workspaces correct when the index
     /// grows between queries.
@@ -155,23 +155,14 @@ impl KndsWorkspace {
         self.dense.reserve(concepts, docs);
     }
 
-    /// Test-only hook: primes the epoch counter so the *next* query wraps
-    /// it, exercising the full-stamp-reset path (`epoch_rollover`).
+    /// Test-only hook: primes the epoch counters so the *next* query
+    /// wraps them, exercising the full-stamp-reset path
+    /// (`epoch_rollover`), and each distance field's next build.
     #[doc(hidden)]
     pub fn force_epoch_wrap(&mut self) {
         self.dense.epoch = u32::MAX;
-    }
-
-    /// Detaches the DRC scratch for the duration of a query (it rides
-    /// inside a [`Drc`](cbr_dradix::Drc) value); pair with
-    /// [`restore_dag`](Self::restore_dag).
-    pub(crate) fn take_dag(&mut self) -> DagScratch {
-        std::mem::take(&mut self.dag)
-    }
-
-    /// Re-attaches the DRC scratch after a query.
-    pub(crate) fn restore_dag(&mut self, dag: DagScratch) {
-        self.dag = dag;
+        self.dense.field.epoch = u32::MAX;
+        self.dense.probe.epoch = u32::MAX;
     }
 
     fn clear(&mut self) {
@@ -183,10 +174,10 @@ impl KndsWorkspace {
         self.concepts_buf.clear();
         self.frontier.clear();
         self.queues.clear();
-        self.field_queue.iter_mut().for_each(Vec::clear);
+        self.closure.clear();
         self.order.clear();
-        // The DAG scratch clears itself on the next build; the dense
-        // stamp arrays are invalidated by the next epoch bump.
+        // The dense stamp arrays are invalidated by the next epoch bump,
+        // a distance field by its next build.
     }
 
     /// Approximate heap footprint of the retained capacities, in bytes.
@@ -204,10 +195,8 @@ impl KndsWorkspace {
             + self.concepts_buf.capacity() * size_of::<ConceptId>()
             + self.frontier.footprint_bytes()
             + self.queues.footprint_bytes()
-            + self.field_queue.capacity() * size_of::<Vec<ConceptId>>()
-            + self.field_queue.iter().map(|b| b.capacity() * size_of::<ConceptId>()).sum::<usize>()
+            + self.closure.capacity() * size_of::<ConceptId>()
             + self.order.capacity() * size_of::<Reverse<(OrdF64, DocId)>>()
-            + self.dag.footprint_bytes()
     }
 }
 
@@ -227,8 +216,9 @@ impl KndsWorkspace {
 /// * **packed state** `(origin, node, descending)` →
 ///   `(origin · |C| + node) · 2 + descending` — one stamped `u32` per
 ///   state in `best` (weighted tentative distances);
-/// * **concept** `node` → one stamped distance in `field` (SDS: the
-///   query's distance field, `f(c) = min_q D(q, c)`);
+/// * **concept** `node` → one stamped distance in each [`Field`]: `field`
+///   (the query's, `f(c) = min_q D(q, c)`) and `probe` (the probed
+///   document's, `F_d(c) = min_{x∈d} D(x, c)`);
 /// * **document** `doc` → one bit in `doc_bits` (progressive emission /
 ///   TA scan marks) and one packed `stamp << 32 | row` entry in `slots`
 ///   pointing into the dense candidate rows.
@@ -271,8 +261,11 @@ pub(crate) struct DenseTables {
     pending: Vec<u64>,
     /// Per-document mark bits (emitted / TA-seen), stamped per word.
     doc_bits: Vec<StampedWord>,
-    /// SDS: the query's distance field, one stamped distance per concept.
-    field: Vec<StampedDist>,
+    /// The query's distance field: its ascent pins the query's closure,
+    /// and for SDS its descent gives every row's reverse term.
+    pub(crate) field: Field,
+    /// The distance field of the document an exact probe examines.
+    pub(crate) probe: Field,
     /// Weighted: per-state best tentative distance, stamped per entry.
     best: Vec<StampedDist>,
     /// Document → candidate row index, packed `stamp << 32 | slot` so one
@@ -327,6 +320,94 @@ pub(crate) fn popcount(w: u64) -> u32 {
 
 /// The distance of a concept the field has not reached.
 pub(crate) const UNREACHED: u32 = u32::MAX;
+
+/// One distance field: a stamped distance per concept, emptied in O(1)
+/// by a bump of its own epoch at the start of every build (see
+/// `engine::build_field`), and the ascent's buckets, one per distance,
+/// which every build drains.
+#[derive(Debug, Default)]
+pub(crate) struct Field {
+    epoch: u32,
+    dist: Vec<StampedDist>,
+    pub(crate) queue: Vec<Vec<ConceptId>>,
+}
+
+impl Field {
+    /// Empties the field and sizes it for `concepts` ids; on a wrap of
+    /// the epoch counter the stamps are zeroed once, as the dense tables'.
+    // flow: workspace-fed
+    pub(crate) fn clear_field(&mut self, concepts: usize) {
+        if self.dist.len() < concepts {
+            self.dist.resize(concepts, StampedDist::default());
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            for e in &mut self.dist {
+                e.stamp = 0;
+            }
+            self.epoch = 1;
+        }
+    }
+
+    /// Lowers `node`'s value to `dist` if that is strictly smaller (an
+    /// entry stamped by another build reads as [`UNREACHED`]); `true` if
+    /// it did.
+    #[inline]
+    pub(crate) fn lower_field(&mut self, node: ConceptId, dist: u32) -> bool {
+        let Some(e) = self.dist.get_mut(node.index()) else {
+            debug_assert!(false, "field smaller than the ontology");
+            return false;
+        };
+        if dist == UNREACHED || (e.stamp == self.epoch && e.dist <= dist) {
+            return false;
+        }
+        *e = StampedDist { dist, stamp: self.epoch };
+        true
+    }
+
+    /// The field value at `node`, [`UNREACHED`] if this build did not
+    /// reach it.
+    #[inline]
+    pub(crate) fn field_at(&self, node: ConceptId) -> u32 {
+        match self.dist.get(node.index()) {
+            Some(e) if e.stamp == self.epoch => e.dist,
+            _ => UNREACHED,
+        }
+    }
+
+    /// `Σ_{c ∈ concepts} field(c)`, `None` if some concept is unreached
+    /// (an empty set sums to 0). For the query's field over a document's
+    /// concepts it is the numerator of Equation 3's reverse half; for a
+    /// document's field over the query concepts, `Ddq` (Equation 2) and
+    /// the forward half's numerator.
+    pub(crate) fn sum_over(&self, concepts: &[ConceptId]) -> Option<u64> {
+        concepts
+            .iter()
+            .map(|&c| match self.field_at(c) {
+                UNREACHED => None,
+                f => Some(u64::from(f)),
+            })
+            .sum()
+    }
+
+    /// SDS: the exact reverse term of Equation 3 for a document with
+    /// concepts `concepts`, `Σ_{c∈d} f(c) / |d|`.
+    // bound: proven — the sum is of ≤ |d| field values, each at most the
+    // valid-path diameter, far below the 2^53 f64 mantissa
+    pub(crate) fn reverse_term(&self, concepts: &[ConceptId]) -> f64 {
+        let sum = self.sum_over(concepts);
+        debug_assert!(sum.is_some(), "a live document's concept is off the field");
+        sum.unwrap_or_default() as f64 / concepts.len().max(1) as f64
+    }
+
+    /// Retained bytes (part of the workspace footprint).
+    pub(crate) fn footprint_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.dist.capacity() * size_of::<StampedDist>()
+            + self.queue.capacity() * size_of::<Vec<ConceptId>>()
+            + self.queue.iter().map(|b| b.capacity() * size_of::<ConceptId>()).sum::<usize>()
+    }
+}
 
 /// One stamped bitset word: 64 membership bits and the epoch that wrote
 /// them, side by side so a test-and-set touches one cache line instead of
@@ -398,7 +479,7 @@ impl DenseTables {
 
     /// Opens a new query epoch and grows the tables to the query's
     /// geometry (`origins` query concepts over `concepts` ontology ids
-    /// and `docs` documents). Growth happens here — at workspace
+    /// and `docs` documents; the distance fields size at their builds). Growth happens here — at workspace
     /// acquisition — and never mid-query; a warm workspace re-sizes
     /// nothing and pays exactly one counter bump. Returns whether the
     /// epoch counter wrapped (forcing the one-time full stamp reset).
@@ -408,7 +489,6 @@ impl DenseTables {
         origins: usize,
         concepts: usize,
         docs: usize,
-        needs_field: bool,
         needs_best: bool,
     ) -> bool {
         self.concepts = concepts;
@@ -422,9 +502,6 @@ impl DenseTables {
         self.clear();
         let states = origins * concepts * 2;
         grow_words(&mut self.doc_bits, docs);
-        if needs_field && self.field.len() < concepts {
-            self.field.resize(concepts, StampedDist::default());
-        }
         if needs_best && self.best.len() < states {
             self.best.resize(states, StampedDist::default());
         }
@@ -438,9 +515,6 @@ impl DenseTables {
             // would now alias a live epoch. Reset them all once and
             // restart the epoch sequence above the dead stamp value.
             for e in &mut self.doc_bits {
-                e.stamp = 0;
-            }
-            for e in &mut self.field {
                 e.stamp = 0;
             }
             for e in &mut self.best {
@@ -465,8 +539,10 @@ impl DenseTables {
         if self.pending.len() < concepts.div_ceil(64) {
             self.pending.resize(concepts.div_ceil(64), 0);
         }
-        if self.field.len() < concepts {
-            self.field.resize(concepts, StampedDist::default());
+        for field in [&mut self.field, &mut self.probe] {
+            if field.dist.len() < concepts {
+                field.dist.resize(concepts, StampedDist::default());
+            }
         }
         grow_words(&mut self.doc_bits, docs);
         if self.slots.len() < docs {
@@ -584,48 +660,6 @@ impl DenseTables {
         let new = bits & !words.pair;
         words.pair |= new;
         new
-    }
-
-    /// Field: lowers `node`'s value to `dist` if that is strictly smaller
-    /// (an entry stamped by another query reads as [`UNREACHED`]); `true`
-    /// if it did.
-    #[inline]
-    pub(crate) fn lower_field(&mut self, node: ConceptId, dist: u32) -> bool {
-        let Some(e) = self.field.get_mut(node.index()) else {
-            debug_assert!(false, "field smaller than the ontology");
-            return false;
-        };
-        if dist == UNREACHED || (e.stamp == self.epoch && e.dist <= dist) {
-            return false;
-        }
-        *e = StampedDist { dist, stamp: self.epoch };
-        true
-    }
-
-    /// The field value `f(node)`, [`UNREACHED`] if the field did not reach
-    /// it this query.
-    #[inline]
-    pub(crate) fn field_at(&self, node: ConceptId) -> u32 {
-        match self.field.get(node.index()) {
-            Some(e) if e.stamp == self.epoch => e.dist,
-            _ => UNREACHED,
-        }
-    }
-
-    /// SDS: the exact reverse term of Equation 3 for a document with
-    /// concepts `concepts`, `Σ_{c∈d} f(c) / |d|`.
-    // bound: proven — the sum is of ≤ |d| field values, each at most the
-    // valid-path diameter, far below the 2^53 f64 mantissa
-    pub(crate) fn reverse_term(&self, concepts: &[ConceptId]) -> f64 {
-        let sum: u64 = concepts
-            .iter()
-            .map(|&c| {
-                let f = self.field_at(c);
-                debug_assert!(f != UNREACHED, "a live document's concept {c:?} is off the field");
-                u64::from(f)
-            })
-            .sum();
-        sum as f64 / concepts.len().max(1) as f64
     }
 
     /// Weighted relaxation: keeps `dist` iff it strictly improves (or
@@ -751,7 +785,8 @@ impl DenseTables {
             + self.origin_rows.capacity() * size_of::<OriginWords>()
             + self.pending.capacity() * size_of::<u64>()
             + self.doc_bits.capacity() * size_of::<StampedWord>()
-            + self.field.capacity() * size_of::<StampedDist>()
+            + self.field.footprint_bytes()
+            + self.probe.footprint_bytes()
             + self.best.capacity() * size_of::<StampedDist>()
             + self.slots.capacity() * size_of::<u64>()
             + self.cand.capacity() * size_of::<Candidate>()
@@ -776,13 +811,13 @@ mod tests {
         assert!(ws.begin(), "second borrow is warm");
     }
 
-    /// A round mid-flight, over every table a query opens (SDS touch
-    /// stamps and weighted distances included): the origin rows, the
+    /// A round mid-flight, over every table a query opens (both distance
+    /// fields and weighted distances included): the origin rows, the
     /// round's entries with the first one gathered, the next round
-    /// pending, a bucket of pushes, a candidate row, and the fetch
-    /// buffers — everything a query can hold when it panics.
+    /// pending, a bucket of pushes, a candidate row, the pinned closure
+    /// and the fetch buffers — everything a query can hold when it panics.
     fn dirty_round(ws: &mut KndsWorkspace, origins: usize) {
-        ws.dense.begin_query(origins, 64, 32, true, true);
+        ws.dense.begin_query(origins, 64, 32, true);
         for i in 0..origins {
             let (c, w, bit) = (ConceptId((i % 8) as u32), i >> 6, 1u64 << (i & 63));
             ws.dense.push_next(c, i % 2 == 1, w, bit);
@@ -800,8 +835,12 @@ mod tests {
         let push = Push { node: ConceptId(2), origin: 1, dist: 4, desc: true };
         ws.queues.buckets.push(vec![push; 16]);
         ws.queues.staged.push(vec![push; 4]);
-        ws.dense.lower_field(ConceptId(9), 2);
-        ws.field_queue.push(vec![ConceptId(9); 4]);
+        for field in [&mut ws.dense.field, &mut ws.dense.probe] {
+            field.clear_field(64);
+            field.lower_field(ConceptId(9), 2);
+            field.queue.push(vec![ConceptId(9); 4]);
+        }
+        ws.closure.extend([ConceptId(0), ConceptId(9)]);
         ws.dense.mark_doc(DocId(3));
         ws.dense.insert_candidate(DocId(5), 0.5);
         ws.postings_buf.extend((0..100).map(DocId));
@@ -832,18 +871,21 @@ mod tests {
             assert!(pushes.is_empty(), "stale {name} pushes leaked");
             assert!(pushes.capacity() > 0, "{name} capacity was freed");
         }
-        assert!(ws.field_queue[0].is_empty(), "stale field pushes leaked");
-        assert!(ws.field_queue[0].capacity() > 0, "field bucket capacity was freed");
+        assert!(ws.closure.is_empty(), "stale closure leaked");
         let mut stale = Vec::new();
         ws.dense.take_pending_concepts(&mut stale);
         assert!(stale.is_empty(), "stale pending round leaked");
         // The next query sees no origin of the dirty one seen or pending,
-        // no field value, no distance and no doc mark.
-        ws.dense.begin_query(70, 8, 4, false, false);
+        // no field value once a field is built, no distance and no doc
+        // mark.
+        ws.dense.begin_query(70, 8, 4, false);
         for c in 0..8 {
             assert_eq!(ws.dense.push_next(ConceptId(c), true, 0, 0b11), 2, "stale c{c}");
         }
-        assert_eq!(ws.dense.field_at(ConceptId(9)), UNREACHED, "stale field leaked");
+        for field in [&mut ws.dense.field, &mut ws.dense.probe] {
+            field.clear_field(64);
+            assert_eq!(field.field_at(ConceptId(9)), UNREACHED, "stale field leaked");
+        }
         assert!(ws.dense.improve_best(1, ConceptId(1), true, 9), "stale distance leaked");
         assert!(!ws.dense.doc_marked(DocId(3)), "stale doc mark leaked");
         assert_eq!(ws.dense.slot_of(DocId(5)), None, "stale slot leaked");
@@ -857,7 +899,7 @@ mod tests {
         let mut ws = KndsWorkspace::new();
         ws.begin();
         dirty_round(&mut ws, 130);
-        assert!(!ws.dense.field.is_empty() && !ws.dense.best.is_empty());
+        assert!(!ws.dense.field.dist.is_empty() && !ws.dense.best.is_empty());
         let footprint = ws.footprint_bytes();
         ws.finish();
         assert_eq!(ws.footprint_bytes(), footprint, "finish must keep capacity");
@@ -866,19 +908,13 @@ mod tests {
     #[test]
     fn epoch_bump_empties_every_table_without_clearing() {
         let mut d = DenseTables::default();
-        d.begin_query(2, 16, 8, true, true);
+        d.begin_query(2, 16, 8, true);
         assert_eq!(d.push_next(ConceptId(3), true, 0, 0b10), 1, "first visit");
         assert_eq!(d.push_next(ConceptId(3), true, 0, 0b10), 0, "dup visit");
         assert_eq!(d.push_next(ConceptId(3), false, 0, 0b11), 2, "directions are separate");
         let row = d.origin_row(ConceptId(7)).unwrap();
         assert_eq!(d.fresh_pairs(row, 0, 0b01), 0b01);
         assert_eq!(d.fresh_pairs(row, 0, 0b11), 0b10, "origin 0 already applied");
-        assert_eq!(d.field_at(ConceptId(9)), UNREACHED);
-        assert!(d.lower_field(ConceptId(9), 3));
-        assert!(!d.lower_field(ConceptId(9), 3), "equal is not an improvement");
-        assert!(d.lower_field(ConceptId(9), 2), "strict improvement");
-        assert!(!d.lower_field(ConceptId(9), UNREACHED), "unreached lowers nothing");
-        assert_eq!(d.field_at(ConceptId(9)), 2);
         assert!(d.improve_best(1, ConceptId(2), false, 5));
         assert!(!d.improve_best(1, ConceptId(2), false, 5), "equal is not an improvement");
         assert!(d.improve_best(1, ConceptId(2), false, 4), "strict improvement");
@@ -897,11 +933,10 @@ mod tests {
         );
 
         // Next query: everything reads empty again, at O(1) cost.
-        d.begin_query(2, 16, 8, true, true);
+        d.begin_query(2, 16, 8, true);
         assert_eq!(d.push_next(ConceptId(3), true, 0, 0b10), 1, "stale visit leaked");
         let row = d.origin_row(ConceptId(7)).unwrap();
         assert_eq!(d.fresh_pairs(row, 0, 0b01), 0b01, "stale pair leaked");
-        assert_eq!(d.field_at(ConceptId(9)), UNREACHED, "stale field leaked");
         assert!(d.improve_best(1, ConceptId(2), false, 9), "stale distance leaked");
         assert!(!d.doc_marked(DocId(6)), "stale doc mark leaked");
         assert_eq!(d.slot_of(DocId(4)), None, "stale slot leaked");
@@ -909,9 +944,34 @@ mod tests {
     }
 
     #[test]
+    fn a_field_build_empties_the_field_without_clearing() {
+        let mut f = Field::default();
+        f.clear_field(16);
+        assert_eq!(f.field_at(ConceptId(9)), UNREACHED);
+        assert!(f.lower_field(ConceptId(9), 3));
+        assert!(!f.lower_field(ConceptId(9), 3), "equal is not an improvement");
+        assert!(f.lower_field(ConceptId(9), 2), "strict improvement");
+        assert!(!f.lower_field(ConceptId(9), UNREACHED), "unreached lowers nothing");
+        assert_eq!(f.field_at(ConceptId(9)), 2);
+        assert!(f.lower_field(ConceptId(3), 4));
+        assert_eq!(f.sum_over(&[ConceptId(3), ConceptId(9)]), Some(6));
+        assert_eq!(f.sum_over(&[ConceptId(3), ConceptId(1)]), None, "1 is unreached");
+        assert_eq!(f.sum_over(&[]), Some(0));
+        assert_eq!(f.reverse_term(&[ConceptId(3), ConceptId(9)]), 3.0);
+        f.clear_field(16);
+        assert_eq!(f.field_at(ConceptId(9)), UNREACHED, "stale field value leaked");
+        // A wrap of the field's own counter zeroes its stamps once.
+        f.lower_field(ConceptId(5), 1);
+        f.epoch = u32::MAX;
+        f.clear_field(16);
+        assert_eq!(f.epoch, 1);
+        assert_eq!(f.field_at(ConceptId(5)), UNREACHED, "pre-wrap field value aliased");
+    }
+
+    #[test]
     fn wide_queries_use_every_origin_word() {
         let mut d = DenseTables::default();
-        d.begin_query(130, 4, 2, false, false);
+        d.begin_query(130, 4, 2, false);
         assert_eq!(d.stride(), 3);
         let slot = d.insert_candidate(DocId(1), 0.0);
         d.apply_to_candidate(slot, &[(0, 1), (1, 1 << 63), (2, 0b11)], 4);
@@ -937,31 +997,29 @@ mod tests {
     #[test]
     fn epoch_wrap_resets_stamps_instead_of_aliasing() {
         let mut d = DenseTables::default();
-        assert!(!d.begin_query(1, 8, 4, true, true));
+        assert!(!d.begin_query(1, 8, 4, true));
         d.push_next(ConceptId(1), false, 0, 1);
         d.improve_best(0, ConceptId(2), false, 3);
-        d.lower_field(ConceptId(5), 1);
         d.mark_doc(DocId(3));
         // Prime the counter at the wrap boundary, as the workspace hook
         // does, then open the wrapping query.
         d.epoch = u32::MAX;
-        assert!(d.begin_query(1, 8, 4, true, true), "wrap must be reported");
+        assert!(d.begin_query(1, 8, 4, true), "wrap must be reported");
         assert_eq!(d.push_next(ConceptId(1), false, 0, 1), 1, "pre-wrap visit aliased");
         assert!(d.improve_best(0, ConceptId(2), false, 9), "pre-wrap distance aliased");
-        assert_eq!(d.field_at(ConceptId(5)), UNREACHED, "pre-wrap field value aliased");
         assert!(d.mark_doc(DocId(3)), "pre-wrap doc mark aliased the new epoch");
-        assert!(!d.begin_query(1, 8, 4, true, true), "post-wrap queries are ordinary");
+        assert!(!d.begin_query(1, 8, 4, true), "post-wrap queries are ordinary");
     }
 
     #[test]
     fn geometry_can_grow_between_queries() {
         let mut d = DenseTables::default();
-        d.begin_query(1, 4, 2, false, false);
+        d.begin_query(1, 4, 2, false);
         d.push_next(ConceptId(3), true, 0, 1);
         let small = d.footprint_bytes();
         // A wider query over a grown index re-sizes at begin and the old
         // rows stay dead under the new indexing.
-        d.begin_query(65, 64, 50, true, true);
+        d.begin_query(65, 64, 50, true);
         assert!(d.footprint_bytes() > small, "tables grew with the geometry");
         for c in 0..64u32 {
             for (w, bits) in [(0, 1), (0, 2), (1, 1)] {
@@ -970,7 +1028,7 @@ mod tests {
             }
         }
         // A narrower query reads every row empty.
-        d.begin_query(1, 64, 50, false, false);
+        d.begin_query(1, 64, 50, false);
         for c in 0..64u32 {
             assert_eq!(d.push_next(ConceptId(c), false, 0, 1), 1, "wide-query state leaked");
         }
@@ -979,12 +1037,12 @@ mod tests {
     #[test]
     fn a_stale_row_index_never_aliases_another_concepts_words() {
         let mut d = DenseTables::default();
-        d.begin_query(130, 8, 1, false, false);
+        d.begin_query(130, 8, 1, false);
         d.push_next(ConceptId(1), false, 0, 1);
         d.push_next(ConceptId(0), false, 0, 1);
         // Narrower rows: concept 0's old row index now lands inside the
         // rows concepts 1 and 2 get, so it must not read as concept 0's.
-        d.begin_query(100, 8, 1, false, false);
+        d.begin_query(100, 8, 1, false);
         d.push_next(ConceptId(1), false, 0, 1);
         assert_eq!(d.push_next(ConceptId(2), false, 1, 1), 1);
         assert_eq!(d.push_next(ConceptId(0), false, 0, 1), 1, "concept 0 has no row yet");
@@ -999,8 +1057,11 @@ mod tests {
         let reserved = ws.footprint_bytes();
         assert!(reserved > 0);
         // A query inside the reserved bounds grows nothing doc/concept
-        // sized (origin rows still size by nq at begin).
-        ws.dense.begin_query(0, 1000, 400, true, false);
+        // sized (origin rows still size by nq at begin), nor does a build
+        // of either distance field.
+        ws.dense.begin_query(0, 1000, 400, false);
+        ws.dense.field.clear_field(1000);
+        ws.dense.probe.clear_field(1000);
         assert_eq!(ws.footprint_bytes(), reserved, "reserved tables re-grew");
     }
 }

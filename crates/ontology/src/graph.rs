@@ -34,6 +34,8 @@ pub struct Ontology {
     depths: Vec<u32>,
     /// Concepts ordered so that every parent precedes all of its children.
     topo_order: Vec<ConceptId>,
+    /// Each concept's position in `topo_order`.
+    topo_rank: Vec<u32>,
     root: ConceptId,
     label_index: OnceLock<FxHashMap<String, ConceptId>>,
     path_table: OnceLock<PathTable>,
@@ -163,6 +165,14 @@ impl Ontology {
         &self.topo_order
     }
 
+    /// The position of `c` in [`topological_order`](Self::topological_order):
+    /// a parent's rank is below each of its children's, so sorting a set of
+    /// concepts by rank puts every parent in it before its children.
+    #[inline]
+    pub fn topological_rank(&self, c: ConceptId) -> u32 {
+        self.topo_rank.get(c.index()).copied().unwrap_or(u32::MAX)
+    }
+
     /// Corrupts one stored depth so validator tests can prove detection.
     /// Not part of the public API.
     #[doc(hidden)]
@@ -172,11 +182,13 @@ impl Ontology {
         }
     }
 
-    /// Reverses the topological order so validator tests can prove
-    /// detection. Not part of the public API.
+    /// Reverses the topological order (and the ranks with it) so
+    /// validator tests can prove detection. Not part of the public API.
     #[doc(hidden)]
     pub fn corrupt_topo_order_for_tests(&mut self) {
         self.topo_order.reverse();
+        let last = self.topo_order.len() as u32 - 1;
+        self.topo_rank.iter_mut().for_each(|r| *r = last - *r);
     }
 
     /// Corrupts the first stored per-edge ordinal of `concept` so validator
@@ -387,6 +399,10 @@ impl OntologyBuilder {
             }
         }
 
+        let mut topo_rank = vec![0; n];
+        for (rank, &c) in (0u32..).zip(&topo_order) {
+            topo_rank[c.index()] = rank;
+        }
         let ontology = Ontology {
             labels: self.labels,
             child_offsets,
@@ -396,6 +412,7 @@ impl OntologyBuilder {
             parent_ordinals,
             depths,
             topo_order,
+            topo_rank,
             root,
             label_index: OnceLock::new(),
             path_table: OnceLock::new(),

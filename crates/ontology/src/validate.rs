@@ -27,7 +27,8 @@ pub enum OntologyViolation {
         /// The offending concept.
         concept: ConceptId,
     },
-    /// The topological order is not a permutation of all concepts.
+    /// The topological order is not a permutation of all concepts, or a
+    /// concept's topological rank is not its position in it.
     BadTopoOrder,
     /// A child precedes one of its parents in the topological order.
     TopoOrderViolation {
@@ -115,7 +116,10 @@ impl Ontology {
                 *slot = i;
             }
         }
-        if order.len() != n || position.contains(&usize::MAX) {
+        let ranked = self
+            .concepts()
+            .all(|c| position.get(c.index()).copied() == Some(self.topological_rank(c) as usize));
+        if order.len() != n || position.contains(&usize::MAX) || !ranked {
             v.push(OntologyViolation::BadTopoOrder);
         } else {
             for c in self.concepts() {

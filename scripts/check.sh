@@ -96,12 +96,15 @@ done
 # the root package).
 cargo test -q --workspace
 # The SDS lower bound is tighter than the paper's Equation 8 on purpose
-# (DESIGN.md §4), so the proptest that holds every traced bound between
-# Equation 6/8 and the brute-force distance, and the brute-force oracle
-# of every answering path, also run in release at four times their case
-# counts (48 and 64).
+# (DESIGN.md §4), and kNDS's exact probes are the distance-field join,
+# not the paper's DRC (DESIGN.md §4), so the proptest that holds every
+# traced bound between Equation 6/8 and the brute-force distance, the one
+# that holds every exact probe to the brute-force distances and DRC, and
+# the brute-force oracle of every answering path also run in release at
+# four times their case counts (48, 48 and 64).
 PROPTEST_CASES=192 cargo test --release -q -p cbr-knds --test equivalence \
     bounds_are_sound_and_examination_is_ordered
+PROPTEST_CASES=192 cargo test --release -q -p cbr-knds --test probe
 PROPTEST_CASES=256 cargo test --release -q --test oracle
 # The Dewey path table of the benchmark's 60,000-concept ontology equals
 # the enumerate-and-sort reference builder's, address for address and rank
